@@ -1,14 +1,10 @@
 //! Regenerates Figure 4: the MobileNetV2 1x1 CONV_2D ladder on Arty.
 //!
-//! Usage: `fig4_mnv2_ladder [--input-hw N] [--threads N]
-//! [--no-decode-cache]` (default input 96, the paper's resolution; use
-//! 32 or 48 for a quick look). With `--threads N` the ladder runs
-//! through the parallel DSE engine (byte-identical rows, steps
-//! evaluated on N workers, a live step counter on stderr).
-//! `--no-decode-cache` disables the ISS predecoded-trace fast path —
-//! the escape hatch for bisecting simulator-speed regressions; every
-//! row and the CSV are byte-identical either way (pinned in
-//! `tests/ladder_parallel.rs`).
+//! Usage: `fig4_mnv2_ladder [--input-hw N] [--threads N]` (default
+//! input 96, the paper's resolution; use 32 or 48 for a quick look).
+//! With `--threads N` the ladder runs through the parallel DSE engine
+//! (byte-identical rows, steps evaluated on N workers, a live step
+//! counter on stderr).
 //!
 //! `--store PATH` persists every freshly simulated ladder step to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -30,7 +26,6 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut store_path: Option<String> = None;
     let mut resume = false;
-    let mut decode_cache = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -39,7 +34,6 @@ fn main() {
                     args.next().and_then(|v| v.parse().ok()).expect("--input-hw needs an integer");
             }
             "--full-width" => full_width = true,
-            "--no-decode-cache" => decode_cache = false,
             "--csv" => {
                 csv_path = Some(args.next().expect("--csv needs a path"));
             }
@@ -56,7 +50,7 @@ fn main() {
             }
             "--resume" => resume = true,
             other => {
-                eprintln!("unknown flag {other}; supported: --input-hw N --full-width --csv PATH --svg PATH --threads N --no-decode-cache --store PATH --resume");
+                eprintln!("unknown flag {other}; supported: --input-hw N --full-width --csv PATH --svg PATH --threads N --store PATH --resume");
                 std::process::exit(2);
             }
         }
@@ -65,7 +59,7 @@ fn main() {
         eprintln!("--resume requires --store PATH");
         std::process::exit(2);
     }
-    let cpu = CpuConfig::arty_default().with_decode_cache(decode_cache);
+    let cpu = CpuConfig::arty_default();
     let store = store_path.as_deref().map(|path| {
         let file = ResultStore::open(path).unwrap_or_else(|e| {
             eprintln!("cannot open result store {path}: {e}");

@@ -51,10 +51,8 @@ pub fn run_step(input_hw: usize, full_width: bool, variant: Conv1x1Variant) -> P
     run_step_configured(CpuConfig::arty_default(), input_hw, full_width, variant)
 }
 
-/// [`run_step`] with an explicit CPU configuration — the hook host-only
-/// knobs like [`CpuConfig::with_decode_cache`] reach the ladder through
-/// (guest-visible results must not depend on `cpu`'s host-only fields;
-/// pinned in `tests/ladder_parallel.rs`).
+/// [`run_step`] with an explicit CPU configuration (the DSE engine and
+/// the result store evaluate the ladder on a caller-chosen CPU).
 ///
 /// # Panics
 ///
@@ -130,8 +128,7 @@ pub fn ladder_len() -> u64 {
     Conv1x1Variant::LADDER.len() as u64
 }
 
-/// [`run_ladder`] with an explicit CPU configuration (host-only knobs
-/// such as the decode cache; rows must be identical for any such knob).
+/// [`run_ladder`] with an explicit CPU configuration.
 pub fn run_ladder_configured(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Vec<Fig4Row> {
     let mut rows = Vec::new();
     let mut baseline_conv = 0u64;
@@ -273,7 +270,7 @@ impl Evaluator<Conv1x1Variant> for RetimedFig4Evaluator {
 /// moves the numbers — input resolution, model width, and the fixed CPU
 /// configuration — goes into the workload tag. The CPU is folded in by
 /// its [`StoreKey`](cfu_dse::StoreKey) fingerprint, which excludes
-/// host-only knobs: `--no-decode-cache` runs share the cache.
+/// host-only knobs such as the ISS decode cache.
 pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> StoreContext {
     let fp = key_fingerprint(&DesignPoint { cpu, cfu: CfuChoice::None });
     let width = if full_width { "100" } else { "035" };

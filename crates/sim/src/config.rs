@@ -121,8 +121,8 @@ pub struct CpuConfig {
     /// basic-block dispatch). This is a *simulator* optimization, not a
     /// hardware feature: it never changes cycle counts, statistics or
     /// architectural state, costs no FPGA resources, and exists as a knob
-    /// only so parity tests (and `--no-decode-cache` escape hatches) can
-    /// run the unaccelerated interpreter.
+    /// only so parity tests can run the unaccelerated interpreter. Only
+    /// the ISS reads it: [`crate::TimedCore`] decodes nothing.
     pub decode_cache: bool,
 }
 

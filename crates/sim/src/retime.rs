@@ -32,7 +32,9 @@
 //!    (`timed_core::FetchWalk`), so the finalize pre-pass regenerates
 //!    byte-for-byte the fetch-address stream the live run charged — in
 //!    closed form, one packed record per maximal strictly-sequential
-//!    stretch. Replay charges a stretch in bulk: with an I-cache, per
+//!    stretch. Replay prices each stretch with the charger live
+//!    execution uses for its own `alu`/`call` batches
+//!    (`TimedCore::fetch_run`): with an I-cache, per
 //!    *replay-configuration* cache line — the first fetch touching a
 //!    line performs the real access (and miss fill); the rest of the
 //!    stretch inside that line are proven hits (strictly ascending
@@ -58,7 +60,7 @@
 
 use std::fmt;
 
-use cfu_mem::MemError;
+use cfu_mem::{Cache, MemError};
 
 use crate::config::CpuConfig;
 use crate::cpu::UNCACHED_BASE;
@@ -306,11 +308,14 @@ pub(crate) struct TraceRecorder {
     ops: Vec<u64>,
     compressed: bool,
     marks: u32,
+    /// `ops.len()` just after the last ALU record was pushed; equal to
+    /// the current length only while that record is still the last one.
+    alu_end: usize,
 }
 
 impl TraceRecorder {
     pub(crate) fn new(compressed: bool) -> Self {
-        TraceRecorder { ops: Vec::new(), compressed, marks: 0 }
+        TraceRecorder { ops: Vec::new(), compressed, marks: 0, alu_end: 0 }
     }
 
     pub(crate) fn region(&mut self, base: u32, len: u32) {
@@ -320,18 +325,21 @@ impl TraceRecorder {
 
     /// Records `n` plain ALU instructions, merging with an immediately
     /// preceding ALU record — exact, since `alu(n)` then `alu(m)` charges
-    /// identically to `alu(n + m)`.
+    /// identically to `alu(n + m)`. The record position is tracked rather
+    /// than read back from the tag bits: a region's length word can carry
+    /// any low nibble.
     pub(crate) fn alu(&mut self, n: u32) {
         if n == 0 {
             return;
         }
-        if let Some(last) = self.ops.last_mut() {
-            if *last & 0xF == TAG_ALU {
+        if self.alu_end == self.ops.len() {
+            if let Some(last) = self.ops.last_mut() {
                 *last += u64::from(n) << 8;
                 return;
             }
         }
         self.ops.push(TAG_ALU | (u64::from(n) << 8));
+        self.alu_end = self.ops.len();
     }
 
     pub(crate) fn mul(&mut self) {
@@ -507,7 +515,11 @@ fn compute_fetch_runs(ops: &[u64], compressed: bool) -> Vec<u64> {
         if walk.code_len == 4 {
             rb.push_ideal(n);
         } else {
-            walk.advance_batch(step, n, |pc, k| rb.push_seq(pc, step, k));
+            let pushed = walk.advance_batch(step, n, |pc, k| {
+                rb.push_seq(pc, step, k);
+                Ok::<(), std::convert::Infallible>(())
+            });
+            let Ok(()) = pushed;
         }
         i += 1;
     }
@@ -597,12 +609,10 @@ impl RunMemo {
 ///
 /// Fetch charges are deferred: [`defer`](FetchCursor::defer) only bumps
 /// a counter, and [`flush`](FetchCursor::flush) settles the backlog in
-/// bulk — per replay-configuration cache line when an I-cache is
-/// present (first fetch touching a line does the real access and miss
-/// fill, the rest of the stretch are proven hits), or as a single
-/// [`cfu_mem::Bus::read_cost_run`] burst when fetches go straight to
-/// the bus. The replay loop flushes at every point whose timing reads
-/// or perturbs shared state, which keeps the reordering bit-exact.
+/// bulk, one `TimedCore::fetch_run` stretch at a time (the live path's
+/// charger), short-circuiting runs the memo proves resident. The replay
+/// loop flushes at every point whose timing reads or perturbs shared
+/// state, which keeps the reordering bit-exact.
 struct FetchCursor<'a> {
     runs: &'a [u64],
     idx: usize,
@@ -643,7 +653,7 @@ impl FetchCursor<'_> {
     }
 
     fn pending_mask_slow(&mut self, core: &TimedCore) -> Result<u64, ReplayError> {
-        let step: u32 = if core.config.compressed { 3 } else { 4 };
+        let step = core.fetch_step();
         let line = core.icache.as_ref().map(|c| c.config().line_bytes);
         while self.masked < self.pending {
             let run = *self
@@ -690,7 +700,7 @@ impl FetchCursor<'_> {
 
     /// Charges every deferred fetch against `core`.
     fn flush(&mut self, core: &mut TimedCore) -> Result<(), ReplayError> {
-        let step: u32 = if core.config.compressed { 3 } else { 4 };
+        let step = core.fetch_step();
         while self.pending > 0 {
             let run = *self
                 .runs
@@ -751,75 +761,28 @@ impl FetchCursor<'_> {
             let m = u64::from(count - self.used).min(self.pending);
             if ideal {
                 core.stats.cycles += m;
+                core.stats.instructions += m;
             } else {
                 let first_pc = base.wrapping_add(self.used * step);
-                let cached_line = match core.icache.as_ref() {
-                    Some(cache) if first_pc < UNCACHED_BASE => Some(cache.config().line_bytes),
-                    _ => None,
-                };
-                if let Some(line) = cached_line {
-                    let whole_run = self.used == 0 && m == u64::from(count);
-                    // Line of this run's previous fetch, if any — its
-                    // first touch already did the real access, so a
-                    // continuation inside the same line is all hits.
-                    let mut prev_line = (self.used > 0)
-                        .then(|| base.wrapping_add((self.used - 1) * step) & !(line - 1));
-                    let mut pos: u64 = 0;
-                    while pos < m {
-                        let pc = base.wrapping_add((self.used + pos as u32) * step);
-                        let line_start = pc & !(line - 1);
-                        // Fetches of this stretch whose address stays
-                        // inside `line_start`'s line. `step` is 4 in the
-                        // common (non-RVC) case: keep that divide strength-
-                        // reduced, this loop runs once per fetched line.
-                        let in_line = line_start + line - pc;
-                        let chunk = u64::from(if step == 4 {
-                            (in_line + 3) >> 2
-                        } else {
-                            in_line.div_ceil(step)
-                        })
-                        .min(m - pos);
-                        if prev_line == Some(line_start) {
-                            core.icache.as_mut().expect("cached").note_hits(chunk);
-                        } else {
-                            let cache = core.icache.as_mut().expect("cached");
-                            if !cache.access(pc) {
-                                // A fill may evict a line some proven
-                                // record relies on.
-                                self.memo.invalidate_proven();
-                                let cycles = core.bus.read_cost(line_start, line)?;
-                                core.stats.cycles += cycles;
-                            }
-                            if chunk > 1 {
-                                core.icache.as_mut().expect("cached").note_hits(chunk - 1);
-                            }
-                        }
-                        prev_line = Some(line_start);
-                        pos += chunk;
-                    }
-                    // The walk just touched every line of the run: if the
-                    // geometry is safe (direct-mapped, cacheable, lines
-                    // in distinct sets), remember it as proven-resident.
-                    if whole_run {
-                        let cache = core.icache.as_ref().expect("cached");
-                        if cache.config().ways == 1 {
-                            let shift = line.trailing_zeros();
-                            let last = base.wrapping_add((count - 1) * step);
-                            let distinct = u64::from((last >> shift) - (base >> shift)) + 1;
-                            if last < UNCACHED_BASE && distinct <= u64::from(cache.config().sets())
-                            {
-                                self.memo.prove(run);
-                            }
+                if core.fetch_run(first_pc, m, self.used > 0)? {
+                    // A fill may evict a line some proven record relies on.
+                    self.memo.invalidate_proven();
+                }
+                // When the charger just touched every line of the run and
+                // the geometry is safe (direct-mapped, cacheable, lines in
+                // distinct sets), remember the run as proven-resident.
+                match core.icache.as_ref().map(Cache::config) {
+                    Some(cfg) if self.used == 0 && m == u64::from(count) && cfg.ways == 1 => {
+                        let shift = cfg.line_bytes.trailing_zeros();
+                        let last = base.wrapping_add((count - 1) * step);
+                        let distinct = u64::from((last >> shift) - (base >> shift)) + 1;
+                        if last < UNCACHED_BASE && distinct <= u64::from(cfg.sets()) {
+                            self.memo.prove(run);
                         }
                     }
-                } else {
-                    // Uncached fetches expose the full device latency;
-                    // one contiguous ascending burst prices them all.
-                    let cycles = core.bus.read_cost_run(first_pc, step, m as u32)?;
-                    core.stats.cycles += cycles;
+                    _ => {}
                 }
             }
-            core.stats.instructions += m;
             self.used += m as u32;
             self.pending -= m;
             if self.used == count {
@@ -1797,6 +1760,29 @@ mod tests {
         r.mul();
         r.alu(2);
         assert_eq!(r.ops.len(), 3);
+        // A region length whose low nibble reads as the ALU tag is not
+        // an ALU record: the next ALU op must not fold into it.
+        r.region(0, 0x431);
+        r.alu(13);
+        assert_eq!(r.ops[3..], [TAG_REGION, 0x431, TAG_ALU | (13 << 8)]);
+    }
+
+    #[test]
+    fn fetches_before_any_region_use_the_ideal_fetch() {
+        // With no region declared every fetch costs 1 cycle and never
+        // reaches the bus; capture must finalize and replay exactly.
+        let config = CpuConfig::fomu_baseline();
+        let mut core = TimedCore::new(config, build_bus());
+        core.start_recording();
+        core.alu(700).unwrap();
+        core.mul().unwrap();
+        core.set_code_region(0, 1024).unwrap();
+        core.alu(10).unwrap();
+        let trace = core.finish_recording().expect("recording");
+        let flash = core.bus().region_by_name("flash").expect("mapped").0;
+        assert_eq!(core.bus().stats(flash).reads, 10);
+        let summary = TraceReplayer::new(config, build_bus()).replay(&trace).unwrap();
+        assert_eq!(summary.stats, core.stats());
     }
 
     #[test]

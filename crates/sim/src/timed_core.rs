@@ -101,7 +101,7 @@ const WINDOW_DWELL: u32 = 8 * (CODE_WINDOW / 4);
 /// same fetch-address stream when compacting a captured trace into
 /// line runs). Factoring it into one type is what guarantees capture,
 /// replay and live execution agree on every fetch address.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FetchWalk {
     pub(crate) code_base: u32,
     pub(crate) code_len: u32,
@@ -110,6 +110,24 @@ pub(crate) struct FetchWalk {
     pub(crate) window_base: u32,
     /// Fetches issued since the window last moved.
     pub(crate) window_fetches: u32,
+}
+
+/// `bytes.div_ceil(step)` for a fetch step: the common non-RVC step of 4
+/// stays a shift, since this runs once per fetched line and per stretch.
+#[inline]
+fn div_ceil_step(bytes: u32, step: u32) -> u32 {
+    if step == 4 {
+        (bytes + 3) >> 2
+    } else {
+        bytes.div_ceil(step)
+    }
+}
+
+/// Before any region is declared the walk uses the ideal fetch.
+impl Default for FetchWalk {
+    fn default() -> Self {
+        FetchWalk { code_base: 0, code_len: 4, code_pc: 0, window_base: 0, window_fetches: 0 }
+    }
 }
 
 impl FetchWalk {
@@ -146,14 +164,31 @@ impl FetchWalk {
         (pc, self.code_len == 4)
     }
 
+    /// Exclusive end of the bytes any fetch of `step` bytes can read.
+    /// PCs are exactly `window_start + j * step` below the window's end,
+    /// so the highest one is the last step of the final window.
+    fn fetch_end(&self, step: u32) -> u64 {
+        let len = u64::from(self.code_len);
+        let window_len = u64::from(CODE_WINDOW.min(self.code_len));
+        let last_window = (len - 1) / window_len * window_len;
+        let step = u64::from(step);
+        let max_pc = last_window + (len - last_window - 1) / step * step;
+        u64::from(self.code_base) + max_pc + step
+    }
+
     /// Advances the walk by `n` fetches in closed form, reporting each
     /// maximal strictly-sequential stretch as `(start_pc, count)` via
-    /// `emit`. The emitted PC stream is byte-identical to calling
-    /// [`next`](Self::next) `n` times: `next` only redirects the PC
-    /// *after* returning the fetch that trips a window wrap or a dwell
-    /// slide, so every fetch up to and including that one extends the
-    /// current sequential stretch.
-    pub(crate) fn advance_batch(&mut self, step: u32, n: u64, mut emit: impl FnMut(u32, u64)) {
+    /// `emit` and stopping at its first error. The emitted PC stream is
+    /// byte-identical to calling [`next`](Self::next) `n` times: `next`
+    /// only redirects the PC *after* returning the fetch that trips a
+    /// window wrap or a dwell slide, so every fetch up to and including
+    /// that one extends the current sequential stretch.
+    pub(crate) fn advance_batch<E>(
+        &mut self,
+        step: u32,
+        n: u64,
+        mut emit: impl FnMut(u32, u64) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut left = n;
         while left > 0 {
             let window_len = CODE_WINDOW.min(self.code_len);
@@ -162,10 +197,10 @@ impl FetchWalk {
             // window end, and until the dwell counter trips; both are
             // ≥ 1 because `code_pc < window_end` and
             // `window_fetches < WINDOW_DWELL` hold between calls.
-            let to_wrap = u64::from((window_end - self.code_pc).div_ceil(step));
+            let to_wrap = u64::from(div_ceil_step(window_end - self.code_pc, step));
             let to_dwell = u64::from(WINDOW_DWELL - self.window_fetches);
             let k = left.min(to_wrap).min(to_dwell);
-            emit(self.code_pc, k);
+            emit(self.code_pc, k)?;
             self.code_pc += k as u32 * step;
             self.window_fetches += k as u32;
             // Re-apply `next`'s post-fetch updates once, in its order:
@@ -183,6 +218,7 @@ impl FetchWalk {
             }
             left -= k;
         }
+        Ok(())
     }
 }
 
@@ -279,14 +315,53 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Fails if the region is not mapped on the bus.
+    /// [`MemError::Unmapped`] if `base` is not mapped on the bus;
+    /// [`MemError::OutOfBounds`] if any byte a fetch or I-cache line fill
+    /// of this region can read lies outside the device holding `base`.
+    /// Once a region is accepted, instruction fetch cannot fault.
     pub fn set_code_region(&mut self, base: u32, len: u32) -> Result<(), MemError> {
-        self.bus.region_of(base).ok_or(MemError::Unmapped { addr: base })?;
+        let (_, info) = self.bus.region_of(base).ok_or(MemError::Unmapped { addr: base })?;
+        let mut walk = FetchWalk::default();
+        walk.set_region(base, len);
+        // Regions of at most 4 bytes use the ideal fetch and never touch
+        // the bus.
+        if walk.code_len != 4 {
+            let step = self.fetch_step();
+            let end = walk.fetch_end(step);
+            let (mut lo, mut hi) = (u64::from(base), end);
+            if let Some(cache) = &self.icache {
+                let line = u64::from(cache.config().line_bytes);
+                if base < UNCACHED_BASE {
+                    lo &= !(line - 1);
+                }
+                // A cached fetch reads only the line holding its PC.
+                let max_pc = end - u64::from(step);
+                if max_pc < u64::from(UNCACHED_BASE) {
+                    hi = (max_pc + 1).next_multiple_of(line);
+                }
+            }
+            // The walk's u32 arithmetic also needs one window of headroom
+            // past the region.
+            let headroom = u64::from(base) + u64::from(walk.code_len) + u64::from(CODE_WINDOW);
+            if lo < u64::from(info.base) || hi > info.end() || headroom > 1 << 32 {
+                return Err(MemError::OutOfBounds { addr: lo as u32, len: (hi - lo) as usize });
+            }
+        }
         if let Some(r) = &mut self.recorder {
             r.region(base, len);
         }
-        self.walk.set_region(base, len);
+        self.walk = walk;
         Ok(())
+    }
+
+    /// Bytes per fetch: RVC code is ~70% 16-bit parcels, 3 bytes per
+    /// instruction on average, which is what the fetch stream pulls.
+    pub(crate) fn fetch_step(&self) -> u32 {
+        if self.config.compressed {
+            3
+        } else {
+            4
+        }
     }
 
     /// Begins recording every subsequent charged operation into a
@@ -321,37 +396,83 @@ impl TimedCore {
     /// [`WINDOW_DWELL`] fetches — matching real kernels, which re-execute
     /// small loops rather than sweeping their whole `.text` linearly.
     pub(crate) fn fetch(&mut self) -> Result<(), MemError> {
-        self.stats.instructions += 1;
-        // RVC code is ~70% 16-bit parcels: 3 bytes per instruction on
-        // average, which is what the fetch stream actually pulls.
-        let step = if self.config.compressed { 3 } else { 4 };
-        let (pc, ideal) = self.walk.next(step);
+        let (pc, ideal) = self.walk.next(self.fetch_step());
         if ideal {
             // No code region declared: assume an ideal 1-cycle fetch.
+            self.stats.instructions += 1;
             self.charge(1);
             return Ok(());
         }
-        match &mut self.icache {
-            Some(cache) if pc < UNCACHED_BASE => {
-                if cache.access(pc) {
-                    // Fetch overlaps execute when it hits; charged as part
-                    // of the consuming operation's base cycle.
+        self.fetch_run(pc, 1, false).map(drop)
+    }
+
+    /// Charges the next `n` instruction fetches of the walk in bulk, one
+    /// [`fetch_run`](Self::fetch_run) per maximal sequential stretch.
+    /// Exact against `n` calls of [`fetch`](Self::fetch) because nothing
+    /// else touches the bus, the caches or the cycle counter in between.
+    fn fetch_batch(&mut self, n: u64) -> Result<(), MemError> {
+        if self.walk.code_len == 4 {
+            // Ideal fetch ignores the PC, and the next region resets the
+            // walk, so its position is never observed: skip it.
+            self.stats.instructions += n;
+            self.charge(n);
+            return Ok(());
+        }
+        let mut walk = self.walk;
+        let charged = walk
+            .advance_batch(self.fetch_step(), n, |pc, k| self.fetch_run(pc, k, false).map(drop));
+        self.walk = walk;
+        charged
+    }
+
+    /// Charges `k` strictly sequential instruction fetches, the first at
+    /// `pc` and each [`fetch_step`](Self::fetch_step) bytes after the
+    /// last — the one fetch charger shared by live execution and trace
+    /// replay. Returns whether any I-cache line missed.
+    ///
+    /// With an I-cache, each line below [`UNCACHED_BASE`] costs one real
+    /// access (plus the fill read on a miss) and the rest of the
+    /// stretch's fetches inside it are proven hits: strictly ascending
+    /// fetches keep the line most-recently-used, so counting them with
+    /// [`Cache::note_hits`] is LRU-exact, and a hit charges nothing (it
+    /// overlaps execute). Uncached fetches expose the full device
+    /// latency; one [`Bus::read_cost_run`] burst prices them all.
+    ///
+    /// `continues` states that the last fetch this core charged was the
+    /// one at `pc - step`. When that fetch shared `pc`'s line, the line
+    /// is resident and most-recently-used, so the stretch's fetches in it
+    /// are all counted as hits without an access.
+    pub(crate) fn fetch_run(&mut self, pc: u32, k: u64, continues: bool) -> Result<bool, MemError> {
+        let step = self.fetch_step();
+        self.stats.instructions += k;
+        let (mut pc, mut left, mut missed) = (pc, k, false);
+        if let Some(cache) = &mut self.icache {
+            let line = cache.config().line_bytes;
+            let mut warm = continues && (pc.wrapping_sub(step) ^ pc) < line;
+            while left > 0 && pc < UNCACHED_BASE {
+                let line_start = pc & !(line - 1);
+                // Fetches of this stretch inside `line_start`'s line.
+                let chunk = u64::from(div_ceil_step(line_start + line - pc, step)).min(left);
+                let hits = if std::mem::take(&mut warm) {
+                    chunk
                 } else {
-                    let line = cache.config().line_bytes;
-                    // The fill's bytes are never read (contents live in
-                    // the backing device): cost-only read.
-                    let cycles = self.bus.read_cost(pc & !(line - 1), line)?;
-                    self.charge(cycles);
-                }
-            }
-            _ => {
-                // Uncached fetch over the wishbone: the full device
-                // latency is exposed (no stream buffer).
-                let cycles = self.bus.read_cost(pc, step)?;
-                self.charge(cycles);
+                    if !cache.access(pc) {
+                        missed = true;
+                        // The fill's bytes are never read (contents live
+                        // in the backing device): cost-only read.
+                        self.stats.cycles += self.bus.read_cost(line_start, line)?;
+                    }
+                    chunk - 1
+                };
+                cache.note_hits(hits);
+                pc += chunk as u32 * step;
+                left -= chunk;
             }
         }
-        Ok(())
+        if left > 0 {
+            self.stats.cycles += self.bus.read_cost_run(pc, step, left as u32)?;
+        }
+        Ok(missed)
     }
 
     /// Charges `n` plain single-cycle ALU instructions.
@@ -363,32 +484,8 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.alu(n);
         }
-        self.alu_inner(n)
-    }
-
-    /// [`alu`](Self::alu) without the recording hook — used internally by
-    /// composite operations (like [`call`](Self::call)) whose recorded
-    /// form already implies the ALU work, so it must not be double-traced.
-    fn alu_inner(&mut self, n: u32) -> Result<(), MemError> {
-        // Predecoded fast path: with no code region declared
-        // (`code_len == 4`) every non-compressed fetch charges exactly 1
-        // cycle, resets `code_pc` to `window_base` (which never moves,
-        // since the window spans the whole 4-byte region) and bumps the
-        // dwell counter — so `n` iterations collapse to closed-form
-        // updates. Compressed mode is excluded: its 3-byte stride gives
-        // the PC walk a 2-fetch period this closed form would not match.
-        if self.config.decode_cache && self.walk.code_len == 4 && !self.config.compressed {
-            self.stats.instructions += u64::from(n);
-            self.charge(2 * u64::from(n));
-            self.walk.window_fetches = ((u64::from(self.walk.window_fetches) + u64::from(n))
-                % u64::from(WINDOW_DWELL)) as u32;
-            self.walk.code_pc = self.walk.window_base;
-            return Ok(());
-        }
-        for _ in 0..n {
-            self.fetch()?;
-            self.charge(1);
-        }
+        self.fetch_batch(u64::from(n))?;
+        self.charge(u64::from(n));
         Ok(())
     }
 
@@ -493,13 +590,11 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.call(saved_regs);
         }
-        // jal + jalr-ret redirects.
-        self.fetch()?;
-        self.charge(2);
-        self.fetch()?;
-        self.charge(1 + self.config.refill_penalty());
-        // Stack traffic is SRAM/stack-cached: approximate 2 cycles per reg.
-        self.alu_inner(2 * saved_regs)
+        // jal + jalr-ret redirects, then the stack traffic: SRAM/stack-
+        // cached, approximated as 2 single-cycle instructions per reg.
+        self.fetch_batch(2 + 2 * u64::from(saved_regs))?;
+        self.charge(2 + 1 + self.config.refill_penalty() + 2 * u64::from(saved_regs));
+        Ok(())
     }
 
     fn timed_read(&mut self, addr: u32, len: u32) -> Result<u32, MemError> {
@@ -658,8 +753,8 @@ impl TimedCore {
     /// [`CfuError`] from the CFU itself (bus faults cannot occur — the
     /// fetch is charged against the code region, which was validated).
     pub fn cfu(&mut self, op: CfuOp, rs1: u32, rs2: u32) -> Result<u32, CfuError> {
-        // Fetch can only fail if the code region was unmapped after
-        // set_code_region, which Bus does not allow.
+        // set_code_region accepted only regions whose every fetch and
+        // line fill lies inside one device, and Bus cannot unmap it.
         self.fetch().expect("code region validated at set_code_region");
         self.stats.cfu_ops += 1;
         match self.cfu.execute(op, rs1, rs2) {
@@ -857,27 +952,54 @@ mod tests {
     }
 
     #[test]
-    fn batched_alu_matches_looped_fetches_exactly() {
-        // The closed-form alu() batch must leave stats AND the synthetic
-        // PC walk in exactly the state the per-fetch loop produces,
-        // including across WINDOW_DWELL boundaries and interleaved with
-        // operations that fetch one at a time.
-        let run = |fast: bool| {
-            let mut core = TimedCore::new(
-                CpuConfig::arty_default().with_decode_cache(fast),
-                bus_with_flash(SpiWidth::Quad),
-            );
-            core.set_code_region(0x1000_0000, 4).unwrap(); // minimal region → ideal fetch
-            core.alu(300).unwrap();
-            core.mul().unwrap();
-            core.alu(600).unwrap(); // crosses the 512-fetch dwell reset
-            core.branch(3, true, true).unwrap();
-            core.alu(7).unwrap();
-            core.store_u32(0x1000_4000, 1).unwrap();
-            core.alu(100).unwrap();
-            core.stats()
-        };
-        assert_eq!(run(true), run(false));
+    fn fetch_stretch_crossing_uncached_base_bypasses_icache() {
+        // One sequential stretch of 64 fetches: the first 32 sit in four
+        // cacheable 32-byte lines, the rest in the uncached window.
+        let mut bus = Bus::new();
+        let edge = bus.map("edge", UNCACHED_BASE - 256, Sram::new(512));
+        let mut core = TimedCore::new(CpuConfig::arty_default(), bus);
+        core.set_code_region(UNCACHED_BASE - 128, 256).unwrap();
+        core.alu(64).unwrap();
+        let icache = core.icache_stats().unwrap();
+        assert_eq!((icache.misses, icache.hits), (4, 28));
+        assert_eq!(core.bus().stats(edge).reads, 4 + 32);
+    }
+
+    #[test]
+    fn code_region_running_off_its_device_is_rejected() {
+        // The flash ends at 1 MiB: a region whose tail crosses that end
+        // used to be accepted and then panic inside `cfu` once the walk
+        // reached the tail.
+        let flash_end = 1 << 20;
+        for config in [CpuConfig::fomu_baseline(), CpuConfig::fomu_with_icache(2048)] {
+            let mut core =
+                TimedCore::with_cfu(config, bus_with_flash(SpiWidth::Single), SimdAddCfu::new());
+            let err = core.set_code_region(flash_end - 512, 1024).unwrap_err();
+            assert!(matches!(err, MemError::OutOfBounds { .. }), "{err:?}");
+            // Rejected regions leave the ideal fetch in place: enough ops
+            // to slide the walk onto the missing tail all still run.
+            for _ in 0..4 * WINDOW_DWELL {
+                core.cfu(CfuOp::new(0, 0), 1, 2).unwrap();
+            }
+            assert_eq!(core.stats().instructions, u64::from(4 * WINDOW_DWELL));
+        }
+        // RVC fetches read 3 bytes: a region ending exactly at the device
+        // end still has its last fetch run 2 bytes past it.
+        let mut rvc = TimedCore::new(
+            CpuConfig::fomu_baseline().with_compressed(true),
+            bus_with_flash(SpiWidth::Single),
+        );
+        assert!(rvc.set_code_region(flash_end - 256, 256).is_err());
+        // Line fills round down to the line: a region starting just above
+        // a device's base would fill from below it.
+        let mut bus = Bus::new();
+        bus.map("sram", 0x1000_0004, Sram::new(4096));
+        let mut cached = TimedCore::new(CpuConfig::fomu_with_icache(2048), bus);
+        assert!(cached.set_code_region(0x1000_0004, 256).is_err());
+        // Exactly-fitting regions are accepted and fetch without faults.
+        let mut fits = TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
+        fits.set_code_region(flash_end - 1024, 1024).unwrap();
+        fits.alu(10 * WINDOW_DWELL).unwrap();
     }
 
     #[test]

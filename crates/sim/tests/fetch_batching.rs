@@ -1,0 +1,225 @@
+//! Generated differential test for bulk instruction-fetch charging.
+//!
+//! `TimedCore::alu(n)` and `call(s)` charge their fetches one sequential
+//! stretch at a time, and `TraceReplayer` prices captured fetch runs
+//! through the same charger. Over random operation sequences and random
+//! configurations (I-cache none / 1-way / 2-way with 16/32/64-byte
+//! lines, RVC on/off, single/quad SPI flash, SRAM, DDR3 and a region
+//! straddling the uncached window), this checks that
+//!
+//! * `alu(n)` equals `n` calls of `alu(1)` and `n` single-fetch steps,
+//! * `call(s)` equals its per-fetch expansion, and
+//! * replaying the recorded trace equals the live run,
+//!
+//! on every `TlmStats` field, both caches' statistics and every device's
+//! traffic statistics.
+
+use cfu_core::templates::SimdAddCfu;
+use cfu_core::CfuOp;
+use cfu_mem::{Bus, CacheConfig, Ddr3, SpiFlash, SpiWidth, Sram};
+use cfu_sim::{CpuConfig, TimedCore, TimingModel, TraceReplayer, UNCACHED_BASE};
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+const FLASH: (u32, u32) = (0x0000_0000, 64 << 10);
+const SRAM: (u32, u32) = (0x1000_0000, 64 << 10);
+const DDR: (u32, u32) = (0x4000_0000, 1 << 20);
+/// An SRAM straddling `UNCACHED_BASE`: its upper half is uncached.
+const EDGE: (u32, u32) = (UNCACHED_BASE - (16 << 10), 32 << 10);
+
+fn build_bus(quad: bool) -> Bus {
+    let width = if quad { SpiWidth::Quad } else { SpiWidth::Single };
+    let mut bus = Bus::new();
+    bus.map("flash", FLASH.0, SpiFlash::new(FLASH.1, width));
+    bus.map("sram", SRAM.0, Sram::new(SRAM.1));
+    bus.map("ddr", DDR.0, Ddr3::new(DDR.1));
+    bus.map("edge", EDGE.0, Sram::new(EDGE.1));
+    bus
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Alu(u32),
+    Call(u32),
+    Mul,
+    Div,
+    Shift(u32),
+    Branch { site: u32, backward: bool, taken: bool },
+    Load { addr: u32, wide: bool },
+    Store { addr: u32, wide: bool },
+    Cfu,
+    Peek(u32),
+    Mark,
+    Region { base: u32, len: u32 },
+}
+
+/// A word-aligned data address in one of the devices; stores never
+/// target the read-only flash.
+fn data_addr(dev: u32, off: u32, store: bool) -> u32 {
+    let (base, size) = match dev {
+        0 if !store => FLASH,
+        0 | 1 => SRAM,
+        2 => DDR,
+        _ => EDGE,
+    };
+    base + (off % (size - 4)) / 4 * 4
+}
+
+/// A code region in one of the devices (or unmapped space). Some run
+/// off their device's end and must be rejected; the `EDGE` ones sit
+/// around `UNCACHED_BASE`.
+fn region(dev: u32, off: u32, len: u32) -> Op {
+    let base = match dev {
+        0 => FLASH.0 + off % FLASH.1,
+        1 => SRAM.0 + off % SRAM.1,
+        2 => DDR.0 + off % DDR.1,
+        3 => UNCACHED_BASE - (4 << 10) + off % (8 << 10),
+        _ => 0x2000_0000,
+    };
+    Op::Region { base, len }
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u32..16).prop_map(Op::Alu),
+        (16u32..700).prop_map(Op::Alu),
+        (0u32..5).prop_map(Op::Call),
+        Just(Op::Mul),
+        Just(Op::Div),
+        (0u32..32).prop_map(Op::Shift),
+        (0u32..4, any::<bool>(), any::<bool>()).prop_map(|(site, backward, taken)| Op::Branch {
+            site,
+            backward,
+            taken
+        }),
+        (0u32..4, any::<u32>(), any::<bool>())
+            .prop_map(|(dev, off, wide)| Op::Load { addr: data_addr(dev, off, false), wide }),
+        (0u32..4, any::<u32>(), any::<bool>())
+            .prop_map(|(dev, off, wide)| Op::Store { addr: data_addr(dev, off, true), wide }),
+        Just(Op::Cfu),
+        (0u32..4, any::<u32>()).prop_map(|(dev, off)| Op::Peek(data_addr(dev, off, false))),
+        Just(Op::Mark),
+        (0u32..5, any::<u32>(), prop_oneof![Just(0u32), Just(4u32), 5u32..4096])
+            .prop_map(|(dev, off, len)| region(dev, off, len)),
+        (0u32..3, 0u32..4, any::<bool>()).prop_map(aliased_region),
+    ]
+}
+
+/// One of a few aligned slots that alias in every generated I-cache, so
+/// regions are revisited after evicting each other.
+fn aliased_region((dev, slot, long): (u32, u32, bool)) -> Op {
+    region(dev, slot << 10, if long { 1024 } else { 256 })
+}
+
+/// `(config, quad_spi_flash)`.
+fn config() -> impl Strategy<Value = (CpuConfig, bool)> {
+    (0u32..3, 0u32..3, 0u32..3, 0u32..16).prop_map(|(ways, line, size, flags)| {
+        let [rvc, dcache, quad, fomu] = [0, 1, 2, 3].map(|bit| flags >> bit & 1 != 0);
+        let line_bytes = 16 << line;
+        let icache = (ways > 0).then_some(CacheConfig {
+            size_bytes: [512, 1024, 4096][size as usize],
+            ways,
+            line_bytes,
+        });
+        let base = if fomu { CpuConfig::fomu_baseline() } else { CpuConfig::arty_default() };
+        let dcache = dcache.then_some(CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 32 });
+        (CpuConfig { icache, dcache, compressed: rvc, ..base }, quad)
+    })
+}
+
+/// How `alu` and `call` are charged.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// `alu(n)` and `call(s)`: bulk stretch charging.
+    Batched,
+    /// `alu(n)` as `n` calls of `alu(1)`.
+    UnitAlu,
+    /// Every fetch charged alone through the single-fetch path.
+    PerFetch,
+}
+
+/// One single-cycle instruction through the single-fetch path.
+fn step(core: &mut TimedCore) -> bool {
+    let ok = core.fetch_timing(0, 4).is_ok();
+    core.charge_cycles(1);
+    ok
+}
+
+fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> (TimedCore, Vec<bool>) {
+    let mut core = TimedCore::with_cfu(config, build_bus(quad), SimdAddCfu::new());
+    if matches!(mode, Mode::Batched) {
+        core.start_recording();
+    }
+    let mut outcomes = Vec::with_capacity(ops.len());
+    for &op in ops {
+        let ok = match (op, mode) {
+            (Op::Alu(n), Mode::Batched) => core.alu(n).is_ok(),
+            (Op::Alu(n), Mode::UnitAlu) => (0..n).all(|_| core.alu(1).is_ok()),
+            (Op::Alu(n), Mode::PerFetch) => (0..n).all(|_| step(&mut core)),
+            (Op::Call(s), Mode::Batched) => core.call(s).is_ok(),
+            (Op::Call(s), _) => {
+                // jal, jalr-ret, then two single-cycle instructions per
+                // saved register.
+                let jal = core.fetch_timing(0, 4).is_ok();
+                core.charge_cycles(2);
+                let ret = core.fetch_timing(0, 4).is_ok();
+                core.charge_cycles(1 + config.refill_penalty());
+                jal && ret && (0..2 * s).all(|_| step(&mut core))
+            }
+            (Op::Mul, _) => core.mul().is_ok(),
+            (Op::Div, _) => core.div().is_ok(),
+            (Op::Shift(s), _) => core.shift(s).is_ok(),
+            (Op::Branch { site, backward, taken }, _) => core.branch(site, backward, taken).is_ok(),
+            (Op::Load { addr, wide: true }, _) => core.load_u32(addr).is_ok(),
+            (Op::Load { addr, wide: false }, _) => core.load_u8(addr).is_ok(),
+            (Op::Store { addr, wide: true }, _) => core.store_u32(addr, addr).is_ok(),
+            (Op::Store { addr, wide: false }, _) => core.store_u8(addr, addr as u8).is_ok(),
+            (Op::Cfu, _) => core.cfu(CfuOp::new(0, 0), 0x0102_0304, 0x0101_0101).is_ok(),
+            (Op::Peek(addr), _) => core.peek_u32(addr).is_ok(),
+            (Op::Mark, _) => {
+                core.mark_layer();
+                true
+            }
+            (Op::Region { base, len }, _) => core.set_code_region(base, len).is_ok(),
+        };
+        outcomes.push(ok);
+    }
+    (core, outcomes)
+}
+
+/// Asserts two cores charged identically: core, cache and per-device
+/// statistics.
+fn assert_same(a: &TimedCore, b: &TimedCore, what: &str) {
+    assert_eq!(a.stats(), b.stats(), "{what}: TlmStats");
+    assert_eq!(a.icache_stats(), b.icache_stats(), "{what}: I-cache stats");
+    assert_eq!(a.dcache_stats(), b.dcache_stats(), "{what}: D-cache stats");
+    for ((id_a, info), (id_b, _)) in a.bus().regions().zip(b.bus().regions()) {
+        assert_eq!(a.bus().stats(id_a), b.bus().stats(id_b), "{what}: {} stats", info.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn bulk_fetch_charging_is_exact((config, quad) in config(), ops in vec(op(), 1..200)) {
+        let (mut batched, outcomes) = run(config, quad, &ops, Mode::Batched);
+        for mode in [Mode::UnitAlu, Mode::PerFetch] {
+            let (reference, ref_outcomes) = run(config, quad, &ops, mode);
+            let what = format!("{mode:?} vs Batched, {config:?}, quad {quad}, ops {ops:?}");
+            prop_assert_eq!(&ref_outcomes, &outcomes, "{}", what);
+            assert_same(&reference, &batched, &what);
+        }
+        // Only region declarations may fail: data accesses target mapped
+        // words, and an accepted region's fetches cannot fault.
+        for (op, ok) in ops.iter().zip(&outcomes) {
+            prop_assert!(*ok || matches!(op, Op::Region { .. }), "{:?} failed", op);
+        }
+
+        let trace = batched.finish_recording().expect("recording");
+        let mut replayer = TraceReplayer::new(config, build_bus(quad));
+        let summary = replayer.replay(&trace).expect("replay");
+        let what = format!("replay vs live, {config:?}, quad {quad}, ops {ops:?}");
+        prop_assert_eq!(summary.stats, batched.stats(), "{}", what);
+        assert_same(replayer.core(), &batched, &what);
+    }
+}
