@@ -11,9 +11,8 @@
 //! prior results from it, so a warm re-run performs zero simulations
 //! while printing byte-identical rows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use cfu_dse::{ResultStore, StudyStore};
 use cfu_sim::CpuConfig;
@@ -79,30 +78,20 @@ fn main() {
             let total = cfu_bench::fig4::ladder_len();
             let progress = Arc::new(AtomicU64::new(0));
             let watched = Arc::clone(&progress);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let mut last = 0;
-                    while !done.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(500));
-                        let snap = watched.load(Ordering::Relaxed);
-                        if snap != last {
-                            eprintln!("progress: {snap}/{total} ladder steps");
-                            last = snap;
-                        }
-                    }
-                });
-                let rows = cfu_bench::fig4::run_ladder_parallel_stored(
-                    cpu,
-                    input_hw,
-                    full_width,
-                    n,
-                    Some(progress),
-                    store.clone(),
-                );
-                done.store(true, Ordering::Relaxed);
-                rows
-            })
+            cfu_bench::with_progress(
+                move || watched.load(Ordering::Relaxed),
+                |snap| format!("{snap}/{total} ladder steps"),
+                || {
+                    cfu_bench::fig4::run_ladder_parallel_stored(
+                        cpu,
+                        input_hw,
+                        full_width,
+                        n,
+                        Some(progress),
+                        store.clone(),
+                    )
+                },
+            )
         }
         // A store without --threads still routes through the engine
         // (one worker): the engine and serial drivers are pinned

@@ -27,9 +27,7 @@
 //! Setting `CFU_FAULT_PLAN` (e.g. `"trap@3,panic@7"`) injects
 //! deterministic evaluation faults for smoke-testing this machinery.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use cfu_bench::fig7::{
     merged_report, render, run_all_faulted, Fig7Config, Fig7Progress, Fig7Store,
@@ -126,23 +124,11 @@ fn main() {
     // Live per-curve counters on stderr (stdout stays byte-identical to
     // the serial driver); quick runs finish before the first tick.
     let progress = Fig7Progress::new();
-    let done = AtomicBool::new(false);
-    let curves = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut last = [0u64; 3];
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(500));
-                let snap = progress.snapshot();
-                if snap != last {
-                    eprintln!("progress: {}", progress.render(cfg.trials));
-                    last = snap;
-                }
-            }
-        });
-        let curves = run_all_faulted(&cfg, &progress, store.as_ref(), fault_plan.as_ref());
-        done.store(true, Ordering::Relaxed);
-        curves
-    });
+    let curves = cfu_bench::with_progress(
+        || progress.snapshot(),
+        |_| progress.render(cfg.trials),
+        || run_all_faulted(&cfg, &progress, store.as_ref(), fault_plan.as_ref()),
+    );
     if cfg.retime {
         let (captures, replays): (u64, u64) = (0..3)
             .filter_map(|i| progress.store(i))

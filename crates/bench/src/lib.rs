@@ -23,6 +23,40 @@ pub mod micro;
 pub mod svg;
 pub mod tables;
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
+/// Interval between progress polls.
+const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
+
+/// Runs `work` while a scoped thread polls `snapshot` every half second
+/// and prints `progress: {render(snapshot)}` to stderr whenever it
+/// changed (a run that finishes before the first tick prints nothing).
+/// The poller is woken as soon as `work` returns or unwinds, so it adds
+/// no wait to the run.
+pub fn with_progress<S: Default + PartialEq, T>(
+    snapshot: impl Fn() -> S + Send,
+    render: impl Fn(&S) -> String + Send,
+    work: impl FnOnce() -> T,
+) -> T {
+    let (done, finished) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut last = S::default();
+            while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(PROGRESS_PERIOD) {
+                let snap = snapshot();
+                if snap != last {
+                    eprintln!("progress: {}", render(&snap));
+                    last = snap;
+                }
+            }
+        });
+        let out = work();
+        drop(done);
+        out
+    })
+}
+
 /// Formats a speedup for tables ("55.30x").
 pub fn fmt_speedup(baseline: u64, value: u64) -> String {
     if value == 0 {

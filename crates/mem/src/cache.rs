@@ -284,11 +284,14 @@ impl Cache {
     /// the ticks as long as the statistics are not observed in between
     /// (hit counts have no effect on replacement decisions).
     ///
-    /// For **direct-mapped** caches (`ways == 1`) the contract relaxes:
-    /// any access the caller can prove resident may be counted here,
-    /// regardless of what was touched in between — with a single way
-    /// per set there is no replacement choice, so skipping the LRU
-    /// re-touch cannot change any future hit/miss/eviction decision.
+    /// More generally, a hit may be counted here for any line that is
+    /// resident and was touched after every other line of its set: it
+    /// is already most-recently-used, so skipping the re-touch leaves
+    /// the set's LRU order, and so every future victim, unchanged. For
+    /// **direct-mapped** caches (`ways == 1`) that holds for any line the
+    /// caller can prove resident, regardless of what was touched in
+    /// between — with a single way per set there is no replacement
+    /// choice.
     #[inline]
     pub fn note_hits(&mut self, n: u64) {
         self.stats.hits += n;

@@ -40,7 +40,7 @@ pub struct PredictorState {
 
 impl PredictorState {
     /// Creates predictor state for `kind`. Table sizes are rounded up to
-    /// the next power of two (minimum 1): [`index`](Self::index) masks
+    /// the next power of two (minimum 1): the PC index masks
     /// with `len - 1`, so any other size would alias PCs to wrong slots —
     /// and `entries: 0` would index out of bounds. `CpuConfig::validate`
     /// rejects such configurations up front; this guard keeps directly

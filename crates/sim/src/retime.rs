@@ -42,6 +42,10 @@
 //!    LRU-exact, and a TLM hit charges nothing), recorded via
 //!    [`cfu_mem::Cache::note_hits`]. Without an I-cache the whole
 //!    stretch is priced by one [`cfu_mem::Bus::read_cost_run`] burst.
+//!    A run record identical to the one just replayed is the walk
+//!    re-running a window: when its lines land in distinct sets it is
+//!    charged as bulk hits, the same warm-window rule the live path
+//!    applies once its walk wraps (`TimedCore::note_warm_hits`).
 //!    Fetch charges are additionally *deferred* — accumulated in a
 //!    counter and flushed only at points whose timing reads or perturbs
 //!    shared state (stores, marks, region switches, loads or peeks
@@ -64,7 +68,7 @@ use cfu_mem::{Cache, MemError};
 
 use crate::config::CpuConfig;
 use crate::cpu::UNCACHED_BASE;
-use crate::timed_core::{FetchWalk, TimedCore, TlmStats};
+use crate::timed_core::{lines_in_distinct_sets, FetchWalk, TimedCore, TlmStats};
 
 /// Op-word tags (low 4 bits of each packed `u64`).
 const TAG_REGION: u64 = 0;
@@ -515,11 +519,12 @@ fn compute_fetch_runs(ops: &[u64], compressed: bool) -> Vec<u64> {
         if walk.code_len == 4 {
             rb.push_ideal(n);
         } else {
-            let pushed = walk.advance_batch(step, n, |pc, k| {
+            let mut left = n;
+            while left > 0 {
+                let (pc, k) = walk.stretch(step, left);
                 rb.push_seq(pc, step, k);
-                Ok::<(), std::convert::Infallible>(())
-            });
-            let Ok(()) = pushed;
+                left -= k;
+            }
         }
         i += 1;
     }
@@ -709,13 +714,15 @@ impl FetchCursor<'_> {
             let ideal = run >> 63 != 0;
             let count = ((run >> 32) & RUN_COUNT_MAX) as u32;
             let base = run as u32;
-            // Repeated-pass shortcut: the synthetic walk re-runs each
-            // inner-loop window WINDOW_DWELL/window-length times, so
-            // bit-identical back-to-back run records are the common
-            // case. The previous pass left every line of the run
-            // resident and most-recently-used in its set (guaranteed
-            // when the run's lines land in distinct sets), so re-running
-            // it is all hits with no LRU reordering — O(1) per pass.
+            // Repeated-pass shortcut — the live path's warm-window rule
+            // (`TimedCore::note_warm_hits`) at run granularity: the
+            // synthetic walk re-runs each inner-loop window
+            // WINDOW_DWELL/window-length times, so bit-identical
+            // back-to-back run records are the common case. The previous
+            // pass left every line of the run resident and
+            // most-recently-used in its set (guaranteed when the run's
+            // lines land in distinct sets), so re-running it is all hits
+            // with no LRU reordering — O(1) per pass.
             if !ideal
                 && self.used == 0
                 && u64::from(count) <= self.pending
@@ -723,11 +730,8 @@ impl FetchCursor<'_> {
                 && self.runs[self.idx - 1] == run
             {
                 if let Some(cache) = core.icache.as_mut() {
-                    let line = cache.config().line_bytes;
-                    let shift = line.trailing_zeros();
                     let last = base.wrapping_add((count - 1) * step);
-                    let distinct_lines = u64::from((last >> shift) - (base >> shift)) + 1;
-                    if last < UNCACHED_BASE && distinct_lines <= u64::from(cache.config().sets()) {
+                    if lines_in_distinct_sets(cache.config(), base, last) {
                         cache.note_hits(u64::from(count));
                         core.stats.instructions += u64::from(count);
                         self.pending -= u64::from(count);
@@ -773,10 +777,8 @@ impl FetchCursor<'_> {
                 // distinct sets), remember the run as proven-resident.
                 match core.icache.as_ref().map(Cache::config) {
                     Some(cfg) if self.used == 0 && m == u64::from(count) && cfg.ways == 1 => {
-                        let shift = cfg.line_bytes.trailing_zeros();
                         let last = base.wrapping_add((count - 1) * step);
-                        let distinct = u64::from((last >> shift) - (base >> shift)) + 1;
-                        if last < UNCACHED_BASE && distinct <= u64::from(cfg.sets()) {
+                        if lines_in_distinct_sets(cfg, base, last) {
                             self.memo.prove(run);
                         }
                     }

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use cfu_core::{Cfu, CfuError, CfuOp, NullCfu};
-use cfu_mem::{Bus, Cache, MemError};
+use cfu_mem::{Bus, Cache, CacheConfig, MemError};
 
 use crate::bpred::PredictorState;
 use crate::config::CpuConfig;
@@ -83,6 +83,9 @@ pub struct TimedCore {
     cfu: Box<dyn Cfu>,
     pub(crate) stats: TlmStats,
     pub(crate) walk: FetchWalk,
+    /// Whether the code region qualifies for the warm-window fast path
+    /// (see [`set_code_region`](Self::set_code_region)).
+    warm_skip: bool,
     write_buffer: VecDeque<u64>,
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
@@ -110,6 +113,21 @@ pub(crate) struct FetchWalk {
     pub(crate) window_base: u32,
     /// Fetches issued since the window last moved.
     pub(crate) window_fetches: u32,
+    /// The PC has wrapped back to `window_base` since the window last
+    /// moved, so every fetch PC of the window was charged in this dwell.
+    pub(crate) warm: bool,
+}
+
+/// Whether the I-cache lines holding `first` through `last` are all
+/// cacheable and land in distinct sets of `cfg`. Such lines cannot evict
+/// one another: once each has been touched, and while nothing else
+/// touches the cache, re-fetching them is all hits on lines that are
+/// already most-recently-used in their sets, so counting the re-fetches
+/// with [`Cache::note_hits`] leaves every future LRU victim unchanged,
+/// at any associativity.
+pub(crate) fn lines_in_distinct_sets(cfg: CacheConfig, first: u32, last: u32) -> bool {
+    let shift = cfg.line_bytes.trailing_zeros();
+    last < UNCACHED_BASE && (last >> shift) - (first >> shift) < cfg.sets()
 }
 
 /// `bytes.div_ceil(step)` for a fetch step: the common non-RVC step of 4
@@ -126,7 +144,14 @@ fn div_ceil_step(bytes: u32, step: u32) -> u32 {
 /// Before any region is declared the walk uses the ideal fetch.
 impl Default for FetchWalk {
     fn default() -> Self {
-        FetchWalk { code_base: 0, code_len: 4, code_pc: 0, window_base: 0, window_fetches: 0 }
+        FetchWalk {
+            code_base: 0,
+            code_len: 4,
+            code_pc: 0,
+            window_base: 0,
+            window_fetches: 0,
+            warm: false,
+        }
     }
 }
 
@@ -134,11 +159,14 @@ impl FetchWalk {
     /// Re-targets the walk at a fresh code region (mirrors
     /// [`TimedCore::set_code_region`], including the 4-byte floor).
     pub(crate) fn set_region(&mut self, base: u32, len: u32) {
-        self.code_base = base;
-        self.code_len = len.max(4);
-        self.code_pc = base;
-        self.window_base = base;
-        self.window_fetches = 0;
+        *self = FetchWalk {
+            code_base: base,
+            code_len: len.max(4),
+            code_pc: base,
+            window_base: base,
+            window_fetches: 0,
+            warm: false,
+        };
     }
 
     /// Advances one fetch of `step` bytes, returning the fetched PC and
@@ -151,17 +179,41 @@ impl FetchWalk {
         let window_len = CODE_WINDOW.min(self.code_len);
         if self.code_pc >= (self.window_base + window_len).min(self.code_base + self.code_len) {
             self.code_pc = self.window_base;
+            self.warm = true;
         }
         self.window_fetches += 1;
         if self.window_fetches >= WINDOW_DWELL {
-            self.window_fetches = 0;
-            self.window_base += window_len;
-            if self.window_base >= self.code_base + self.code_len {
-                self.window_base = self.code_base;
-            }
-            self.code_pc = self.window_base;
+            self.slide();
         }
         (pc, self.code_len == 4)
+    }
+
+    /// Ends the dwell: the window moves on to the next `CODE_WINDOW`
+    /// bytes of the region (wrapping to its start) and the PC restarts
+    /// at the new window's base.
+    fn slide(&mut self) {
+        self.window_fetches = 0;
+        self.window_base += CODE_WINDOW.min(self.code_len);
+        if self.window_base >= self.code_base + self.code_len {
+            self.window_base = self.code_base;
+        }
+        self.code_pc = self.window_base;
+        self.warm = false;
+    }
+
+    /// Consumes up to `n` fetches of a warm window without moving the
+    /// PC, returning how many, and slides the window exactly as
+    /// [`next`](Self::next) does when they end the dwell. Only for the
+    /// warm-window fast path: the PC it leaves stale is never read
+    /// before the slide resets it.
+    #[inline]
+    pub(crate) fn skip_warm(&mut self, n: u64) -> u64 {
+        let k = n.min(u64::from(WINDOW_DWELL - self.window_fetches));
+        self.window_fetches += k as u32;
+        if self.window_fetches >= WINDOW_DWELL {
+            self.slide();
+        }
+        k
     }
 
     /// Exclusive end of the bytes any fetch of `step` bytes can read.
@@ -176,49 +228,36 @@ impl FetchWalk {
         u64::from(self.code_base) + max_pc + step
     }
 
-    /// Advances the walk by `n` fetches in closed form, reporting each
-    /// maximal strictly-sequential stretch as `(start_pc, count)` via
-    /// `emit` and stopping at its first error. The emitted PC stream is
-    /// byte-identical to calling [`next`](Self::next) `n` times: `next`
-    /// only redirects the PC *after* returning the fetch that trips a
-    /// window wrap or a dwell slide, so every fetch up to and including
-    /// that one extends the current sequential stretch.
-    pub(crate) fn advance_batch<E>(
-        &mut self,
-        step: u32,
-        n: u64,
-        mut emit: impl FnMut(u32, u64) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut left = n;
-        while left > 0 {
-            let window_len = CODE_WINDOW.min(self.code_len);
-            let window_end = (self.window_base + window_len).min(self.code_base + self.code_len);
-            // Fetches until (and including) the one that reaches the
-            // window end, and until the dwell counter trips; both are
-            // ≥ 1 because `code_pc < window_end` and
-            // `window_fetches < WINDOW_DWELL` hold between calls.
-            let to_wrap = u64::from(div_ceil_step(window_end - self.code_pc, step));
-            let to_dwell = u64::from(WINDOW_DWELL - self.window_fetches);
-            let k = left.min(to_wrap).min(to_dwell);
-            emit(self.code_pc, k)?;
-            self.code_pc += k as u32 * step;
-            self.window_fetches += k as u32;
-            // Re-apply `next`'s post-fetch updates once, in its order:
-            // wrap to the window base first, then the dwell slide.
-            if self.code_pc >= window_end {
-                self.code_pc = self.window_base;
-            }
-            if self.window_fetches >= WINDOW_DWELL {
-                self.window_fetches = 0;
-                self.window_base += window_len;
-                if self.window_base >= self.code_base + self.code_len {
-                    self.window_base = self.code_base;
-                }
-                self.code_pc = self.window_base;
-            }
-            left -= k;
+    /// Advances the walk in closed form by its current maximal
+    /// strictly-sequential stretch, capped at `max` (≥ 1) fetches, and
+    /// returns the stretch as `(start_pc, count)`. Repeated calls emit a
+    /// PC stream byte-identical to calling [`next`](Self::next) once per
+    /// fetch: `next` only redirects the PC *after* returning the fetch
+    /// that trips a window wrap or a dwell slide, so every fetch up to
+    /// and including that one extends the current stretch.
+    pub(crate) fn stretch(&mut self, step: u32, max: u64) -> (u32, u64) {
+        let window_end =
+            (self.window_base + CODE_WINDOW.min(self.code_len)).min(self.code_base + self.code_len);
+        // Fetches until (and including) the one that reaches the window
+        // end, and until the dwell counter trips; both are ≥ 1 because
+        // `code_pc < window_end` and `window_fetches < WINDOW_DWELL` hold
+        // between calls.
+        let to_wrap = u64::from(div_ceil_step(window_end - self.code_pc, step));
+        let to_dwell = u64::from(WINDOW_DWELL - self.window_fetches);
+        let k = max.min(to_wrap).min(to_dwell);
+        let pc = self.code_pc;
+        self.code_pc += k as u32 * step;
+        self.window_fetches += k as u32;
+        // Re-apply `next`'s post-fetch updates once, in its order: wrap
+        // to the window base first, then the dwell slide.
+        if self.code_pc >= window_end {
+            self.code_pc = self.window_base;
+            self.warm = true;
         }
-        Ok(())
+        if self.window_fetches >= WINDOW_DWELL {
+            self.slide();
+        }
+        (pc, k)
     }
 }
 
@@ -248,6 +287,7 @@ impl TimedCore {
             cfu: Box::new(cfu),
             stats: TlmStats::default(),
             walk: FetchWalk::default(),
+            warm_skip: false,
             write_buffer: VecDeque::new(),
             recorder: None,
         }
@@ -319,10 +359,17 @@ impl TimedCore {
     /// [`MemError::OutOfBounds`] if any byte a fetch or I-cache line fill
     /// of this region can read lies outside the device holding `base`.
     /// Once a region is accepted, instruction fetch cannot fault.
+    ///
+    /// The region also qualifies for the warm-window fast path when an
+    /// I-cache is configured, every fetch PC lies below
+    /// [`UNCACHED_BASE`], and the lines of any one window land in
+    /// distinct sets. Then, once the walk wraps back to its window's
+    /// base, the rest of the dwell is charged as bulk I-cache hits.
     pub fn set_code_region(&mut self, base: u32, len: u32) -> Result<(), MemError> {
         let (_, info) = self.bus.region_of(base).ok_or(MemError::Unmapped { addr: base })?;
         let mut walk = FetchWalk::default();
         walk.set_region(base, len);
+        let mut warm_skip = false;
         // Regions of at most 4 bytes use the ideal fetch and never touch
         // the bus.
         if walk.code_len != 4 {
@@ -338,6 +385,11 @@ impl TimedCore {
                 let max_pc = end - u64::from(step);
                 if max_pc < u64::from(UNCACHED_BASE) {
                     hi = (max_pc + 1).next_multiple_of(line);
+                    // A window starting on a line's last byte spans the
+                    // most lines, ceil(window / line) + 1 at worst.
+                    let line = line as u32;
+                    let window = CODE_WINDOW.min(walk.code_len);
+                    warm_skip = lines_in_distinct_sets(cache.config(), line - 1, line + window - 2);
                 }
             }
             // The walk's u32 arithmetic also needs one window of headroom
@@ -351,6 +403,7 @@ impl TimedCore {
             r.region(base, len);
         }
         self.walk = walk;
+        self.warm_skip = warm_skip;
         Ok(())
     }
 
@@ -396,6 +449,11 @@ impl TimedCore {
     /// [`WINDOW_DWELL`] fetches — matching real kernels, which re-execute
     /// small loops rather than sweeping their whole `.text` linearly.
     pub(crate) fn fetch(&mut self) -> Result<(), MemError> {
+        if self.warm_skip && self.walk.warm {
+            let k = self.walk.skip_warm(1);
+            self.note_warm_hits(k);
+            return Ok(());
+        }
         let (pc, ideal) = self.walk.next(self.fetch_step());
         if ideal {
             // No code region declared: assume an ideal 1-cycle fetch.
@@ -407,9 +465,10 @@ impl TimedCore {
     }
 
     /// Charges the next `n` instruction fetches of the walk in bulk, one
-    /// [`fetch_run`](Self::fetch_run) per maximal sequential stretch.
-    /// Exact against `n` calls of [`fetch`](Self::fetch) because nothing
-    /// else touches the bus, the caches or the cycle counter in between.
+    /// [`fetch_run`](Self::fetch_run) per maximal sequential stretch and
+    /// the warm rest of a dwell as bulk hits. Exact against `n` calls of
+    /// [`fetch`](Self::fetch) because nothing else touches the bus, the
+    /// caches or the cycle counter in between.
     fn fetch_batch(&mut self, n: u64) -> Result<(), MemError> {
         if self.walk.code_len == 4 {
             // Ideal fetch ignores the PC, and the next region resets the
@@ -418,11 +477,40 @@ impl TimedCore {
             self.charge(n);
             return Ok(());
         }
-        let mut walk = self.walk;
-        let charged = walk
-            .advance_batch(self.fetch_step(), n, |pc, k| self.fetch_run(pc, k, false).map(drop));
-        self.walk = walk;
-        charged
+        let step = self.fetch_step();
+        let mut left = n;
+        while left > 0 {
+            if self.warm_skip && self.walk.warm {
+                let k = self.walk.skip_warm(left);
+                self.note_warm_hits(k);
+                left -= k;
+            } else {
+                let (pc, k) = self.walk.stretch(step, left);
+                self.fetch_run(pc, k, false)?;
+                left -= k;
+            }
+        }
+        Ok(())
+    }
+
+    /// Charges `k` fetches of a warm window in a qualifying region (see
+    /// [`set_code_region`](Self::set_code_region)) as I-cache hits.
+    ///
+    /// Exact for any associativity: only fetches touch the I-cache, and
+    /// the dwell started at the window's base and ran sequentially to its
+    /// wrap, so every fetch PC of the window went through
+    /// [`fetch_run`](Self::fetch_run) in this dwell. The window's lines
+    /// land in distinct sets, so none evicted another and each was
+    /// touched after every other line of its set: all are resident and
+    /// most-recently-used, and skipping the re-touches leaves every
+    /// future LRU victim unchanged. A hit charges no cycles and no bus
+    /// access. The PC is not advanced; the dwell's slide resets it, and
+    /// trace capture regenerates PCs from the op stream.
+    fn note_warm_hits(&mut self, k: u64) {
+        self.stats.instructions += k;
+        if let Some(cache) = &mut self.icache {
+            cache.note_hits(k);
+        }
     }
 
     /// Charges `k` strictly sequential instruction fetches, the first at
@@ -1000,6 +1088,94 @@ mod tests {
         let mut fits = TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
         fits.set_code_region(flash_end - 1024, 1024).unwrap();
         fits.alu(10 * WINDOW_DWELL).unwrap();
+    }
+
+    /// Charges `n` fetches of `walk` one at a time through the real
+    /// charger, never skipping an I-cache access: the oracle for the
+    /// bulk and warm-window paths.
+    fn fetch_each(core: &mut TimedCore, walk: &mut FetchWalk, n: u64) {
+        let step = core.fetch_step();
+        for _ in 0..n {
+            let (pc, _) = walk.next(step);
+            core.fetch_run(pc, 1, false).unwrap();
+        }
+    }
+
+    /// Runs one pseudo-random `alu`/`call`/`mul` sequence per region on
+    /// a live core and replays its fetches one at a time on an oracle
+    /// core, comparing statistics, device traffic and the residency of
+    /// every line after each region. Returns whether the first region
+    /// qualified for the warm-window fast path.
+    ///
+    /// Region A starts mid-line and ends in a 232-byte tail window; the
+    /// short region is smaller than one window; B aliases A in every
+    /// cache of at most 4 KiB, evicting it before A returns.
+    fn check_warm_window_against_oracle(icache: CacheConfig, rvc: bool) -> bool {
+        let (a, short, b) = ((0x104, 1000), (0x2014, 100), (0x104 + 4096, 1000));
+        let config =
+            CpuConfig { icache: Some(icache), ..CpuConfig::fomu_baseline().with_compressed(rvc) };
+        let mut fast = TimedCore::new(config, bus_with_flash(SpiWidth::Quad));
+        let mut oracle = TimedCore::new(config, bus_with_flash(SpiWidth::Quad));
+        let mut walk = FetchWalk::default();
+        let mut qualified = false;
+        let mut seed = icache.size_bytes ^ icache.ways << 16 ^ icache.line_bytes << 20;
+        for (phase, (base, len)) in [a, short, b, a].into_iter().enumerate() {
+            fast.set_code_region(base, len).unwrap();
+            oracle.set_code_region(base, len).unwrap();
+            walk.set_region(base, len);
+            qualified |= phase == 0 && fast.warm_skip;
+            // ≈ 2800 fetches: past every window of A once.
+            for _ in 0..300 {
+                seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let (n, extra_cycles) = match seed >> 29 {
+                    0..=3 => {
+                        let n = seed >> 8 & 31;
+                        fast.alu(n).unwrap();
+                        (u64::from(n), u64::from(n))
+                    }
+                    4 | 5 => {
+                        let s = u64::from(seed >> 8 & 3);
+                        fast.call(s as u32).unwrap();
+                        (2 + 2 * s, 2 + 1 + config.refill_penalty() + 2 * s)
+                    }
+                    _ => {
+                        fast.mul().unwrap();
+                        // Counter additions commute with the fetch.
+                        oracle.mul_cost();
+                        (1, 0)
+                    }
+                };
+                fetch_each(&mut oracle, &mut walk, n);
+                oracle.charge(extra_cycles);
+            }
+            let what = format!("{icache:?}, rvc {rvc}, phase {phase}");
+            assert_eq!(fast.stats(), oracle.stats(), "{what}: TlmStats");
+            assert_eq!(fast.icache_stats(), oracle.icache_stats(), "{what}");
+            let (fc, oc) = (fast.icache.as_ref().unwrap(), oracle.icache.as_ref().unwrap());
+            for addr in (0..0x2400).step_by(icache.line_bytes as usize) {
+                assert_eq!(fc.contains(addr), oc.contains(addr), "{what}: line {addr:#x}");
+            }
+            let flash = fast.bus().region_by_name("flash").unwrap().0;
+            assert_eq!(fast.bus().stats(flash), oracle.bus().stats(flash), "{what}");
+        }
+        qualified
+    }
+
+    #[test]
+    fn warm_window_fetches_match_per_fetch_charging() {
+        let mut qualified = [0; 2];
+        for ways in [1, 2, 4] {
+            for line_bytes in [16, 32, 64] {
+                for size_bytes in [256, 1024, 4096] {
+                    for rvc in [false, true] {
+                        let icache = CacheConfig { size_bytes, ways, line_bytes };
+                        qualified[usize::from(check_warm_window_against_oracle(icache, rvc))] += 1;
+                    }
+                }
+            }
+        }
+        // Both sides of the distinct-sets gate are exercised.
+        assert!(qualified[0] > 0 && qualified[1] > 0, "{qualified:?}");
     }
 
     #[test]
