@@ -11,13 +11,13 @@
 //!   the same point from the factory's `TraceStore`, `capture` is the
 //!   one-off recording run. The replayed point retimes the multiplier
 //!   (iterative → single-cycle DSP) against the minimal-CPU capture.
-//! * `kws_*` — the Figure-6 KWS ladder at the `run_step` level on Fomu:
-//!   capture at `SramOpsAndModel` (retime group 1's capture rung), then
-//!   execute/replay its cacheless timing sibling
-//!   (`SramOpsAndModel` + `SingleCycleDsp`).
+//! * `kws_*` — the Figure-6 KWS ladder at the step level on Fomu
+//!   (`fig6::execute`/`fig6::replay`): capture at `SramOpsAndModel`
+//!   (retime group 1's capture rung), then execute/replay its cacheless
+//!   timing sibling (`SramOpsAndModel` + `SingleCycleDsp`).
 //!
 //! Every sample evaluates with a *fresh* evaluator (or a fresh
-//! `run_step_as`/`replay_step_as` call) so no per-evaluator memo cache
+//! `execute`/`replay` call) so no per-evaluator memo cache
 //! short-circuits the work; replayed cycle counts are bit-identical to
 //! execute mode (pinned in `crates/bench/tests/ladder_parallel.rs` and
 //! `crates/sim/tests/retime.rs`, and re-asserted here). Results land in
@@ -26,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cfu_bench::fig6::{replay_step_as, run_step_as, run_step_captured, Fig6Step};
+use cfu_bench::fig6::{execute, replay, Fig6Step};
 use cfu_core::Resources;
 use cfu_dse::{CfuChoice, DesignPoint, Evaluator, EvaluatorFactory, InferenceEvaluatorFactory};
 use cfu_sim::{CpuConfig, Multiplier};
@@ -103,20 +103,20 @@ fn bench_mnv2(group: &mut criterion::BenchmarkGroup<'_>) {
 }
 
 fn bench_kws(group: &mut criterion::BenchmarkGroup<'_>) {
-    let sibling = Fig6Step::SramOpsAndModel.cpu().with_multiplier(Multiplier::SingleCycleDsp);
-    let (_, trace) = run_step_captured(Fig6Step::SramOpsAndModel);
-    let executed = run_step_as(Fig6Step::SramOpsAndModel, sibling);
-    let replayed = replay_step_as(Fig6Step::SramOpsAndModel, sibling, &trace)
-        .expect("sibling is retime-eligible");
+    let step = Fig6Step::SramOpsAndModel;
+    let sibling = step.cpu().with_multiplier(Multiplier::SingleCycleDsp);
+    let trace = execute(step, step.cpu(), true).1.expect("capture requested");
+    let executed = execute(step, sibling, false).0;
+    let replayed = replay(step, sibling, &trace).expect("sibling is retime-eligible");
     assert_eq!(executed, replayed, "retime parity");
     group.bench_function("kws_execute", |b| {
-        b.iter(|| std::hint::black_box(run_step_as(Fig6Step::SramOpsAndModel, sibling)));
+        b.iter(|| std::hint::black_box(execute(step, sibling, false)));
     });
     group.bench_function("kws_replay", |b| {
-        b.iter(|| std::hint::black_box(replay_step_as(Fig6Step::SramOpsAndModel, sibling, &trace)));
+        b.iter(|| std::hint::black_box(replay(step, sibling, &trace)));
     });
     group.bench_function("kws_capture", |b| {
-        b.iter(|| std::hint::black_box(run_step_captured(Fig6Step::SramOpsAndModel)));
+        b.iter(|| std::hint::black_box(execute(step, step.cpu(), true)));
     });
 }
 

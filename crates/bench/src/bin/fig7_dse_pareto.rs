@@ -29,70 +29,33 @@
 
 use std::sync::Arc;
 
-use cfu_bench::fig7::{
-    merged_report, render, run_all_faulted, Fig7Config, Fig7Progress, Fig7Store,
+use cfu_bench::cli::{self, Command};
+use cfu_bench::fig7::{render, Fig7Config};
+use cfu_dse::FaultPlan;
+
+const CMD: Command = Command {
+    usage: "fig7_dse_pareto [--trials N] [--input-hw N] [--threads N] [--random] [--retime|--no-retime] [--max-retries N] [--fail-fast] [--cycle-budget N] [--csv PATH] [--svg PATH] [--store PATH] [--resume]",
+    svg: true,
+    retime: true,
+    tombstones: true,
 };
-use cfu_dse::{FaultPlan, ResultStore};
 
 fn main() {
     let mut cfg = Fig7Config::default();
-    let mut csv_path: Option<String> = None;
-    let mut svg_path: Option<String> = None;
-    let mut store_path: Option<String> = None;
-    let mut resume = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trials" => {
-                cfg.trials =
-                    args.next().and_then(|v| v.parse().ok()).expect("--trials needs an integer");
-            }
-            "--input-hw" => {
-                cfg.input_hw =
-                    args.next().and_then(|v| v.parse().ok()).expect("--input-hw needs an integer");
-            }
-            "--threads" => {
-                cfg.threads =
-                    args.next().and_then(|v| v.parse().ok()).expect("--threads needs an integer");
-            }
+    let mut args = cli::parse_or_exit(&CMD, |flag, value| {
+        match flag {
+            "--trials" => cfg.trials = value.int()?,
+            "--input-hw" => cfg.input_hw = value.int()?,
             "--random" => cfg.evolutionary = false,
-            "--retime" => cfg.retime = true,
-            "--no-retime" => cfg.retime = false,
-            "--max-retries" => {
-                cfg.max_retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-retries needs an integer");
-            }
+            "--max-retries" => cfg.max_retries = value.int()?,
             "--fail-fast" => cfg.fail_fast = true,
-            "--cycle-budget" => {
-                cfg.cycle_budget = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cycle-budget needs an integer"),
-                );
-            }
-            "--csv" => {
-                csv_path = Some(args.next().expect("--csv needs a path"));
-            }
-            "--svg" => {
-                svg_path = Some(args.next().expect("--svg needs a path"));
-            }
-            "--store" => {
-                store_path = Some(args.next().expect("--store needs a path"));
-            }
-            "--resume" => resume = true,
-            other => {
-                eprintln!("unknown flag {other}; supported: --trials N --input-hw N --threads N --random --retime --no-retime --max-retries N --fail-fast --cycle-budget N --csv PATH --svg PATH --store PATH --resume");
-                std::process::exit(2);
-            }
+            "--cycle-budget" => cfg.cycle_budget = Some(value.int()?),
+            _ => return Ok(false),
         }
-    }
-    if resume && store_path.is_none() {
-        eprintln!("--resume requires --store PATH");
-        std::process::exit(2);
-    }
-    let fault_plan = match std::env::var("CFU_FAULT_PLAN") {
+        Ok(true)
+    });
+    args.spec.progress = true;
+    args.spec.fault_plan = match std::env::var("CFU_FAULT_PLAN") {
         Ok(spec) if !spec.trim().is_empty() => match FaultPlan::from_spec(&spec) {
             Ok(plan) => {
                 eprintln!("fault injection: CFU_FAULT_PLAN={spec}");
@@ -105,13 +68,6 @@ fn main() {
         },
         _ => None,
     };
-    let store = store_path.as_deref().map(|path| {
-        let file = ResultStore::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open result store {path}: {e}");
-            std::process::exit(2);
-        });
-        Fig7Store::with_fault_plan(Arc::new(file), cfg.input_hw, resume, fault_plan.clone())
-    });
     let space = cfu_dse::DesignSpace::paper_scale();
     println!("Figure 7 — DSE of CPU vs CFU configurations (MobileNetV2 workload)");
     println!(
@@ -119,39 +75,24 @@ fn main() {
         space.size() * 3 / space.cfus.len() as u64,
         cfg.trials,
         if cfg.evolutionary { "regularized evolution" } else { "random search" },
-        cfg.threads.max(1)
+        args.spec.threads.max(1)
     );
-    // Live per-curve counters on stderr (stdout stays byte-identical to
-    // the serial driver); quick runs finish before the first tick.
-    let progress = Fig7Progress::new();
-    let curves = cfu_bench::with_progress(
-        || progress.snapshot(),
-        |_| progress.render(cfg.trials),
-        || run_all_faulted(&cfg, &progress, store.as_ref(), fault_plan.as_ref()),
-    );
-    if cfg.retime {
-        let (captures, replays): (u64, u64) = (0..3)
-            .filter_map(|i| progress.store(i))
-            .map(|s| (s.captures(), s.replays()))
-            .fold((0, 0), |(c, r), (dc, dr)| (c + dc, r + dr));
-        eprintln!("retime: {captures} capture run(s), {replays} point(s) scored by trace replay");
-    }
-    if let (Some(path), Some(store)) = (&store_path, &store) {
+    let run = cfu_bench::fig7::run(&args.spec, &cfg);
+    if args.spec.retime {
         eprintln!(
-            "store: {path}: {} prior result(s) loaded, {} new result(s) appended, {} tombstone(s)",
-            store.hydrated(),
-            store.appended(),
-            store.tombstoned()
+            "retime: {} capture run(s), {} point(s) scored by trace replay",
+            run.captures, run.replays
         );
     }
-    let report = merged_report(&curves);
-    eprintln!("{}", report.render());
+    CMD.print_store(&args, &run);
+    eprintln!("{}", run.report.render());
+    let curves = run.rows;
     print!("{}", render(&curves));
-    if let Some(path) = csv_path {
+    if let Some(path) = args.csv {
         std::fs::write(&path, cfu_bench::fig7::to_csv(&curves)).expect("write csv");
         println!("wrote {path}");
     }
-    if let Some(path) = svg_path {
+    if let Some(path) = args.svg {
         let series: Vec<(String, Vec<(f64, f64)>)> = curves
             .iter()
             .map(|c| {
@@ -172,11 +113,11 @@ fn main() {
     }
     // Individual bad points never fail the sweep; only producing nothing
     // at all (or tripping an explicit fail-fast policy) does.
-    if report.total_failure() {
+    if run.report.total_failure() {
         eprintln!("error: no evaluation produced a valid result");
         std::process::exit(2);
     }
-    if report.tripped {
+    if run.report.tripped {
         std::process::exit(2);
     }
 }

@@ -2,14 +2,14 @@
 //! product for every Figure 6 ladder step on Fomu.
 //!
 //! Usage: `table_energy_ladder [--threads N] [--csv PATH]
-//! [--retime|--no-retime]`. With `--threads N` the ladder runs through
-//! the parallel DSE engine as an `EnergyLadderSpace` (byte-identical
-//! table, steps evaluated on N workers). Each step is simulated exactly
-//! once either way. With retime on (the default for the engine path),
-//! only the first step of each retime group executes the guest; its
-//! timing siblings (QuadSPI, Larger Icache, Fast Mult) are scored by
-//! replaying the group's captured trace — byte-identical table, less
-//! time. `--no-retime` executes every step.
+//! [--retime|--no-retime] [--store PATH] [--resume]`. The ladder runs
+//! through the DSE engine on `--threads` workers (default 1; the table
+//! is byte-identical for every value; under `--threads` a live step
+//! counter prints to stderr), and each step is simulated exactly once. With retime on (the default), only the first step of
+//! each retime group executes the guest; its timing siblings (QuadSPI,
+//! Larger Icache, Fast Mult) are scored by replaying the group's
+//! captured trace — byte-identical table, less time. `--no-retime`
+//! executes every step.
 //!
 //! The paper stops at performance; this regenerates the KWS ladder with
 //! the iCE40-class energy model to show the co-design's *energy* story:
@@ -21,78 +21,23 @@
 //! results from it, so a warm re-run performs zero simulations (and
 //! zero trace captures) while printing a byte-identical table.
 
-use std::sync::Arc;
+use cfu_bench::cli::{self, Command};
 
-use cfu_dse::{ResultStore, StudyStore};
+const CMD: Command = Command {
+    usage: "table_energy_ladder [--threads N] [--csv PATH] [--retime|--no-retime] [--store PATH] [--resume]",
+    svg: false,
+    retime: true,
+    tombstones: false,
+};
 
 fn main() {
-    let mut threads: Option<usize> = None;
-    let mut csv_path: Option<String> = None;
-    let mut store_path: Option<String> = None;
-    let mut resume = false;
-    let mut retime = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                threads = Some(
-                    args.next().and_then(|v| v.parse().ok()).expect("--threads needs an integer"),
-                );
-            }
-            "--csv" => {
-                csv_path = Some(args.next().expect("--csv needs a path"));
-            }
-            "--retime" => retime = true,
-            "--no-retime" => retime = false,
-            "--store" => {
-                store_path = Some(args.next().expect("--store needs a path"));
-            }
-            "--resume" => resume = true,
-            other => {
-                eprintln!(
-                    "unknown flag {other}; supported: --threads N --csv PATH --retime --no-retime --store PATH --resume"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if resume && store_path.is_none() {
-        eprintln!("--resume requires --store PATH");
-        std::process::exit(2);
-    }
-    let store = store_path.as_deref().map(|path| {
-        let file = ResultStore::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open result store {path}: {e}");
-            std::process::exit(2);
-        });
-        let ctx = cfu_bench::fig6::energy_store_context();
-        Arc::new(StudyStore::new(Arc::new(file), ctx).with_resume(resume))
-    });
+    let args = cli::parse_or_exit(&CMD, |_, _| Ok(false));
     println!("Energy across the Figure 6 KWS ladder (Fomu, iCE40 energy model)\n");
-    let rows = match (threads, &store) {
-        // A store routes every mode through the engine (the no-threads
-        // serial driver is pinned byte-identical to it), so fresh rows
-        // are recorded and warm resumes skip the simulator entirely.
-        (_, Some(_)) => cfu_bench::fig6::run_energy_ladder_parallel_stored(
-            threads.unwrap_or(1),
-            retime,
-            store.clone(),
-        ),
-        (Some(n), None) if retime => cfu_bench::fig6::run_energy_ladder_parallel_retimed(n),
-        (Some(n), None) => cfu_bench::fig6::run_energy_ladder_parallel(n),
-        (None, None) if retime => cfu_bench::fig6::run_energy_ladder_parallel_retimed(1),
-        (None, None) => cfu_bench::fig6::run_energy_ladder(),
-    };
-    if let (Some(path), Some(handle)) = (&store_path, &store) {
-        eprintln!(
-            "store: {path}: {} prior result(s) loaded, {} new result(s) appended",
-            handle.hydrated(),
-            handle.appended()
-        );
-    }
-    print!("{}", cfu_bench::fig6::render_energy(&rows));
-    if let Some(path) = &csv_path {
-        std::fs::write(path, cfu_bench::fig6::energy_to_csv(&rows)).expect("write csv");
+    let run = cfu_bench::fig6::run_energy(&args.spec);
+    CMD.print_store(&args, &run);
+    print!("{}", cfu_bench::fig6::render_energy(&run.rows));
+    if let Some(path) = &args.csv {
+        std::fs::write(path, cfu_bench::fig6::energy_to_csv(&run.rows)).expect("write csv");
         println!("wrote {path}");
     }
 }

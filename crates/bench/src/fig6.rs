@@ -1,31 +1,30 @@
-//! Figure 6: Keyword-Spotting speedup and resource usage on Fomu.
+//! Figure 6: Keyword-Spotting speedup and resource usage on Fomu, plus
+//! the energy-extension table over the same ladder.
 //!
-//! Like Figure 4, the ladder has two equivalent drivers: the serial
-//! [`run_ladder`] and the engine-backed [`run_ladder_parallel`], which
-//! expresses the eight steps as a degenerate [`SearchSpace`] and fans
-//! them out over `ParallelStudy` workers with byte-identical output.
-//! The energy extension table works the same way: [`run_energy_ladder`]
-//! (serial) and [`run_energy_ladder_parallel`] (an [`EnergyLadderSpace`]
-//! whose evaluator threads the [`EnergyEstimate`] through
-//! `EvalResult::{energy_uj, aux}`).
+//! Both artifacts are one engine run over [`Fig6Space`], the eight steps
+//! as a degenerate [`SearchSpace`]: [`run`] for the performance ladder,
+//! [`run_energy`] for the energy table, whose [`Fig6Evaluator`] threads
+//! the [`EnergyEstimate`] through `EvalResult::{energy_uj, aux}`. With
+//! [`RunSpec::retime`] on, the first step of each
+//! [`Fig6Step::retime_group`] executes the guest (capturing its trace)
+//! and the group's timing siblings are scored by replaying it. Rows are
+//! byte-identical at any thread count and in either mode.
 //!
 //! [`EnergyEstimate`]: cfu_sim::energy::EnergyEstimate
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfu_core::cfu2::Cfu2;
 use cfu_core::{Cfu, NullCfu};
-use cfu_dse::{
-    EvalResult, Evaluator, GridSearch, ParallelStudy, SearchSpace, StoreContext, StoreKey,
-    StudyStore, TraceStore,
-};
+use cfu_dse::{EvalResult, Evaluator, SearchSpace, StoreContext, StoreKey, TraceStore};
 use cfu_mem::SpiWidth;
-use cfu_sim::energy::EnergyEstimate;
-use cfu_sim::{CpuConfig, Multiplier, Trace, TraceReplayer};
-use cfu_soc::{Board, SocBuilder, SocFeatures};
+use cfu_sim::energy::{estimate_core, EnergyParams};
+use cfu_sim::{CpuConfig, Multiplier, TimedCore, Trace, TraceReplayer};
+use cfu_soc::{Board, Soc, SocBuilder, SocFeatures};
 use cfu_tflm::deploy::{ConvKernel, DeployConfig, Deployment, DwKernel, KernelRegistry};
 use cfu_tflm::models;
+
+use crate::{Run, RunSpec};
 
 /// One Figure 6 ladder step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,8 +179,8 @@ pub fn store_context() -> StoreContext {
 }
 
 /// The persistent-store context for the energy-extension ladder —
-/// distinct from [`store_context`] because energy rows carry extra
-/// payload (`energy_uj`/`aux`) the performance sweep leaves zero.
+/// distinct from [`store_context`] so the two artifacts keep separate
+/// records.
 pub fn energy_store_context() -> StoreContext {
     StoreContext::new("fig6-kws-energy")
 }
@@ -217,49 +216,41 @@ pub struct Fig6Row {
     pub fits: bool,
 }
 
-/// Runs one ladder step end to end and returns total inference cycles.
+/// `step`'s SoC (board, features and CFU) around `cpu`.
+fn soc(step: Fig6Step, cpu: CpuConfig) -> Soc {
+    let cfu = step.cfu();
+    SocBuilder::new(Board::fomu()).cpu(cpu).features(step.features()).cfu(cfu.as_ref()).build()
+}
+
+/// Scores a finished simulation on `soc`: `cycles` as the latency, the
+/// SoC's fit report as resources, and the iCE40 energy estimate over
+/// `core` as `energy_uj` (total) and `aux` (bit pattern of the dynamic
+/// component), so the energy rows rebuild loss-free from the memo cache.
+fn score(cycles: u64, soc: &Soc, core: &TimedCore) -> EvalResult {
+    let fit = soc.fit_report();
+    let energy = estimate_core(core, fit.used(), &EnergyParams::ice40());
+    EvalResult {
+        latency: cycles,
+        resources: fit.used(),
+        fits: fit.fits(),
+        energy_uj: energy.total_uj(),
+        aux: energy.dynamic_bits(),
+    }
+}
+
+/// Executes the KWS workload with `step`'s deployment, kernels and SoC
+/// features on `cpu` (the step's own [`Fig6Step::cpu`], or a *timing
+/// sibling*: same committed instruction stream, different timing knobs)
+/// and scores it (see [`Fig6Evaluator`] for the fields). With `capture`,
+/// also returns the committed operation trace for [`replay`].
 ///
 /// # Panics
 ///
 /// Panics if deployment or inference fails.
-pub fn run_step(step: Fig6Step) -> u64 {
-    run_step_inner(step, false).0
-}
-
-/// [`run_step`] while capturing the committed operation trace, for
-/// retime-only replay of the step's timing siblings (see
-/// [`Fig6Step::retime_group`]).
-///
-/// # Panics
-///
-/// As [`run_step`].
-pub fn run_step_captured(step: Fig6Step) -> (u64, Trace) {
-    let (cycles, trace) = run_step_inner(step, true);
-    (cycles, trace.expect("capture requested"))
-}
-
-fn run_step_inner(step: Fig6Step, capture: bool) -> (u64, Option<Trace>) {
-    run_step_inner_as(step, step.cpu(), capture)
-}
-
-/// Runs the KWS workload with `step`'s deployment, kernels, and SoC
-/// features but an overridden CPU — a *timing sibling* of `step` (same
-/// committed instruction stream, different timing knobs). The retime
-/// ablation bench uses this to score points between ladder rungs.
-///
-/// # Panics
-///
-/// As [`run_step`].
-pub fn run_step_as(step: Fig6Step, cpu: CpuConfig) -> u64 {
-    run_step_inner_as(step, cpu, false).0
-}
-
-fn run_step_inner_as(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (u64, Option<Trace>) {
-    let board = Board::fomu();
+pub fn execute(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (EvalResult, Option<Trace>) {
+    let soc = soc(step, cpu);
     let model = models::ds_cnn_kws(1);
     let input = models::synthetic_input(&model, 7);
-    let soc = SocBuilder::new(board).cpu(cpu).features(step.features()).build();
-    let bus = soc.build_bus();
     // Baseline placement: weights + code execute-in-place from flash,
     // activations in SRAM (the binary image does not fit in 128 kB).
     let mut cfg = DeployConfig::new(cpu, "spiflash", "sram", "spiflash");
@@ -268,87 +259,8 @@ fn run_step_inner_as(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (u64, Opt
         cfg.hot_code_region = Some("sram".to_owned());
         cfg.hot_weights_region = Some("sram".to_owned());
     }
-    let mut dep = Deployment::new(model, bus, step.cfu(), &cfg).expect("fig6 deployment");
-    if capture {
-        let (_, profile, trace) = dep.run_captured(&input).expect("fig6 inference");
-        (profile.total_cycles(), Some(trace))
-    } else {
-        let (_, profile) = dep.run(&input).expect("fig6 inference");
-        (profile.total_cycles(), None)
-    }
-}
-
-/// Replays a captured group trace under `step`'s timing configuration
-/// (the step's SoC bus — SPI width included — and CPU knobs). Returns
-/// the whole-inference cycle count, or `None` on replay error.
-pub fn replay_step(step: Fig6Step, trace: &Trace) -> Option<u64> {
-    replay_step_as(step, step.cpu(), trace)
-}
-
-/// [`replay_step`] with an overridden CPU — retimes the captured group
-/// trace at a timing sibling of `step` (see [`run_step_as`]).
-pub fn replay_step_as(step: Fig6Step, cpu: CpuConfig, trace: &Trace) -> Option<u64> {
-    let soc = SocBuilder::new(Board::fomu()).cpu(cpu).features(step.features()).build();
-    let mut replayer = TraceReplayer::new(cpu, soc.build_bus());
-    Some(replayer.replay(trace).ok()?.total_cycles())
-}
-
-/// Monotonic process-wide count of [`run_step_with_energy`] invocations.
-static ENERGY_STEP_EVALS: AtomicU64 = AtomicU64::new(0);
-
-/// How many times [`run_step_with_energy`] has run in this process —
-/// observability for the "each ladder step is simulated exactly once
-/// per run" contract (the final KWS step is the most expensive
-/// simulation in `table_energy_ladder`; see
-/// `crates/bench/tests/ladder_parallel.rs`).
-pub fn energy_step_evaluations() -> u64 {
-    ENERGY_STEP_EVALS.load(Ordering::Relaxed)
-}
-
-/// Runs one ladder step and additionally estimates its energy — the
-/// paper's future-work axis (extension; see `table_energy_ladder`).
-///
-/// Returns `(cycles, energy estimate)`.
-///
-/// # Panics
-///
-/// Panics if deployment or inference fails.
-pub fn run_step_with_energy(step: Fig6Step) -> (u64, EnergyEstimate) {
-    let (cycles, estimate, _) = run_step_with_energy_inner(step, false);
-    (cycles, estimate)
-}
-
-/// [`run_step_with_energy`] while capturing the committed operation
-/// trace (counts as one evaluation, like the uncaptured run).
-///
-/// # Panics
-///
-/// As [`run_step_with_energy`].
-pub fn run_step_with_energy_captured(step: Fig6Step) -> (u64, EnergyEstimate, Trace) {
-    let (cycles, estimate, trace) = run_step_with_energy_inner(step, true);
-    (cycles, estimate, trace.expect("capture requested"))
-}
-
-fn run_step_with_energy_inner(
-    step: Fig6Step,
-    capture: bool,
-) -> (u64, EnergyEstimate, Option<Trace>) {
-    ENERGY_STEP_EVALS.fetch_add(1, Ordering::Relaxed);
-    let board = Board::fomu();
-    let model = models::ds_cnn_kws(1);
-    let input = models::synthetic_input(&model, 7);
-    let cfu = step.cfu();
-    let soc =
-        SocBuilder::new(board).cpu(step.cpu()).features(step.features()).cfu(cfu.as_ref()).build();
-    let design = soc.fit_report().used();
-    let bus = soc.build_bus();
-    let mut cfg = DeployConfig::new(step.cpu(), "spiflash", "sram", "spiflash");
-    cfg.registry = step.registry();
-    if step >= Fig6Step::SramOpsAndModel {
-        cfg.hot_code_region = Some("sram".to_owned());
-        cfg.hot_weights_region = Some("sram".to_owned());
-    }
-    let mut dep = Deployment::new(model, bus, step.cfu(), &cfg).expect("fig6 deployment");
+    let mut dep =
+        Deployment::new(model, soc.build_bus(), step.cfu(), &cfg).expect("fig6 deployment");
     let (profile, trace) = if capture {
         let (_, profile, trace) = dep.run_captured(&input).expect("fig6 inference");
         (profile, Some(trace))
@@ -356,69 +268,22 @@ fn run_step_with_energy_inner(
         let (_, profile) = dep.run(&input).expect("fig6 inference");
         (profile, None)
     };
-    let params = cfu_sim::energy::EnergyParams::ice40();
-    let estimate = cfu_sim::energy::estimate_core(dep.core(), design, &params);
-    (profile.total_cycles(), estimate, trace)
+    (score(profile.total_cycles(), &soc, dep.core()), trace)
 }
 
-/// Replays a captured group trace under `step`'s timing configuration
-/// and re-runs the iCE40 energy model over the replayed core. Counts as
-/// one evaluation (same contract as [`run_step_with_energy`]) when the
-/// replay succeeds; `None` on replay error (caller falls back to
-/// execute mode, which does its own counting).
-pub fn replay_step_with_energy(step: Fig6Step, trace: &Trace) -> Option<(u64, EnergyEstimate)> {
-    let cfu = step.cfu();
-    let soc = SocBuilder::new(Board::fomu())
-        .cpu(step.cpu())
-        .features(step.features())
-        .cfu(cfu.as_ref())
-        .build();
-    let design = soc.fit_report().used();
-    let mut replayer = TraceReplayer::new(step.cpu(), soc.build_bus());
-    let summary = replayer.replay(trace).ok()?;
-    ENERGY_STEP_EVALS.fetch_add(1, Ordering::Relaxed);
-    let params = cfu_sim::energy::EnergyParams::ice40();
-    let estimate = cfu_sim::energy::estimate_core(replayer.core(), design, &params);
-    Some((summary.total_cycles(), estimate))
-}
-
-/// Runs the whole Figure 6 ladder.
-pub fn run_ladder() -> Vec<Fig6Row> {
-    let clock_hz = Board::fomu().clock_hz as f64;
-    let mut rows = Vec::new();
-    let mut baseline = 0u64;
-    for step in Fig6Step::LADDER {
-        let cycles = run_step(step);
-        if step == Fig6Step::Baseline {
-            baseline = cycles;
-        }
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        rows.push(Fig6Row {
-            label: step.label(),
-            cycles,
-            seconds: cycles as f64 / clock_hz,
-            speedup: baseline as f64 / cycles.max(1) as f64,
-            luts: fit.used().luts,
-            dsps: fit.used().dsps,
-            fits: fit.fits(),
-        });
-    }
-    rows
-}
-
-/// Number of steps in the Figure-6 ladder (progress-readout totals).
-pub fn ladder_len() -> u64 {
-    Fig6Step::LADDER.len() as u64
+/// Scores `step` on `cpu` by replaying a trace captured from its retime
+/// group instead of executing the guest; bit-identical to [`execute`].
+/// `None` on replay error.
+pub fn replay(step: Fig6Step, cpu: CpuConfig, trace: &Trace) -> Option<EvalResult> {
+    let soc = soc(step, cpu);
+    let mut replayer = TraceReplayer::new(cpu, soc.build_bus());
+    let cycles = replayer.replay(trace).ok()?.total_cycles();
+    Some(score(cycles, &soc, replayer.core()))
 }
 
 /// The Figure-6 ladder as a degenerate one-axis design space over
-/// [`Fig6Step`].
+/// [`Fig6Step`]; both the performance ladder and the energy table run
+/// over it.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Space;
 
@@ -435,182 +300,81 @@ impl SearchSpace for Fig6Space {
 }
 
 /// Scores one KWS ladder step: a full DS-CNN inference on the simulated
-/// Fomu SoC for `latency`, plus the step's SoC fit report for
-/// `resources`/`fits`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig6Evaluator;
+/// Fomu SoC for `latency`, the step's SoC fit report for
+/// `resources`/`fits`, and the iCE40 energy estimate in `energy_uj`
+/// (total) and `aux` (bit pattern of the dynamic component). The
+/// performance ladder ignores the energy fields.
+#[derive(Debug, Clone)]
+pub struct Fig6Evaluator {
+    /// A trace store shared by every worker's evaluator: the first step
+    /// of each retime group captures into it and the group's timing
+    /// siblings replay from it. `None` executes every step.
+    pub traces: Option<Arc<TraceStore<u8>>>,
+}
 
 impl Evaluator<Fig6Step> for Fig6Evaluator {
     fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let cycles = run_step(*step);
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: 0.0,
-            aux: 0,
+        let (step, cpu) = (*step, step.cpu());
+        match &self.traces {
+            Some(traces) => capture_or_replay(traces, step, cpu),
+            None => execute(step, cpu, false).0,
         }
     }
 }
 
-/// Capture-or-replay scaffolding shared by the retimed ladder
-/// evaluators: the first point of each retime group runs `capture` (its
-/// live result is the point's score and the trace is published), timing
-/// siblings run `replay` on the shared trace, and a failed or
-/// ineligible capture sends every point in the group through
-/// `fallback` (plain execution).
-pub(crate) fn capture_or_replay<R>(
-    store: &TraceStore<u8>,
-    group: u8,
-    capture: impl FnOnce() -> (R, Trace),
-    replay: impl FnOnce(&Trace) -> Option<R>,
-    fallback: impl FnOnce() -> R,
-) -> R {
-    let slot = store.slot(group);
+/// The first step of each retime group executes and captures (its live
+/// result is its score, and the trace is published), timing siblings
+/// replay the shared trace, and a failed or retime-unsafe capture sends
+/// every step of the group through plain execution.
+fn capture_or_replay(traces: &TraceStore<u8>, step: Fig6Step, cpu: CpuConfig) -> EvalResult {
+    let slot = traces.slot(step.retime_group());
     let mut own = None;
     let shared = slot
         .get_or_init(|| {
-            store.begin_capture();
-            let (result, trace) = capture();
+            traces.begin_capture();
+            let (result, trace) = execute(step, cpu, true);
             own = Some(result);
-            store.finish_capture();
-            Some(Arc::new(trace)).filter(|t| t.retime_safe())
+            traces.finish_capture();
+            trace.map(Arc::new).filter(|t| t.retime_safe())
         })
         .clone();
     if let Some(result) = own {
         return result;
     }
-    if let Some(trace) = shared {
-        if let Some(result) = replay(&trace) {
-            store.note_replay();
-            return result;
-        }
+    if let Some(result) = shared.and_then(|trace| replay(step, cpu, &trace)) {
+        traces.note_replay();
+        return result;
     }
-    fallback()
+    execute(step, cpu, false).0
 }
 
-/// [`Fig6Evaluator`] with trace-capture + retime-only replay: the first
-/// step of each [`Fig6Step::retime_group`] executes the guest
-/// (capturing its operation trace); the group's timing siblings replay
-/// that trace instead of re-executing. Scores are bit-identical to
-/// [`Fig6Evaluator`].
-#[derive(Debug, Clone)]
-pub struct RetimedFig6Evaluator {
-    store: Arc<TraceStore<u8>>,
+/// Runs the ladder's steps through the engine per `spec` under the
+/// store workload `ctx`.
+fn run_steps(spec: &RunSpec, ctx: StoreContext) -> Run<Vec<EvalResult>, Fig6Step> {
+    let traces = spec.retime.then(|| Arc::new(TraceStore::new()));
+    let factory = || Fig6Evaluator { traces: traces.clone() };
+    crate::run_ladder(spec, Fig6Space, ctx, &factory, traces.as_ref())
 }
 
-impl RetimedFig6Evaluator {
-    /// Creates an evaluator over a shared trace store (one store per
-    /// sweep, shared by every worker's evaluator).
-    pub fn new(store: Arc<TraceStore<u8>>) -> Self {
-        RetimedFig6Evaluator { store }
-    }
-}
-
-impl Evaluator<Fig6Step> for RetimedFig6Evaluator {
-    fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let cycles = capture_or_replay(
-            &self.store,
-            step.retime_group(),
-            || run_step_captured(*step),
-            |trace| replay_step(*step, trace),
-            || run_step(*step),
-        );
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: 0.0,
-            aux: 0,
-        }
-    }
-}
-
-/// Runs the ladder through the parallel DSE engine with `threads`
-/// workers; rows are rebuilt from the memo cache with the same
-/// arithmetic as [`run_ladder`], so the output is byte-identical to the
-/// serial driver at any thread count.
-pub fn run_ladder_parallel(threads: usize) -> Vec<Fig6Row> {
-    run_ladder_parallel_observed(threads, None)
-}
-
-/// [`run_ladder_parallel`] scored through the capture/replay pipeline
-/// (see [`RetimedFig6Evaluator`]): one guest execution per retime
-/// group, replays for the rest, byte-identical rows.
-pub fn run_ladder_parallel_retimed(threads: usize) -> Vec<Fig6Row> {
-    let store = Arc::new(TraceStore::new());
-    run_ladder_engine(threads, None, None, &move || RetimedFig6Evaluator::new(Arc::clone(&store)))
-}
-
-/// [`run_ladder_parallel`] with an optional shared progress counter,
-/// bumped once per evaluated step — the live readout `fig6_kws_ladder`
-/// prints to stderr. Purely observational: rows are unaffected.
-pub fn run_ladder_parallel_observed(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-) -> Vec<Fig6Row> {
-    run_ladder_engine(threads, progress, None, &|| Fig6Evaluator)
-}
-
-/// [`run_ladder_parallel_observed`] with an optional persistent result
-/// store (context: [`store_context`]): fresh steps are appended, and a
-/// resume-mode handle hydrates prior results so a warm ladder re-runs
-/// with zero simulations. Rows stay byte-identical either way.
-pub fn run_ladder_parallel_stored(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-) -> Vec<Fig6Row> {
-    run_ladder_engine(threads, progress, store, &|| Fig6Evaluator)
-}
-
-fn run_ladder_engine<F: cfu_dse::EvaluatorFactory<Fig6Step>>(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-    factory: &F,
-) -> Vec<Fig6Row> {
-    let space = Fig6Space;
-    let optimizer = GridSearch::new(&space, space.size());
-    let mut study = ParallelStudy::new(space, optimizer, threads);
-    if let Some(counter) = progress {
-        study.attach_progress(counter);
-    }
-    if let Some(handle) = store {
-        study.attach_store(handle);
-    }
-    study.run(factory, space.size());
+/// Runs the whole Figure 6 ladder.
+pub fn run(spec: &RunSpec) -> Run<Vec<Fig6Row>, Fig6Step> {
     let clock_hz = Board::fomu().clock_hz as f64;
-    let baseline =
-        study.cache().get(&Fig6Step::Baseline).expect("engine evaluated the baseline step").latency;
-    let mut rows = Vec::new();
-    for step in Fig6Step::LADDER {
-        let r = study.cache().get(&step).expect("engine evaluated every ladder step");
-        rows.push(Fig6Row {
-            label: step.label(),
-            cycles: r.latency,
-            seconds: r.latency as f64 / clock_hz,
-            speedup: baseline as f64 / r.latency.max(1) as f64,
-            luts: r.resources.luts,
-            dsps: r.resources.dsps,
-            fits: r.fits,
-        });
-    }
-    rows
+    run_steps(spec, store_context()).map(|results| {
+        let baseline = results[0].latency;
+        Fig6Step::LADDER
+            .iter()
+            .zip(results)
+            .map(|(step, r)| Fig6Row {
+                label: step.label(),
+                cycles: r.latency,
+                seconds: r.latency as f64 / clock_hz,
+                speedup: baseline as f64 / r.latency.max(1) as f64,
+                luts: r.resources.luts,
+                dsps: r.resources.dsps,
+                fits: r.fits,
+            })
+            .collect()
+    })
 }
 
 /// One row of the energy-extension table (paper §V future work): the
@@ -631,190 +395,30 @@ pub struct EnergyRow {
     pub edp_ujs: f64,
 }
 
-/// Builds one [`EnergyRow`] from the quantities both drivers agree on.
-///
-/// Serial and engine paths funnel through this same arithmetic —
-/// `(cycles, total, dynamic)` in, derived columns out — which is what
-/// makes the rendered table byte-identical between them.
-fn energy_row(
-    label: &'static str,
-    cycles: u64,
-    total_uj: f64,
-    dynamic_uj: f64,
-    clock_hz: u64,
-) -> EnergyRow {
-    let seconds = cycles as f64 / clock_hz as f64;
-    let avg_mw = if cycles == 0 { 0.0 } else { total_uj / 1e3 / seconds };
-    EnergyRow { label, cycles, total_uj, dynamic_uj, avg_mw, edp_ujs: total_uj * seconds }
-}
-
-/// Runs the energy ladder serially: one [`run_step_with_energy`] call
-/// per step (the final-step result is captured in the loop, never
-/// re-simulated for the summary ratio).
-pub fn run_energy_ladder() -> Vec<EnergyRow> {
-    let clock_hz = Board::fomu().clock_hz;
-    Fig6Step::LADDER
-        .iter()
-        .map(|&step| {
-            let (cycles, e) = run_step_with_energy(step);
-            energy_row(step.label(), cycles, e.total_uj(), e.dynamic_uj, clock_hz)
-        })
-        .collect()
-}
-
-/// The energy ladder as a degenerate one-axis design space over
-/// [`Fig6Step`] — same axis as [`Fig6Space`], separate type so the two
-/// sweeps keep distinct evaluators and memo caches.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyLadderSpace;
-
-impl SearchSpace for EnergyLadderSpace {
-    type Point = Fig6Step;
-
-    fn size(&self) -> u64 {
-        Fig6Step::LADDER.len() as u64
-    }
-
-    fn point(&self, index: u64) -> Fig6Step {
-        Fig6Step::LADDER[usize::try_from(index).expect("ladder index fits usize")]
-    }
-}
-
-/// Scores one energy-ladder step: a full DS-CNN inference plus the
-/// iCE40 energy estimate. The [`EnergyEstimate`] rides through the
-/// engine inside the [`EvalResult`]: `energy_uj` carries the total and
-/// `aux` the bit pattern of the dynamic component, so the table rows
-/// can be rebuilt loss-free from the memo cache.
-///
-/// [`EnergyEstimate`]: cfu_sim::energy::EnergyEstimate
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EnergyLadderEvaluator;
-
-impl Evaluator<Fig6Step> for EnergyLadderEvaluator {
-    fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let (cycles, e) = run_step_with_energy(*step);
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: e.total_uj(),
-            aux: e.dynamic_bits(),
-        }
-    }
-}
-
-/// [`EnergyLadderEvaluator`] with trace-capture + retime-only replay:
-/// one guest execution per [`Fig6Step::retime_group`], replays for the
-/// group's timing siblings. The replayed [`EnergyEstimate`] threads
-/// through `EvalResult::{energy_uj, aux}` exactly like the executed
-/// one, so memo-cache row rebuilding stays loss-free.
-#[derive(Debug, Clone)]
-pub struct RetimedEnergyLadderEvaluator {
-    store: Arc<TraceStore<u8>>,
-}
-
-impl RetimedEnergyLadderEvaluator {
-    /// Creates an evaluator over a shared trace store.
-    pub fn new(store: Arc<TraceStore<u8>>) -> Self {
-        RetimedEnergyLadderEvaluator { store }
-    }
-}
-
-impl Evaluator<Fig6Step> for RetimedEnergyLadderEvaluator {
-    fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let (cycles, e) = capture_or_replay(
-            &self.store,
-            step.retime_group(),
-            || {
-                let (cycles, e, trace) = run_step_with_energy_captured(*step);
-                ((cycles, e), trace)
-            },
-            |trace| replay_step_with_energy(*step, trace),
-            || run_step_with_energy(*step),
-        );
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: e.total_uj(),
-            aux: e.dynamic_bits(),
-        }
-    }
-}
-
-/// Runs the energy ladder through the parallel DSE engine with
-/// `threads` workers; rows are rebuilt from the memo cache through the
-/// same row-building arithmetic as [`run_energy_ladder`], so the
-/// rendered table is byte-identical to the serial driver at any thread
-/// count — and each step is simulated exactly once.
-pub fn run_energy_ladder_parallel(threads: usize) -> Vec<EnergyRow> {
-    run_energy_ladder_engine(threads, None, &|| EnergyLadderEvaluator)
-}
-
-/// [`run_energy_ladder_parallel`] scored through the capture/replay
-/// pipeline (see [`RetimedEnergyLadderEvaluator`]): each step still
-/// counts as exactly one evaluation, rows are byte-identical.
-pub fn run_energy_ladder_parallel_retimed(threads: usize) -> Vec<EnergyRow> {
-    let store = Arc::new(TraceStore::new());
-    run_energy_ladder_engine(threads, None, &move || {
-        RetimedEnergyLadderEvaluator::new(Arc::clone(&store))
+/// Runs the energy table: every ladder step once, each with its energy
+/// estimate (the final-step result comes from the run, never from a
+/// second simulation for the summary ratio).
+pub fn run_energy(spec: &RunSpec) -> Run<Vec<EnergyRow>, Fig6Step> {
+    let clock_hz = Board::fomu().clock_hz as f64;
+    run_steps(spec, energy_store_context()).map(|results| {
+        Fig6Step::LADDER
+            .iter()
+            .zip(results)
+            .map(|(step, r)| {
+                let (cycles, total_uj) = (r.latency, r.energy_uj);
+                let seconds = cycles as f64 / clock_hz;
+                let avg_mw = if cycles == 0 { 0.0 } else { total_uj / 1e3 / seconds };
+                EnergyRow {
+                    label: step.label(),
+                    cycles,
+                    total_uj,
+                    dynamic_uj: f64::from_bits(r.aux),
+                    avg_mw,
+                    edp_ujs: total_uj * seconds,
+                }
+            })
+            .collect()
     })
-}
-
-/// The energy ladder with an optional persistent result store (context:
-/// [`energy_store_context`]) on top of the retime-or-execute choice. A
-/// resume-mode handle hydrates prior rows so the warm table re-renders
-/// with zero simulations *and* zero trace captures; rows stay
-/// byte-identical in all four mode combinations.
-pub fn run_energy_ladder_parallel_stored(
-    threads: usize,
-    retime: bool,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-) -> Vec<EnergyRow> {
-    if retime {
-        let traces = Arc::new(TraceStore::new());
-        run_energy_ladder_engine(threads, store, &move || {
-            RetimedEnergyLadderEvaluator::new(Arc::clone(&traces))
-        })
-    } else {
-        run_energy_ladder_engine(threads, store, &|| EnergyLadderEvaluator)
-    }
-}
-
-fn run_energy_ladder_engine<F: cfu_dse::EvaluatorFactory<Fig6Step>>(
-    threads: usize,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-    factory: &F,
-) -> Vec<EnergyRow> {
-    let space = EnergyLadderSpace;
-    let optimizer = GridSearch::new(&space, space.size());
-    let mut study = ParallelStudy::new(space, optimizer, threads);
-    if let Some(handle) = store {
-        study.attach_store(handle);
-    }
-    study.run(factory, space.size());
-    let clock_hz = Board::fomu().clock_hz;
-    Fig6Step::LADDER
-        .iter()
-        .map(|&step| {
-            let r = study.cache().get(&step).expect("engine evaluated every ladder step");
-            energy_row(step.label(), r.latency, r.energy_uj, f64::from_bits(r.aux), clock_hz)
-        })
-        .collect()
 }
 
 /// Renders the energy table exactly as `table_energy_ladder` prints it,

@@ -3,21 +3,24 @@
 //!
 //! Each curve is a [`Fig7CurveSpace`] — the paper-scale space restricted
 //! to one CFU choice — explored through the same [`ParallelStudy`]
-//! engine as every other experiment in the repo. [`run_all`] runs the
+//! engine as every other experiment in the repo. [`run`] explores the
 //! three curves as three concurrently-pipelined studies (each with its
-//! own worker pool), and [`Fig7Progress`] exposes live per-curve
-//! evaluation counters so long sweeps are observable while they run.
+//! own worker pool and, under [`RunSpec::retime`], its own trace store);
+//! with [`RunSpec::progress`] on, live per-curve evaluation counters
+//! print to stderr while long sweeps run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cfu_dse::{
-    CfuChoice, DesignPoint, EvaluatorFactory, FaultPlan, FaultyFactory, Fig7CurveSpace,
-    InferenceEvaluatorFactory, ParallelStudy, ParetoPoint, RandomSearch, RegularizedEvolution,
-    ResultStore, RetryPolicy, StoreContext, StudyReport, StudyStore, TraceStore,
+    CfuChoice, DesignPoint, EvaluatorFactory, Fig7CurveSpace, InferenceEvaluatorFactory, Optimizer,
+    ParallelStudy, ParetoPoint, RandomSearch, RegularizedEvolution, RetryPolicy, StoreContext,
+    StudyReport, StudyStore, TraceStore,
 };
 use cfu_soc::Board;
 use cfu_tflm::models;
+
+use crate::{Run, RunSpec};
 
 /// The three curves of Figure 7, in rendering order.
 pub const CURVES: [CfuChoice; 3] = [CfuChoice::None, CfuChoice::Cfu1, CfuChoice::Cfu2];
@@ -38,7 +41,8 @@ pub struct Fig7Curve {
     pub report: StudyReport<DesignPoint>,
 }
 
-/// Exploration settings.
+/// Exploration settings. How the exploration executes (workers, trace
+/// replay, store, faults) is the [`RunSpec`]'s business.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Config {
     /// MobileNetV2 input resolution (small values keep sweeps fast; the
@@ -50,15 +54,6 @@ pub struct Fig7Config {
     pub evolutionary: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads per curve. Fronts are identical for every value;
-    /// only wall-clock time changes.
-    pub threads: usize,
-    /// Trace-capture + retime-only replay: execute the guest once per
-    /// CFU choice, then score every other point by replaying the
-    /// captured trace through timing-only machinery. Results are
-    /// bit-identical either way; replay is ~an order of magnitude
-    /// cheaper per point. On by default.
-    pub retime: bool,
     /// Retry budget for transient evaluation failures (a panicked
     /// worker) before a point is quarantined.
     pub max_retries: u32,
@@ -78,8 +73,6 @@ impl Default for Fig7Config {
             trials: 120,
             evolutionary: true,
             seed: 11,
-            threads: 1,
-            retime: true,
             max_retries: 2,
             fail_fast: false,
             cycle_budget: None,
@@ -87,59 +80,30 @@ impl Default for Fig7Config {
     }
 }
 
-/// Live evaluation counters for the three concurrently-running curves,
-/// indexed like [`CURVES`]. Hand one to [`run_all_observed`] and poll
-/// [`snapshot`](Fig7Progress::snapshot) from another thread (the
-/// `fig7_dse_pareto` binary prints them to stderr every half second).
+/// Live evaluation counters and trace stores of the three
+/// concurrently-running curves, indexed like [`CURVES`].
 #[derive(Debug, Default)]
-pub struct Fig7Progress {
+struct Progress {
     counters: [Arc<AtomicU64>; 3],
-    stores: [Arc<std::sync::OnceLock<Arc<TraceStore>>>; 3],
+    traces: [OnceLock<Arc<TraceStore>>; 3],
 }
 
-impl Fig7Progress {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Fig7Progress::default()
-    }
-
-    /// A shared handle on curve `i`'s counter (indexed like [`CURVES`]).
-    pub fn counter(&self, i: usize) -> Arc<AtomicU64> {
-        Arc::clone(&self.counters[i])
-    }
-
-    /// Publishes curve `i`'s shared [`TraceStore`] so pollers can render
-    /// capture progress. Called once per curve by the retime-enabled
-    /// driver; later calls are ignored.
-    pub fn publish_store(&self, i: usize, store: Arc<TraceStore>) {
-        let _ = self.stores[i].set(store);
-    }
-
-    /// Curve `i`'s trace store, once published by a retime-enabled run.
-    pub fn store(&self, i: usize) -> Option<&Arc<TraceStore>> {
-        self.stores[i].get()
-    }
-
+impl Progress {
     /// Points evaluated so far, per curve.
-    pub fn snapshot(&self) -> [u64; 3] {
-        [
-            self.counters[0].load(Ordering::Relaxed),
-            self.counters[1].load(Ordering::Relaxed),
-            self.counters[2].load(Ordering::Relaxed),
-        ]
+    fn snapshot(&self) -> [u64; 3] {
+        std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
     }
 
     /// One-line readout ("CPU alone 48/120 · ..."), `trials` being the
     /// per-curve budget. Curves with a capture run in flight show
     /// "capturing trace…" after their counter.
-    pub fn render(&self, trials: u64) -> String {
-        let snap = self.snapshot();
+    fn render(&self, trials: u64) -> String {
         CURVES
             .iter()
-            .zip(snap)
-            .enumerate()
-            .map(|(i, (c, n))| {
-                let capturing = self.store(i).is_some_and(|s| s.capturing() > 0);
+            .zip(self.snapshot())
+            .zip(&self.traces)
+            .map(|((c, n), traces)| {
+                let capturing = traces.get().is_some_and(|s| s.capturing() > 0);
                 let tail = if capturing { " (capturing trace…)" } else { "" };
                 format!("{} {n}/{trials}{tail}", c.label())
             })
@@ -154,240 +118,116 @@ pub fn space_for(choice: CfuChoice) -> Fig7CurveSpace {
     Fig7CurveSpace::new(choice)
 }
 
-/// Persistent-store binding for a Figure-7 run: one shared
-/// [`ResultStore`] file, one [`StudyStore`] handle per curve (indexed
-/// like [`CURVES`]). Each curve gets its own workload tag —
-/// `fig7-mnv2-hw{N}-cfu{i}` — so hydration and the counters stay exact
-/// per curve even though all three append to one file.
-#[derive(Debug)]
-pub struct Fig7Store {
-    handles: [Arc<StudyStore<DesignPoint>>; 3],
-}
-
-impl Fig7Store {
-    /// Binds `store` for a run at `input_hw` resolution. With `resume`,
-    /// each curve hydrates its prior results into the study's memo
-    /// cache before exploring (a fully warm store means zero guest
-    /// simulations); without it, prior results are ignored but fresh
-    /// ones are still appended.
-    pub fn new(store: Arc<ResultStore>, input_hw: usize, resume: bool) -> Self {
-        Fig7Store::with_fault_plan(store, input_hw, resume, None)
-    }
-
-    /// [`new`](Fig7Store::new) with a deterministic [`FaultPlan`] whose
-    /// torn-flush entries chop bytes off the store file after planned
-    /// flushes — the crash-mid-append simulation for resume tests.
-    pub fn with_fault_plan(
-        store: Arc<ResultStore>,
-        input_hw: usize,
-        resume: bool,
-        plan: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        Fig7Store {
-            handles: std::array::from_fn(|i| {
-                let ctx = StoreContext::new(format!("fig7-mnv2-hw{input_hw}-cfu{i}"));
-                let mut handle = StudyStore::new(Arc::clone(&store), ctx).with_resume(resume);
-                if let Some(plan) = &plan {
-                    handle = handle.with_fault_plan(Arc::clone(plan));
-                }
-                Arc::new(handle)
-            }),
-        }
-    }
-
-    /// Curve `i`'s study-store handle (indexed like [`CURVES`]).
-    pub fn handle(&self, i: usize) -> Arc<StudyStore<DesignPoint>> {
-        Arc::clone(&self.handles[i])
-    }
-
-    /// Prior results hydrated into memo caches, summed over the curves.
-    pub fn hydrated(&self) -> u64 {
-        self.handles.iter().map(|h| h.hydrated()).sum()
-    }
-
-    /// Fresh results appended to the store, summed over the curves.
-    pub fn appended(&self) -> u64 {
-        self.handles.iter().map(|h| h.appended()).sum()
-    }
-
-    /// Failure tombstones appended to the store, summed over the curves.
-    pub fn tombstoned(&self) -> u64 {
-        self.handles.iter().map(|h| h.tombstoned()).sum()
-    }
-}
-
-/// Explores one curve.
+/// Explores one curve (curve `i` of [`CURVES`]), publishing its trace
+/// store into `progress`.
 ///
 /// # Panics
 ///
 /// Panics if the model/evaluator cannot be constructed.
-pub fn run_curve(choice: CfuChoice, cfg: &Fig7Config) -> Fig7Curve {
-    run_curve_observed(choice, cfg, None)
-}
-
-/// [`run_curve`] with a live evaluation counter attached to the study.
-///
-/// # Panics
-///
-/// Panics if the model/evaluator cannot be constructed.
-pub fn run_curve_observed(
-    choice: CfuChoice,
+fn run_curve(
+    i: usize,
+    spec: &RunSpec,
     cfg: &Fig7Config,
-    progress: Option<Arc<AtomicU64>>,
-) -> Fig7Curve {
-    run_curve_inner(choice, cfg, progress, None, None, None)
-}
-
-fn run_curve_inner(
-    choice: CfuChoice,
-    cfg: &Fig7Config,
-    progress: Option<Arc<AtomicU64>>,
-    publish: Option<(&Fig7Progress, usize)>,
+    progress: &Progress,
     store: Option<Arc<StudyStore<DesignPoint>>>,
-    fault_plan: Option<&Arc<FaultPlan>>,
 ) -> Fig7Curve {
+    let choice = CURVES[i];
     let model = models::mobilenet_v2(cfg.input_hw, 2, 1);
     let input = models::synthetic_input(&model, 5);
     // One factory per curve: workers share the model weights and the
     // input tensor by `Arc`, each minting a private evaluator.
     let factory = InferenceEvaluatorFactory::new(Board::arty_a7_35t(), model, input)
-        .with_retime(cfg.retime)
+        .with_retime(spec.retime)
         .with_cycle_budget(cfg.cycle_budget);
-    if let (Some((progress, i)), Some(store)) = (publish, factory.trace_store()) {
-        progress.publish_store(i, Arc::clone(store));
+    if let Some(traces) = factory.trace_store() {
+        let _ = progress.traces[i].set(Arc::clone(traces));
     }
-    let (front, evaluated, report) = match fault_plan {
-        Some(plan) => {
-            let faulty = FaultyFactory::new(factory, Arc::clone(plan));
-            drive_curve(choice, cfg, &faulty, progress, store)
-        }
-        None => drive_curve(choice, cfg, &factory, progress, store),
+    let counter = Arc::clone(&progress.counters[i]);
+    let (front, evaluated, report) = if cfg.evolutionary {
+        let optimizer = RegularizedEvolution::new(cfg.seed, 24, 6);
+        drive_curve(choice, optimizer, spec, cfg, &factory, counter, store)
+    } else {
+        drive_curve(choice, RandomSearch::new(cfg.seed), spec, cfg, &factory, counter, store)
     };
     Fig7Curve { label: choice.label(), choice, front, evaluated, report }
 }
 
-/// Drives one curve's study against any factory (plain or
-/// fault-injecting), collapsing the evolutionary/random split.
-fn drive_curve<F: EvaluatorFactory<DesignPoint>>(
+/// Drives one curve's study with `optimizer` against `factory`.
+fn drive_curve<O: Optimizer<Fig7CurveSpace>, F: EvaluatorFactory<DesignPoint>>(
     choice: CfuChoice,
+    optimizer: O,
+    spec: &RunSpec,
     cfg: &Fig7Config,
     factory: &F,
-    progress: Option<Arc<AtomicU64>>,
+    progress: Arc<AtomicU64>,
     store: Option<Arc<StudyStore<DesignPoint>>>,
 ) -> (Vec<ParetoPoint>, u64, StudyReport<DesignPoint>) {
-    let policy = RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast };
-    let space = space_for(choice);
-    if cfg.evolutionary {
-        let mut study =
-            ParallelStudy::new(space, RegularizedEvolution::new(cfg.seed, 24, 6), cfg.threads);
-        study.set_retry_policy(policy);
-        if let Some(counter) = progress {
-            study.attach_progress(counter);
-        }
-        if let Some(handle) = store {
-            study.attach_store(handle);
-        }
-        study.run(factory, cfg.trials);
-        (study.archive().front(), study.archive().evaluated(), study.report())
-    } else {
-        let mut study = ParallelStudy::new(space, RandomSearch::new(cfg.seed), cfg.threads);
-        study.set_retry_policy(policy);
-        if let Some(counter) = progress {
-            study.attach_progress(counter);
-        }
-        if let Some(handle) = store {
-            study.attach_store(handle);
-        }
-        study.run(factory, cfg.trials);
-        (study.archive().front(), study.archive().evaluated(), study.report())
+    let mut study = ParallelStudy::new(space_for(choice), optimizer, spec.threads);
+    study.set_retry_policy(RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast });
+    study.attach_progress(progress);
+    if let Some(handle) = store {
+        study.attach_store(handle);
     }
+    spec.run_study(&mut study, factory, cfg.trials);
+    (study.archive().front(), study.archive().evaluated(), study.report())
 }
 
 /// Explores all three curves as three concurrently-running studies (one
 /// OS thread per curve, each fanning its batches out over
-/// `cfg.threads` workers). Curves are independent studies, so results
-/// are byte-identical to running them one after another.
-pub fn run_all(cfg: &Fig7Config) -> Vec<Fig7Curve> {
-    run_all_observed(cfg, &Fig7Progress::new())
-}
-
-/// [`run_all`] with live per-curve progress counters.
-pub fn run_all_observed(cfg: &Fig7Config, progress: &Fig7Progress) -> Vec<Fig7Curve> {
-    run_all_stored(cfg, progress, None)
-}
-
-/// [`run_all_observed`] with an optional persistent result store: every
-/// freshly simulated point is appended to `store`'s file, and (in
-/// resume mode) each curve hydrates its prior results before exploring.
-/// Fronts are byte-identical with or without a store — persistence only
-/// changes wall-clock time.
-pub fn run_all_stored(
-    cfg: &Fig7Config,
-    progress: &Fig7Progress,
-    store: Option<&Fig7Store>,
-) -> Vec<Fig7Curve> {
-    run_all_faulted(cfg, progress, store, None)
-}
-
-/// [`run_all_stored`] with a deterministic [`FaultPlan`] wrapped around
-/// every curve's evaluators (the `CFU_FAULT_PLAN` smoke-test path).
-/// `None` is exactly [`run_all_stored`].
-pub fn run_all_faulted(
-    cfg: &Fig7Config,
-    progress: &Fig7Progress,
-    store: Option<&Fig7Store>,
-    fault_plan: Option<&Arc<FaultPlan>>,
-) -> Vec<Fig7Curve> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = CURVES
-            .iter()
-            .enumerate()
-            .map(|(i, &choice)| {
-                let counter = progress.counter(i);
-                let handle = store.map(|s| s.handle(i));
-                scope.spawn(move || {
-                    run_curve_inner(
-                        choice,
-                        cfg,
-                        Some(counter),
-                        Some((progress, i)),
-                        handle,
-                        fault_plan,
-                    )
-                })
+/// `spec.threads` workers). Curves are independent studies, so results
+/// are byte-identical to running them one after another. With a result
+/// store, each curve gets its own workload tag —
+/// `fig7-mnv2-hw{N}-cfu{i}` — so hydration and the counters stay exact
+/// per curve even though all three append to one file.
+pub fn run(spec: &RunSpec, cfg: &Fig7Config) -> Run<Vec<Fig7Curve>, DesignPoint> {
+    let progress = Progress::default();
+    let stores: [_; 3] = std::array::from_fn(|i| {
+        spec.study_store(StoreContext::new(format!("fig7-mnv2-hw{}-cfu{i}", cfg.input_hw)))
+    });
+    let curves: Vec<Fig7Curve> = spec.observe(
+        || progress.snapshot(),
+        |_| progress.render(cfg.trials),
+        || {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = stores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, store)| {
+                        let (progress, store) = (&progress, store.clone());
+                        scope.spawn(move || run_curve(i, spec, cfg, progress, store))
+                    })
+                    .collect();
+                // Joining in spawn order keeps the output order fixed. A
+                // curve thread that dies outright (setup panic — per-point
+                // faults are contained inside the study) yields an empty
+                // curve whose report records the panic, so the other
+                // curves still render.
+                handles
+                    .into_iter()
+                    .zip(CURVES)
+                    .map(|(h, choice)| {
+                        h.join().unwrap_or_else(|_| {
+                            let mut report = StudyReport { attempts: 1, ..StudyReport::default() };
+                            report.failures.insert("panicked", 1);
+                            Fig7Curve {
+                                label: choice.label(),
+                                choice,
+                                front: Vec::new(),
+                                evaluated: 0,
+                                report,
+                            }
+                        })
+                    })
+                    .collect()
             })
-            .collect();
-        // Joining in spawn order keeps the output order fixed. A curve
-        // thread that dies outright (setup panic — per-point faults are
-        // contained inside the study) yields an empty curve whose report
-        // records the panic, so the other curves still render.
-        handles
-            .into_iter()
-            .zip(CURVES)
-            .map(|(h, choice)| {
-                h.join().unwrap_or_else(|_| {
-                    let mut report = StudyReport { attempts: 1, ..StudyReport::default() };
-                    report.failures.insert("panicked", 1);
-                    Fig7Curve {
-                        label: choice.label(),
-                        choice,
-                        front: Vec::new(),
-                        evaluated: 0,
-                        report,
-                    }
-                })
-            })
-            .collect()
-    })
-}
-
-/// Folds the per-curve completion reports into one study-wide report.
-pub fn merged_report(curves: &[Fig7Curve]) -> StudyReport<DesignPoint> {
-    let mut merged = StudyReport::default();
-    for curve in curves {
-        merged.merge(&curve.report);
+        },
+    );
+    let mut report = StudyReport::default();
+    for curve in &curves {
+        report.merge(&curve.report);
     }
-    merged
+    let traces = progress.traces.iter().flat_map(OnceLock::get);
+    Run::collect(curves, report, stores.iter().flatten(), traces)
 }
 
 /// The overall Pareto-optimal points across all curves (the starred
@@ -395,7 +235,7 @@ pub fn merged_report(curves: &[Fig7Curve]) -> StudyReport<DesignPoint> {
 ///
 /// When two curves produce tied `(resources, latency)` points, exactly
 /// one star is printed and the tie breaks deterministically to the
-/// first curve in input order (the [`CURVES`] order for [`run_all`]) —
+/// first curve in input order (the [`CURVES`] order for [`run`]) —
 /// matching the archive, which keeps the first point offered and
 /// rejects coordinate duplicates.
 pub fn overall_optima(curves: &[Fig7Curve]) -> Vec<(&'static str, ParetoPoint)> {

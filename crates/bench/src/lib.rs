@@ -4,18 +4,27 @@
 //! Each module owns one artifact:
 //!
 //! * [`fig4`] — the MobileNetV2 1x1-CONV_2D ladder (speedup + resources),
-//! * [`fig6`] — the Keyword-Spotting Fomu ladder (speedup + logic cells),
+//! * [`fig6`] — the Keyword-Spotting Fomu ladder (speedup + logic cells)
+//!   and its energy-extension table,
 //! * [`fig7`] — the CPU-vs-CFU design-space Pareto fronts,
 //! * [`tables`] — the §III-A operator-time profile and the MLPerf-Tiny
 //!   model inventory.
 //!
-//! Binaries under `src/bin/` print the same rows/series the paper
-//! reports; Criterion benches under `benches/` track simulator
-//! throughput on the same workloads.
+//! Every figure is one run of the shared DSE engine (`ParallelStudy`)
+//! whose mode is data: a [`RunSpec`] says how many workers, which result
+//! store, whether timing siblings are scored by trace replay, and which
+//! faults to inject. Each figure exposes one `run` over it, and the rows
+//! are byte-identical for every spec (pinned against the checked-in
+//! fixtures in `tests/golden/`).
+//!
+//! Binaries under `src/bin/` parse their flags with [`cli`] and print the
+//! same rows/series the paper reports; Criterion benches under `benches/`
+//! track simulator throughput on the same workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod fig4;
 pub mod fig6;
 pub mod fig7;
@@ -23,38 +32,210 @@ pub mod micro;
 pub mod svg;
 pub mod tables;
 
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
+
+use cfu_dse::{
+    EvalResult, EvaluatorFactory, FaultPlan, FaultyFactory, GridSearch, Optimizer, ParallelStudy,
+    ResultStore, SearchSpace, StoreContext, StoreKey, StudyReport, StudyStore, TraceStore,
+};
+
+/// How one figure run executes. The figure binaries fill it from their
+/// flags; rows are byte-identical for every value, which only moves
+/// wall-clock time, memory and what gets persisted.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Worker threads per study (clamped to at least 1).
+    pub threads: usize,
+    /// Persistent result store: every freshly simulated point is
+    /// appended to it, under a workload tag the figure chooses.
+    pub store: Option<Arc<ResultStore>>,
+    /// Hydrate prior results from `store` before running, so a fully
+    /// warm store means zero simulations.
+    pub resume: bool,
+    /// Execute the guest once per retime group (capturing its operation
+    /// trace) and score the group's timing siblings by replaying it.
+    /// Figure 4 has no timing siblings and always executes.
+    pub retime: bool,
+    /// Deterministic evaluation and store-flush faults, for exercising
+    /// the retry/quarantine machinery (`CFU_FAULT_PLAN`).
+    pub fault_plan: Option<Arc<FaultPlan>>,
+    /// Print a live progress readout to stderr every half second while
+    /// the run goes (a run that finishes before the first tick prints
+    /// nothing).
+    pub progress: bool,
+}
+
+impl Default for RunSpec {
+    /// One worker, no store, plain execution, no faults, silent.
+    fn default() -> Self {
+        RunSpec {
+            threads: 1,
+            store: None,
+            resume: false,
+            retime: false,
+            fault_plan: None,
+            progress: false,
+        }
+    }
+}
 
 /// Interval between progress polls.
 const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
 
-/// Runs `work` while a scoped thread polls `snapshot` every half second
-/// and prints `progress: {render(snapshot)}` to stderr whenever it
-/// changed (a run that finishes before the first tick prints nothing).
-/// The poller is woken as soon as `work` returns or unwinds, so it adds
-/// no wait to the run.
-pub fn with_progress<S: Default + PartialEq, T>(
-    snapshot: impl Fn() -> S + Send,
-    render: impl Fn(&S) -> String + Send,
-    work: impl FnOnce() -> T,
-) -> T {
-    let (done, finished) = mpsc::channel::<()>();
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut last = S::default();
-            while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(PROGRESS_PERIOD) {
-                let snap = snapshot();
-                if snap != last {
-                    eprintln!("progress: {}", render(&snap));
-                    last = snap;
-                }
+impl RunSpec {
+    /// Binds the spec's result store under `ctx`, in resume mode if the
+    /// spec asks for it and under its fault plan's torn flushes.
+    fn study_store<P>(&self, ctx: StoreContext) -> Option<Arc<StudyStore<P>>> {
+        let store = self.store.as_ref()?;
+        let mut handle = StudyStore::new(Arc::clone(store), ctx).with_resume(self.resume);
+        if let Some(plan) = &self.fault_plan {
+            handle = handle.with_fault_plan(Arc::clone(plan));
+        }
+        Some(Arc::new(handle))
+    }
+
+    /// Runs `trials` rounds of `study` on `factory`'s evaluators, each
+    /// wrapped in the spec's fault plan when there is one.
+    fn run_study<S, O, F>(&self, study: &mut ParallelStudy<O, S>, factory: &F, trials: u64)
+    where
+        S: SearchSpace,
+        S::Point: Hash,
+        O: Optimizer<S>,
+        F: EvaluatorFactory<S::Point>,
+    {
+        match &self.fault_plan {
+            Some(plan) => {
+                let faulty = FaultyFactory::new(|| factory.make_evaluator(), Arc::clone(plan));
+                study.run(&faulty, trials);
             }
-        });
-        let out = work();
-        drop(done);
-        out
-    })
+            None => study.run(factory, trials),
+        }
+    }
+
+    /// Runs `work`; with [`progress`](RunSpec::progress) on, a scoped
+    /// thread meanwhile polls `snapshot` every half second and prints
+    /// `progress: {render(snapshot)}` to stderr whenever it changed. The
+    /// poller is woken as soon as `work` returns or unwinds, so it adds
+    /// no wait to the run.
+    fn observe<S: Default + PartialEq, T>(
+        &self,
+        snapshot: impl Fn() -> S + Send,
+        render: impl Fn(&S) -> String + Send,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        if !self.progress {
+            return work();
+        }
+        let (done, finished) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut last = S::default();
+                while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(PROGRESS_PERIOD) {
+                    let snap = snapshot();
+                    if snap != last {
+                        eprintln!("progress: {}", render(&snap));
+                        last = snap;
+                    }
+                }
+            });
+            let out = work();
+            drop(done);
+            out
+        })
+    }
+}
+
+/// What one figure run produced: its rows plus the study counts the
+/// binaries report on stderr.
+#[derive(Debug)]
+pub struct Run<R, P> {
+    /// The figure's rows (or curves).
+    pub rows: R,
+    /// How the study completed: attempts (one per simulation, memo and
+    /// store hits excluded), retries, failures, quarantined points.
+    pub report: StudyReport<P>,
+    /// Prior results hydrated from the result store.
+    pub hydrated: u64,
+    /// Fresh results appended to the result store.
+    pub appended: u64,
+    /// Failure tombstones appended to the result store.
+    pub tombstoned: u64,
+    /// Guest executions that captured a trace for retime replay.
+    pub captures: u64,
+    /// Points scored by trace replay instead of execution.
+    pub replays: u64,
+}
+
+impl<R, P> Run<R, P> {
+    /// Assembles a run from its rows, report and the stores it used.
+    fn collect<'a, K: 'a + Copy + Eq + Hash>(
+        rows: R,
+        report: StudyReport<P>,
+        stores: impl IntoIterator<Item = &'a Arc<StudyStore<P>>>,
+        traces: impl IntoIterator<Item = &'a Arc<TraceStore<K>>>,
+    ) -> Self
+    where
+        P: 'a,
+    {
+        let mut run =
+            Run { rows, report, hydrated: 0, appended: 0, tombstoned: 0, captures: 0, replays: 0 };
+        for store in stores {
+            run.hydrated += store.hydrated();
+            run.appended += store.appended();
+            run.tombstoned += store.tombstoned();
+        }
+        for trace in traces {
+            run.captures += trace.captures();
+            run.replays += trace.replays();
+        }
+        run
+    }
+
+    /// The same run with its rows mapped through `f`.
+    fn map<T>(self, f: impl FnOnce(R) -> T) -> Run<T, P> {
+        let Run { rows, report, hydrated, appended, tombstoned, captures, replays } = self;
+        Run { rows: f(rows), report, hydrated, appended, tombstoned, captures, replays }
+    }
+}
+
+/// Evaluates every rung of a ladder space once through the engine
+/// (`GridSearch` at full budget walks the rungs in order; each batch fans
+/// out over the spec's workers) and returns the results in ladder order.
+/// `traces` is the store the factory's evaluators capture into, if any.
+fn run_ladder<S, F>(
+    spec: &RunSpec,
+    space: S,
+    ctx: StoreContext,
+    factory: &F,
+    traces: Option<&Arc<TraceStore<u8>>>,
+) -> Run<Vec<EvalResult>, S::Point>
+where
+    S: SearchSpace,
+    S::Point: StoreKey + Hash + std::fmt::Debug + Send + Sync + 'static,
+    F: EvaluatorFactory<S::Point>,
+{
+    let total = space.size();
+    let store = spec.study_store(ctx);
+    let optimizer = GridSearch::new(&space, total);
+    let mut study = ParallelStudy::new(space, optimizer, spec.threads);
+    let progress = Arc::new(AtomicU64::new(0));
+    study.attach_progress(Arc::clone(&progress));
+    if let Some(handle) = &store {
+        study.attach_store(Arc::clone(handle));
+    }
+    spec.observe(
+        || progress.load(Ordering::Relaxed),
+        |done| format!("{done}/{total} ladder steps"),
+        || spec.run_study(&mut study, factory, total),
+    );
+    let results = (0..total)
+        .map(|i| study.cache().get(&study.space().point(i)).expect("engine evaluated every rung"))
+        .collect();
+    Run::collect(results, study.report(), &store, traces)
 }
 
 /// Formats a speedup for tables ("55.30x").

@@ -1,23 +1,15 @@
 //! Cold/warm equivalence of the persistent result store across every
-//! figure pipeline: a cold run populates the store without moving a
-//! byte of output, and a warm `--resume`-style run reproduces the same
-//! CSV with **zero** guest simulations. This is the contract behind the
-//! `--store`/`--resume` flags on the figure binaries.
+//! figure run: a cold run populates the store without moving a byte of
+//! output, and a warm resume reproduces the same CSV with **zero** guest
+//! simulations. This is the contract behind the `--store`/`--resume`
+//! flags on the figure binaries.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use cfu_bench::{fig4, fig6, fig7};
-use cfu_dse::{ResultStore, StudyStore};
+use cfu_bench::{fig4, fig6, fig7, RunSpec};
+use cfu_dse::ResultStore;
 use cfu_sim::CpuConfig;
-
-/// Serializes the tests that read the global
-/// [`fig6::energy_step_evaluations`] counter, so one test's runs never
-/// perturb another's before/after delta.
-fn energy_counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn temp_store(tag: &str) -> PathBuf {
     let path =
@@ -26,78 +18,45 @@ fn temp_store(tag: &str) -> PathBuf {
     path
 }
 
+/// A two-worker spec over the store file at `path`.
+fn stored(path: &Path, resume: bool, retime: bool) -> RunSpec {
+    let store = Arc::new(ResultStore::open(path).unwrap());
+    RunSpec { threads: 2, store: Some(store), resume, retime, ..RunSpec::default() }
+}
+
 #[test]
 fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
-    let cfg = fig7::Fig7Config {
-        input_hw: 8,
-        trials: 24,
-        evolutionary: true,
-        seed: 11,
-        threads: 2,
-        retime: true,
-        ..fig7::Fig7Config::default()
-    };
-    let baseline = fig7::to_csv(&fig7::run_all(&cfg));
+    let cfg = fig7::Fig7Config { input_hw: 8, trials: 24, ..fig7::Fig7Config::default() };
+    let plain = RunSpec { threads: 2, retime: true, ..RunSpec::default() };
+    let baseline = fig7::to_csv(&fig7::run(&plain, &cfg).rows);
     let path = temp_store("fig7");
-    let cold_store = Arc::new(ResultStore::open(&path).unwrap());
-    let cold = fig7::Fig7Store::new(Arc::clone(&cold_store), cfg.input_hw, false);
-    let progress = fig7::Fig7Progress::new();
-    let cold_csv = fig7::to_csv(&fig7::run_all_stored(&cfg, &progress, Some(&cold)));
-    assert_eq!(cold_csv, baseline, "attaching a store must not move the fronts");
-    assert!(cold.appended() > 0, "cold run must persist fresh evaluations");
-    drop(cold);
-    drop(cold_store);
+    let cold = fig7::run(&stored(&path, false, true), &cfg);
+    assert_eq!(fig7::to_csv(&cold.rows), baseline, "attaching a store must not move the fronts");
+    assert!(cold.appended > 0, "cold run must persist fresh evaluations");
 
-    let warm_store = Arc::new(ResultStore::open(&path).unwrap());
-    let warm = fig7::Fig7Store::new(Arc::clone(&warm_store), cfg.input_hw, true);
-    let progress = fig7::Fig7Progress::new();
-    let warm_csv = fig7::to_csv(&fig7::run_all_stored(&cfg, &progress, Some(&warm)));
-    assert_eq!(warm_csv, baseline, "warm resume must reproduce the fronts byte-for-byte");
-    assert_eq!(warm.appended(), 0, "warm resume must append nothing");
-    assert!(warm.hydrated() > 0, "warm resume must hydrate prior results");
+    let warm = fig7::run(&stored(&path, true, true), &cfg);
+    assert_eq!(fig7::to_csv(&warm.rows), baseline, "warm resume must reproduce the fronts");
+    assert_eq!(warm.appended, 0, "warm resume must append nothing");
+    assert!(warm.hydrated > 0, "warm resume must hydrate prior results");
     // The retime counters are the zero-simulation proof: with every
     // point memoized up front, no curve captures a trace or replays one.
-    for i in 0..3 {
-        let counters = progress.store(i).expect("retime mode tracks per-curve counters");
-        assert_eq!(counters.captures(), 0, "warm curve {i} ran the guest");
-        assert_eq!(counters.replays(), 0, "warm curve {i} replayed a trace");
-    }
+    assert_eq!((warm.captures, warm.replays), (0, 0), "warm resume ran the guest");
+    assert_eq!(warm.report.attempts, 0, "warm resume evaluated a point");
     std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn fig4_warm_resume_is_byte_identical_and_appends_nothing() {
-    let cpu = CpuConfig::arty_default();
-    let baseline = fig4::to_csv(&fig4::run_ladder_configured(cpu, 16, false));
+    let baseline = include_str!("golden/fig4_mnv2_ladder_hw16.csv");
     let path = temp_store("fig4");
-    let ctx = fig4::store_context(cpu, 16, false);
-    {
-        let store = Arc::new(ResultStore::open(&path).unwrap());
-        let handle = Arc::new(StudyStore::new(store, ctx.clone()));
-        let cold = fig4::to_csv(&fig4::run_ladder_parallel_stored(
-            cpu,
-            16,
-            false,
-            2,
-            None,
-            Some(Arc::clone(&handle)),
-        ));
-        assert_eq!(cold, baseline, "attaching a store must not move the rows");
-        assert!(handle.appended() > 0, "cold run must persist fresh steps");
-    }
-    let store = Arc::new(ResultStore::open(&path).unwrap());
-    let handle = Arc::new(StudyStore::new(store, ctx).with_resume(true));
-    let warm = fig4::to_csv(&fig4::run_ladder_parallel_stored(
-        cpu,
-        16,
-        false,
-        2,
-        None,
-        Some(Arc::clone(&handle)),
-    ));
-    assert_eq!(warm, baseline, "warm resume must reproduce the rows byte-for-byte");
-    assert_eq!(handle.appended(), 0, "warm resume must append nothing");
-    assert!(handle.hydrated() > 0, "warm resume must hydrate prior steps");
+    let cold = fig4::run(&stored(&path, false, false), 16, false);
+    assert_eq!(fig4::to_csv(&cold.rows), baseline, "attaching a store must not move the rows");
+    assert!(cold.appended > 0, "cold run must persist fresh steps");
+    let warm = fig4::run(&stored(&path, true, false), 16, false);
+    assert_eq!(fig4::to_csv(&warm.rows), baseline, "warm resume must reproduce the rows");
+    assert_eq!(warm.appended, 0, "warm resume must append nothing");
+    assert!(warm.hydrated > 0, "warm resume must hydrate prior steps");
+    assert_eq!(warm.report.attempts, 0, "warm resume must simulate zero steps");
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -121,43 +80,34 @@ fn fig4_store_contexts_isolate_cpu_and_resolution_variants() {
 fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
     // The content-addressed keys embed the workload tag, so the KWS
     // ladder and its energy extension can share one `--store` file:
-    // each hydrates only its own records. (Holds the energy-counter
-    // lock: the energy ladder bumps the global counter this test reads.)
-    let _guard = energy_counter_lock();
-    let baseline = fig6::to_csv(&fig6::run_ladder());
+    // each hydrates only its own records.
+    let baseline = include_str!("golden/fig6_kws_ladder.csv");
+    let energy_csv = include_str!("golden/table_energy_ladder.csv");
     let path = temp_store("fig6-shared");
-    let (energy_table, energy_csv) = {
-        let store = Arc::new(ResultStore::open(&path).unwrap());
-        let ladder = Arc::new(StudyStore::new(Arc::clone(&store), fig6::store_context()));
-        let cold =
-            fig6::to_csv(&fig6::run_ladder_parallel_stored(2, None, Some(Arc::clone(&ladder))));
-        assert_eq!(cold, baseline, "attaching a store must not move the rows");
-        let energy = Arc::new(StudyStore::new(Arc::clone(&store), fig6::energy_store_context()));
-        let rows = fig6::run_energy_ladder_parallel_stored(2, true, Some(Arc::clone(&energy)));
-        assert!(ladder.appended() > 0, "cold ladder run must persist fresh steps");
-        assert!(energy.appended() > 0, "cold energy run must persist fresh steps");
-        (fig6::render_energy(&rows), fig6::energy_to_csv(&rows))
-    };
-    let store = Arc::new(ResultStore::open(&path).unwrap());
-    let ladder =
-        Arc::new(StudyStore::new(Arc::clone(&store), fig6::store_context()).with_resume(true));
-    let warm = fig6::to_csv(&fig6::run_ladder_parallel_stored(2, None, Some(Arc::clone(&ladder))));
-    assert_eq!(warm, baseline, "warm resume must reproduce the rows byte-for-byte");
-    assert_eq!(ladder.appended(), 0, "warm resume must append nothing");
+    let cold = fig6::run(&stored(&path, false, false));
+    assert_eq!(fig6::to_csv(&cold.rows), baseline, "attaching a store must not move the rows");
+    assert!(cold.appended > 0, "cold ladder run must persist fresh steps");
+    let cold_energy = fig6::run_energy(&stored(&path, false, true));
+    assert_eq!(fig6::energy_to_csv(&cold_energy.rows), energy_csv);
+    assert!(cold_energy.appended > 0, "cold energy run must persist fresh steps");
+    assert_eq!(cold_energy.report.attempts, 8, "each step must be simulated exactly once");
+    let energy_table = fig6::render_energy(&cold_energy.rows);
+
+    let warm = fig6::run(&stored(&path, true, false));
+    assert_eq!(fig6::to_csv(&warm.rows), baseline, "warm resume must reproduce the rows");
+    assert_eq!(warm.appended, 0, "warm resume must append nothing");
     assert_eq!(
-        ladder.hydrated(),
-        fig6::ladder_len(),
+        warm.hydrated,
+        fig6::Fig6Step::LADDER.len() as u64,
         "the ladder must hydrate exactly its own records, not the energy rows"
     );
-    let energy = Arc::new(StudyStore::new(store, fig6::energy_store_context()).with_resume(true));
-    // The global step counter is the zero-simulation proof: a fully
-    // hydrated memo cache means no evaluator (execute *or* retime
-    // capture) ever touches the guest.
-    let before = fig6::energy_step_evaluations();
-    let rows = fig6::run_energy_ladder_parallel_stored(2, true, Some(Arc::clone(&energy)));
-    assert_eq!(fig6::energy_step_evaluations(), before, "warm resume must simulate zero steps");
-    assert_eq!(fig6::render_energy(&rows), energy_table, "warm energy table diverged");
-    assert_eq!(fig6::energy_to_csv(&rows), energy_csv, "warm energy CSV diverged");
-    assert_eq!(energy.appended(), 0, "warm energy resume must append nothing");
+    // A fully hydrated memo cache means no evaluator (execute *or*
+    // retime capture) ever touches the guest.
+    let warm_energy = fig6::run_energy(&stored(&path, true, true));
+    assert_eq!(warm_energy.report.attempts, 0, "warm resume must simulate zero steps");
+    assert_eq!((warm_energy.captures, warm_energy.replays), (0, 0));
+    assert_eq!(fig6::render_energy(&warm_energy.rows), energy_table, "warm energy table diverged");
+    assert_eq!(fig6::energy_to_csv(&warm_energy.rows), energy_csv, "warm energy CSV diverged");
+    assert_eq!(warm_energy.appended, 0, "warm energy resume must append nothing");
     std::fs::remove_file(&path).unwrap();
 }

@@ -2,7 +2,7 @@
 //! harnesses regenerate the full numbers; these keep the *shape* from
 //! regressing).
 
-use cfu_bench::{fig4, fig6, fig7};
+use cfu_bench::{fig4, fig6, fig7, RunSpec};
 use cfu_dse::CfuChoice;
 
 /// Figure 4 shape at reduced scale: every CFU step at least holds the
@@ -10,7 +10,7 @@ use cfu_dse::CfuChoice;
 /// big jump, and the final step is a large multiple of the baseline.
 #[test]
 fn fig4_ladder_shape_holds_at_small_scale() {
-    let rows = fig4::run_ladder(16, false);
+    let rows = fig4::run(&RunSpec::default(), 16, false).rows;
     assert_eq!(rows.len(), 10);
     assert!((rows[0].operator_speedup - 1.0).abs() < 1e-9);
     // SW specialization ≈ 2x (paper 2.0x).
@@ -44,7 +44,7 @@ fn fig4_ladder_shape_holds_at_small_scale() {
 /// everything still fitting Fomu.
 #[test]
 fn fig6_ladder_shape_holds() {
-    let rows = fig6::run_ladder();
+    let rows = fig6::run(&RunSpec::default()).rows;
     assert_eq!(rows.len(), 8);
     // QuadSPI ~3x (paper 3.04x).
     assert!((2.0..5.0).contains(&rows[1].speedup), "QuadSPI {:?}", rows[1].speedup);
@@ -78,11 +78,10 @@ fn fig7_cfu_curves_extend_the_front() {
         trials: 30,
         evolutionary: false,
         seed: 3,
-        threads: 2,
-        retime: true,
         ..fig7::Fig7Config::default()
     };
-    let curves = fig7::run_all(&cfg);
+    let spec = RunSpec { threads: 2, retime: true, ..RunSpec::default() };
+    let curves = fig7::run(&spec, &cfg).rows;
     assert_eq!(curves.len(), 3);
     let best = |choice: CfuChoice| {
         curves
