@@ -22,7 +22,7 @@
 //! execute mode (pinned in `crates/bench/tests/ladder_parallel.rs` and
 //! `crates/sim/tests/retime.rs`, and re-asserted here). Results land in
 //! `target/criterion-stub/abl_retime.json` and are summarised (min-ns
-//! estimator, same methodology as `abl_sim_speed`) in `BENCH_sim.json`.
+//! estimator) in `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

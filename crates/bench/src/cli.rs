@@ -8,7 +8,9 @@
 //! callback. Unknown flags, missing or malformed values, `--resume`
 //! without `--store` and an unopenable store are typed [`CliError`]s;
 //! [`parse_or_exit`] prints them (with the usage line for flag errors)
-//! and exits with status 2.
+//! and exits with status 2. Binaries without the common flags
+//! (`profile_mnv2`, `table_mlperf_models`) parse through
+//! [`parse_flags`] and [`or_exit`] with the same errors and exit status.
 
 use std::fmt;
 use std::str::FromStr;
@@ -108,20 +110,33 @@ impl Value<'_> {
     }
 }
 
+/// Hands every flag of `args` (without the program name) to `handle`,
+/// which consumes the flag's value through the [`Value`] and returns
+/// whether it knew the flag; an unknown flag is an error.
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    mut handle: impl FnMut(&str, &mut Value<'_>) -> Result<bool, CliError>,
+) -> Result<(), CliError> {
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        if !handle(&flag, &mut Value { flag: &flag, args: &mut args })? {
+            return Err(CliError::UnknownFlag(flag));
+        }
+    }
+    Ok(())
+}
+
 /// Parses `args` (without the program name) for `cmd`. Flags that are
-/// not common go to `extra`, which consumes their values through the
-/// [`Value`] and returns whether it knew the flag.
+/// not common go to `extra`, as in [`parse_flags`].
 pub fn parse(
     cmd: &Command,
     args: impl IntoIterator<Item = String>,
     mut extra: impl FnMut(&str, &mut Value<'_>) -> Result<bool, CliError>,
 ) -> Result<Args, CliError> {
-    let mut args = args.into_iter();
     let spec = RunSpec { retime: cmd.retime, ..RunSpec::default() };
     let mut out = Args { csv: None, svg: None, store_path: None, spec };
-    while let Some(flag) = args.next() {
-        let mut value = Value { flag: &flag, args: &mut args };
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--csv" => out.csv = Some(value.string()?),
             "--svg" if cmd.svg => out.svg = Some(value.string()?),
             "--threads" => {
@@ -132,13 +147,10 @@ pub fn parse(
             "--resume" => out.spec.resume = true,
             "--retime" if cmd.retime => out.spec.retime = true,
             "--no-retime" if cmd.retime => out.spec.retime = false,
-            other => {
-                if !extra(other, &mut value)? {
-                    return Err(CliError::UnknownFlag(other.to_owned()));
-                }
-            }
+            other => return extra(other, value),
         }
-    }
+        Ok(true)
+    })?;
     if out.spec.resume && out.store_path.is_none() {
         return Err(CliError::ResumeWithoutStore);
     }
@@ -156,10 +168,16 @@ pub fn parse_or_exit(
     cmd: &Command,
     extra: impl FnMut(&str, &mut Value<'_>) -> Result<bool, CliError>,
 ) -> Args {
-    parse(cmd, std::env::args().skip(1), extra).unwrap_or_else(|e| {
+    or_exit(cmd.usage, parse(cmd, std::env::args().skip(1), extra))
+}
+
+/// The parsed value, or on error prints it (plus the usage line for a
+/// flag error) to stderr and exits with status 2.
+pub fn or_exit<T>(usage: &str, parsed: Result<T, CliError>) -> T {
+    parsed.unwrap_or_else(|e| {
         eprintln!("{e}");
         if !matches!(e, CliError::Store { .. }) {
-            eprintln!("usage: {}", cmd.usage);
+            eprintln!("usage: {usage}");
         }
         std::process::exit(2)
     })

@@ -112,8 +112,7 @@ impl Evaluator<Conv1x1Variant> for Fig4Evaluator {
 /// searched axis is only the kernel variant, so everything else that
 /// moves the numbers — input resolution, model width, and the fixed CPU
 /// configuration — goes into the workload tag. The CPU is folded in by
-/// its [`StoreKey`](cfu_dse::StoreKey) fingerprint, which excludes
-/// host-only knobs such as the ISS decode cache.
+/// its [`StoreKey`](cfu_dse::StoreKey) fingerprint.
 pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> StoreContext {
     let fp = key_fingerprint(&DesignPoint { cpu, cfu: CfuChoice::None });
     let width = if full_width { "100" } else { "035" };

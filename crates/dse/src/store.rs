@@ -43,9 +43,7 @@
 //! `point_key` is the [`StoreKey`] encoding of the candidate — an
 //! explicit, field-by-field byte layout that deliberately does **not**
 //! depend on `#[derive(Hash)]` or struct memory layout, so the file
-//! stays valid across compiler versions and refactors. Host-only knobs
-//! (the ISS decode cache) are excluded: they can never change cycle
-//! counts, so they must never fragment the corpus.
+//! stays valid across compiler versions and refactors.
 //!
 //! # Crash safety
 //!
@@ -273,9 +271,7 @@ fn decode_cache_cfg(c: &mut Cursor) -> Option<Option<CacheConfig>> {
 }
 
 /// [`DesignPoint`] keys: every hardware knob, field by field, in a
-/// fixed order. The host-only `decode_cache` flag is **excluded** — it
-/// never changes cycle counts, so two points differing only there must
-/// share one record.
+/// fixed order.
 impl StoreKey for DesignPoint {
     fn encode_key(&self, out: &mut Vec<u8>) {
         let cpu = &self.cpu;
@@ -357,8 +353,6 @@ impl StoreKey for DesignPoint {
         if !c.finished() {
             return None;
         }
-        // The decode cache is host-only; reconstruct with the default
-        // (enabled) so the point behaves identically when re-simulated.
         let cpu = CpuConfig {
             pipeline_depth,
             bypassing,
@@ -370,7 +364,6 @@ impl StoreKey for DesignPoint {
             dcache,
             hw_error_checking,
             compressed,
-            decode_cache: true,
         };
         Some(DesignPoint { cpu, cfu })
     }
@@ -1130,27 +1123,8 @@ mod tests {
             let mut key = Vec::new();
             point.encode_key(&mut key);
             let back = DesignPoint::decode_key(&key).expect("decodes");
-            // decode_cache is host-only and deliberately not encoded.
-            assert_eq!(back.cfu, point.cfu);
-            let mut a = back.cpu;
-            let mut b = point.cpu;
-            a.decode_cache = true;
-            b.decode_cache = true;
-            assert_eq!(a, b);
+            assert_eq!(back, point);
         }
-    }
-
-    #[test]
-    fn decode_cache_does_not_fragment_the_key() {
-        let point = DesignSpace::small().point(0);
-        let mut on = point;
-        on.cpu.decode_cache = true;
-        let mut off = point;
-        off.cpu.decode_cache = false;
-        let (mut ka, mut kb) = (Vec::new(), Vec::new());
-        on.encode_key(&mut ka);
-        off.encode_key(&mut kb);
-        assert_eq!(ka, kb);
     }
 
     #[test]

@@ -611,14 +611,6 @@ impl Inst {
         matches!(self, Inst::Sb { .. } | Inst::Sh { .. } | Inst::Sw { .. })
     }
 
-    /// `true` for instructions that (may) redirect the PC or stop the
-    /// core: jumps, conditional branches, `ecall` and `ebreak`. These end
-    /// the straight-line runs a predecoding simulator can batch.
-    pub fn transfers_control(&self) -> bool {
-        matches!(self, Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Ecall | Inst::Ebreak)
-            || self.is_branch()
-    }
-
     /// Source registers `(rs1, rs2)` read by this instruction, if any —
     /// the operand fields a pipeline model needs for hazard detection.
     /// Instructions with only immediate/CSR operands return `(None, None)`.

@@ -116,11 +116,6 @@ impl fmt::Debug for Mapped {
 #[derive(Debug, Default)]
 pub struct Bus {
     regions: Vec<Mapped>,
-    /// Bumped on every mutation of memory contents ([`Bus::write`] and
-    /// [`Bus::load_image`]); consumers caching derived views of memory
-    /// (e.g. the simulator's predecoded-instruction store) compare it to
-    /// detect staleness.
-    generation: u64,
     /// Index of the most recently routed region — accesses cluster, so
     /// the common case is one range check instead of a map scan.
     hot: usize,
@@ -262,7 +257,6 @@ impl Bus {
         m.stats.writes += 1;
         m.stats.bytes_written += data.len() as u64;
         m.stats.write_cycles += cycles;
-        self.generation = self.generation.wrapping_add(1);
         Ok(cycles)
     }
 
@@ -336,19 +330,7 @@ impl Bus {
         let (idx, offset) = self.route(addr, data.len())?;
         let m = &mut self.regions[idx];
         m.slot.dev().poke(offset, data).map_err(|e| rebase(e, m.info.base))?;
-        self.generation = self.generation.wrapping_add(1);
         Ok(())
-    }
-
-    /// Memory-mutation counter: incremented by every successful
-    /// [`write`](Bus::write) and [`load_image`](Bus::load_image).
-    ///
-    /// Host-side caches of derived memory state (such as a predecoded
-    /// instruction store) snapshot this value and treat any change as a
-    /// signal that cached contents may be stale. Reads and
-    /// [`peek`](Bus::peek) never move it.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Downcasts the device in `id`'s region to a concrete type, for
@@ -371,7 +353,7 @@ impl Bus {
         match &mut m.slot {
             // SRAM is timing-stateless: no reset needed, and the read
             // inlines (this is the data source for every cached load and
-            // predecoded fetch).
+            // fetch).
             Slot::Sram(s) => s.read(offset, buf).map(drop),
             Slot::Other(d) => {
                 let r = d.read(offset, buf).map(drop);
@@ -629,24 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_mutations_only() {
-        let mut bus = demo_bus();
-        let g0 = bus.generation();
-        bus.read_u32(0x1000_0000).unwrap();
-        let mut b = [0u8; 4];
-        bus.peek(0x1000_0000, &mut b).unwrap();
-        assert_eq!(bus.generation(), g0, "reads and peeks must not move the generation");
-        bus.write_u32(0x1000_0000, 7).unwrap();
-        assert_eq!(bus.generation(), g0 + 1);
-        bus.load_image(0, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(bus.generation(), g0 + 2);
-        // Failed writes leave memory untouched and the generation alone.
-        assert!(bus.write_u8(0x0000_0010, 1).is_err());
-        assert!(bus.read_u32(0x2000_0000).is_err());
-        assert_eq!(bus.generation(), g0 + 2);
-    }
-
-    #[test]
     fn regions_iteration() {
         let bus = demo_bus();
         let names: Vec<_> = bus.regions().map(|(_, i)| i.name.clone()).collect();
@@ -688,6 +652,5 @@ mod tests {
         let ca = a.read(4, &mut buf).unwrap();
         let cb = b.read(4, &mut buf).unwrap();
         assert_eq!(ca, cb);
-        assert_eq!(b.generation(), a.generation(), "neither path mutates contents");
     }
 }

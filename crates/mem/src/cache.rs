@@ -272,8 +272,8 @@ impl Cache {
     /// re-touch cannot change any future hit/miss/eviction decision: the
     /// relative order of last-touch times across lines is preserved, and
     /// the internal tick counter is not otherwise observable. Used by the
-    /// simulator's predecoded fast path for consecutive fetches within
-    /// one I-cache line.
+    /// ISS's timing-only fetch replay for the second parcel of a 32-bit
+    /// RVC instruction that lies on the line its first parcel touched.
     #[inline]
     pub fn note_hit(&mut self) {
         self.stats.hits += 1;
@@ -374,8 +374,9 @@ mod tests {
     #[test]
     fn note_hit_matches_repeated_access_exactly() {
         // Two caches driven identically, except one replaces repeated
-        // same-line accesses with `note_hit`. Contents, stats and every
-        // later eviction decision must agree.
+        // same-line accesses with `note_hit`, as the ISS fetch-timing
+        // replay does for a second parcel on its first parcel's line.
+        // Contents, stats and every later eviction decision must agree.
         let mut a = Cache::new(cfg(64, 2)); // 1 set of 2 ways
         let mut b = Cache::new(cfg(64, 2));
         a.access(0);

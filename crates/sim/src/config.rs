@@ -117,13 +117,6 @@ pub struct CpuConfig {
     /// halve hot-loop fetch bandwidth (critical on XIP flash) at the
     /// cost of an expander in the decode stage.
     pub compressed: bool,
-    /// Host-side predecoded-instruction fast path (decode cache +
-    /// basic-block dispatch). This is a *simulator* optimization, not a
-    /// hardware feature: it never changes cycle counts, statistics or
-    /// architectural state, costs no FPGA resources, and exists as a knob
-    /// only so parity tests can run the unaccelerated interpreter. Only
-    /// the ISS reads it: [`crate::TimedCore`] decodes nothing.
-    pub decode_cache: bool,
 }
 
 impl Default for CpuConfig {
@@ -148,7 +141,6 @@ impl CpuConfig {
             dcache: Some(CacheConfig { size_bytes: 4096, ways: 1, line_bytes: 32 }),
             hw_error_checking: true,
             compressed: false,
-            decode_cache: true,
         }
     }
 
@@ -168,7 +160,6 @@ impl CpuConfig {
             dcache: None,
             hw_error_checking: true,
             compressed: false,
-            decode_cache: true,
         }
     }
 
@@ -223,15 +214,6 @@ impl CpuConfig {
     /// Enables or disables RV32C support.
     pub fn with_compressed(mut self, compressed: bool) -> Self {
         self.compressed = compressed;
-        self
-    }
-
-    /// Enables or disables the host-side predecoded fast path (see
-    /// [`CpuConfig::decode_cache`]). Guest-visible behaviour is identical
-    /// either way; disable it to cross-check timing or to debug the
-    /// simulator itself.
-    pub fn with_decode_cache(mut self, enabled: bool) -> Self {
-        self.decode_cache = enabled;
         self
     }
 
@@ -398,18 +380,6 @@ mod tests {
         let cfg = CpuConfig::arty_default().with_icache_bytes(0).with_dcache_bytes(16384);
         assert!(cfg.icache.is_none());
         assert_eq!(cfg.dcache.unwrap().size_bytes, 16384);
-    }
-
-    #[test]
-    fn decode_cache_is_host_only() {
-        // The fast path is a simulator optimization: presets enable it,
-        // and toggling it changes neither resources nor validity.
-        for cfg in [CpuConfig::arty_default(), CpuConfig::fomu_baseline()] {
-            assert!(cfg.decode_cache);
-            let off = cfg.with_decode_cache(false);
-            assert_eq!(cfg.resources(), off.resources());
-            assert_eq!(cfg.validate(), off.validate());
-        }
     }
 
     #[test]

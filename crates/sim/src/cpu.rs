@@ -9,7 +9,6 @@
 //! feature knobs.
 
 use std::fmt;
-use std::sync::Arc;
 
 use cfu_core::{Cfu, CfuError, CfuOp, NullCfu};
 use cfu_isa::{Csr, Inst, Reg};
@@ -17,9 +16,6 @@ use cfu_mem::{Bus, Cache, MemError};
 
 use crate::bpred::PredictorState;
 use crate::config::CpuConfig;
-use crate::decode_cache::{
-    Block, BlockInst, DecodeCache, Handler, MAX_SUPERBLOCK, NO_CHAIN, STALL_DYNAMIC,
-};
 use crate::retime::{
     hazard_penalty, IssRecorder, IssTrace, TimingModel, K_BRANCH, K_CFU, K_DIV, K_JAL, K_JALR,
     K_LOAD, K_MUL, K_SHIFT, K_SIMPLE, K_STORE,
@@ -184,15 +180,8 @@ pub struct Cpu {
     /// when tracing is off.
     trace: std::collections::VecDeque<(u32, Inst)>,
     trace_depth: usize,
-    /// Host-side predecoded-instruction store (see `decode_cache.rs`);
-    /// inert when `config.decode_cache` is false.
-    decode: DecodeCache,
-    /// The [`Bus::generation`] the decode cache's contents reflect; any
-    /// external mutation moves the bus counter past this and flushes.
-    seen_generation: u64,
     /// Committed-instruction trace recorder; `Some` while capturing (see
-    /// [`Cpu::start_recording`]). Recording pins execution to the slow
-    /// decode path so every retirement flows through [`Cpu::retire`].
+    /// [`Cpu::start_recording`]); fed by every [`Cpu::retire`].
     recorder: Option<IssRecorder>,
 }
 
@@ -218,7 +207,6 @@ impl Cpu {
 
     /// Creates a CPU with a CFU on the custom-0 port.
     pub fn with_cfu(config: CpuConfig, bus: Bus, cfu: impl Cfu + 'static) -> Self {
-        let seen_generation = bus.generation();
         Cpu {
             config,
             regs: [0; 32],
@@ -237,17 +225,14 @@ impl Cpu {
             stopped: None,
             trace: std::collections::VecDeque::new(),
             trace_depth: 0,
-            decode: DecodeCache::new(config.decode_cache),
-            seen_generation,
             recorder: None,
         }
     }
 
     /// Starts recording the committed instruction stream into an
-    /// [`IssTrace`]. Recording is passive — timing and statistics are
-    /// unchanged (capture pins execution to the slow decode path, whose
-    /// charges the predecoded fast path reproduces exactly) — and ends
-    /// with [`Cpu::finish_recording`].
+    /// [`IssTrace`]. Recording is passive — timing, statistics and
+    /// architectural state are those of an unrecorded run — and ends with
+    /// [`Cpu::finish_recording`].
     pub fn start_recording(&mut self) {
         self.recorder = Some(IssRecorder::new(self.config.compressed));
     }
@@ -380,51 +365,21 @@ impl Cpu {
     ///
     /// Returns the first [`SimError`] the program triggers.
     pub fn run(&mut self, max_instructions: u64) -> Result<StopReason, SimError> {
-        if !self.config.decode_cache || self.recorder.is_some() {
-            for _ in 0..max_instructions {
-                if let Some(reason) = self.stopped {
-                    return Ok(reason);
-                }
-                self.step_decode()?;
-            }
-            return Ok(self.stopped.unwrap_or(StopReason::BudgetExhausted));
-        }
-        let mut remaining = max_instructions;
-        while remaining > 0 {
+        for _ in 0..max_instructions {
             if let Some(reason) = self.stopped {
                 return Ok(reason);
             }
-            self.sync_generation();
-            remaining -= self.run_predecoded(remaining)?;
-            if remaining == 0 || self.stopped.is_some() {
-                continue; // reported at the loop top
-            }
-            // Decode miss at the current PC: one slow step primes it.
-            self.step_decode()?;
-            remaining -= 1;
+            self.step()?;
         }
         Ok(self.stopped.unwrap_or(StopReason::BudgetExhausted))
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: fetch, decode, execute and retire.
     ///
     /// # Errors
     ///
     /// Any fault the instruction raises.
     pub fn step(&mut self) -> Result<(), SimError> {
-        if self.config.decode_cache && self.recorder.is_none() {
-            self.sync_generation();
-            let pc = self.pc;
-            if let Some((inst, ilen)) = self.decode.entry(pc) {
-                return self.exec_predecoded(pc, inst, ilen, inst.sources(), &mut None);
-            }
-        }
-        self.step_decode()
-    }
-
-    /// The slow path: fetch and decode one instruction from memory,
-    /// priming the decode cache for future visits.
-    fn step_decode(&mut self) -> Result<(), SimError> {
         let pc = self.pc;
         let (inst, ilen) = if self.config.compressed {
             let low = self.fetch_parcel(pc, true)?;
@@ -444,369 +399,45 @@ impl Cpu {
             let word = self.fetch(pc)?;
             (decode_word(pc, word)?, 4)
         };
-        if self.config.decode_cache {
-            self.decode.fill(pc, inst, ilen);
-        }
-        self.retire(pc, inst, ilen, inst.sources())
+        self.retire(pc, inst, ilen)
     }
 
-    // ---- predecoded fast path -------------------------------------------
-
-    /// Flushes the decode cache if anything other than this core's own
-    /// stores has written memory since the last sync.
-    fn sync_generation(&mut self) {
-        let generation = self.bus.generation();
-        if generation != self.seen_generation {
-            self.decode.flush();
-            self.seen_generation = generation;
-        }
-    }
-
-    /// Executes predecoded basic blocks starting at the current PC until
-    /// a decode miss, a stop, a fault, an invalidating store or the
-    /// budget runs out; returns the number of instructions retired.
-    fn run_predecoded(&mut self, budget: u64) -> Result<u64, SimError> {
-        let mut executed = 0u64;
-        // I-cache line of the previous predecoded fetch. Valid across
-        // block boundaries because only fetches touch the I-cache, and
-        // every fetch inside this call flows through `charge_fetch`.
-        let mut last_line = None;
-        let mut pend = Pending::default();
-        let result = self.dispatch_blocks(budget, &mut executed, &mut last_line, &mut pend);
-        // Flush deferred charges on every exit path — including faults —
-        // so any observer of the statistics after `run` returns sees
-        // exactly the counters the slow path would have produced.
-        self.stats.cycles += pend.cycles;
-        self.stats.instructions += pend.insts;
-        if pend.icache_hits > 0 {
-            self.icache
-                .as_mut()
-                .expect("deferred hits imply an I-cache")
-                .note_hits(pend.icache_hits);
-        }
-        result?;
-        Ok(executed)
-    }
-
-    /// The block-dispatch loop behind [`run_predecoded`]. Deferred
-    /// charges accumulate in `pend` (flushed by the caller and before
-    /// every `sync` instruction); per-instruction work mirrors
-    /// [`retire`] with the fetch/hazard components precomputed at block
-    /// build time.
-    fn dispatch_blocks(
-        &mut self,
-        budget: u64,
-        executed: &mut u64,
-        last_line: &mut Option<u32>,
-        pend: &mut Pending,
-    ) -> Result<(), SimError> {
-        let trace_on = self.trace_depth > 0;
-        'dispatch: while *executed < budget {
-            let Some(block) = self.block_at(self.pc) else { break };
-            let start = block.insts[0].pc;
-            // Tight guest loops land back on the same block start; rerun
-            // the block we already hold instead of re-looking it up.
-            loop {
-                // Budget accounting is hoisted out of the per-instruction
-                // loop: run a slice that cannot overshoot, count it once.
-                let take = usize::try_from(budget - *executed)
-                    .map_or(block.insts.len(), |room| block.insts.len().min(room));
-                for (done, e) in block.insts[..take].iter().enumerate() {
-                    // Fetch timing: the same-line case is a proven hit
-                    // (one cycle, one deferred hit tick); everything else
-                    // replays the full access.
-                    if e.same_line {
-                        pend.icache_hits += 1;
-                        pend.cycles += 1;
-                    } else if e.cached {
-                        self.icache_charge(e.pc, e.lines[0], last_line)?;
-                        if e.fetches == 2 {
-                            self.icache_charge(e.pc + 2, e.lines[1], last_line)?;
-                        }
-                    } else {
-                        self.charge_fetch_timing(e.pc, u32::from(e.ilen), last_line)?;
-                    }
-                    if e.sync {
-                        // CSR reads expose both live counters: they
-                        // must observe exact values.
-                        self.stats.cycles += pend.cycles;
-                        self.stats.instructions += pend.insts;
-                        pend.cycles = 0;
-                        pend.insts = 0;
-                    }
-                    if trace_on {
-                        if self.trace.len() == self.trace_depth {
-                            self.trace.pop_front();
-                        }
-                        self.trace.push_back((e.pc, e.inst));
-                    }
-                    match e.stall {
-                        STALL_DYNAMIC => self.charge_hazards(e.srcs),
-                        0 => {}
-                        s => {
-                            if e.sync {
-                                self.stats.cycles += u64::from(s);
-                            } else {
-                                pend.cycles += u64::from(s);
-                            }
-                        }
-                    }
-                    (e.handler)(self, e, pend)?;
-                    if e.sync {
-                        self.stats.instructions += 1;
-                    } else {
-                        pend.insts += 1;
-                    }
-                    if e.is_store && self.decode.take_store_clash() {
-                        // A store just hit cached code — possibly a later
-                        // entry of this very block. Re-dispatch from
-                        // wherever the store left the PC; the stale
-                        // blocks are gone.
-                        *executed += done as u64 + 1;
-                        continue 'dispatch;
-                    }
-                    if e.expected_next != NO_CHAIN && self.pc != e.expected_next {
-                        // Chain seam whose build-time prediction missed:
-                        // the superblock's remaining entries are for the
-                        // other path. Re-dispatch from the real PC.
-                        *executed += done as u64 + 1;
-                        continue 'dispatch;
-                    }
-                }
-                *executed += take as u64;
-                if *executed == budget {
-                    break 'dispatch;
-                }
-                // Only a block's final instruction can stop the core
-                // (`ecall` / `ebreak` end blocks), so one check per block
-                // suffices.
-                if self.stopped.is_some() {
-                    break 'dispatch;
-                }
-                if self.pc != start {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The cached superblock starting at `pc`, building (and memoizing)
-    /// one from decode-cache entries when missing. Only *complete* blocks
-    /// — ended by an unchainable control transfer or [`MAX_SUPERBLOCK`] —
-    /// are memoized, so a run truncated at a still-cold entry is
-    /// re-extended on later visits instead of being frozen short.
-    ///
-    /// Building chains across predictable control flow: a direct jump
-    /// (`jal`) always continues at its target, and a conditional branch
-    /// continues at its BTFN-predicted successor (backward → target,
-    /// forward → fall-through), with the guess recorded in
-    /// [`BlockInst::expected_next`] and guarded at dispatch. Chains only
-    /// extend into already-predecoded targets — a cold target ends the
-    /// block, and execution-order priming makes that rare after warmup —
-    /// and never back to the superblock's own head, which the dispatch
-    /// rerun loop already handles without a lookup.
-    ///
-    /// Fetch-timing metadata (charged parcel count, I-cache line
-    /// addresses, cacheability) is precomputed here — the geometry is
-    /// fixed for the CPU's lifetime — so the dispatch loop avoids
-    /// per-instruction address math. The `prev_line`/`prev_inst` state
-    /// deliberately flows across chain seams: whenever the seam guard
-    /// holds, build order equals execution order, and when it fails the
-    /// dispatcher abandons the rest of the block before using any
-    /// cross-seam precomputation.
-    fn block_at(&mut self, pc: u32) -> Option<Arc<Block>> {
-        if let Some(block) = self.decode.block(pc) {
-            return Some(block);
-        }
-        let line_mask = self.icache.as_ref().map(|c| !(c.config().line_bytes - 1));
-        let bypassing = self.config.bypassing;
-        let mut insts: Vec<BlockInst> = Vec::new();
-        let mut complete = false;
-        let mut cur = pc;
-        // Last charged I-cache line of the most recent *cached*
-        // instruction — uncached fetches never touch the I-cache, so the
-        // resident line survives them. Unknown at the block head.
-        let mut prev_line: Option<u32> = None;
-        let mut prev_inst: Option<Inst> = None;
-        while insts.len() < MAX_SUPERBLOCK {
-            let Some((inst, ilen)) = self.decode.entry(cur) else { break };
-            let fetches: u8 = if self.config.compressed && ilen == 4 && (cur + 2).is_multiple_of(4)
-            {
-                2
-            } else {
-                1
-            };
-            // Every charged parcel must sit below the uncached window for
-            // the precomputed I-cache path to apply.
-            let last_charged = cur.wrapping_add(2 * (u32::from(fetches) - 1));
-            let cached = line_mask.is_some() && cur < UNCACHED_BASE && last_charged < UNCACHED_BASE;
-            let mask = line_mask.unwrap_or(!0);
-            let lines = [cur & mask, cur.wrapping_add(2) & mask];
-            let srcs = inst.sources();
-            insts.push(BlockInst {
-                pc: cur,
-                inst,
-                ilen: ilen as u8,
-                srcs,
-                cached,
-                fetches,
-                lines,
-                is_store: inst.is_store(),
-                same_line: cached && fetches == 1 && prev_line == Some(lines[0]),
-                sync: matches!(
-                    inst,
-                    Inst::Csrrw { .. }
-                        | Inst::Csrrs { .. }
-                        | Inst::Csrrc { .. }
-                        | Inst::Csrrwi { .. }
-                        | Inst::Csrrsi { .. }
-                        | Inst::Csrrci { .. }
-                ),
-                stall: match prev_inst {
-                    None => STALL_DYNAMIC,
-                    Some(p) => hazard_stall(p, srcs, bypassing),
-                },
-                expected_next: NO_CHAIN,
-                handler: handler_for(&inst),
-            });
-            if cached {
-                prev_line = Some(lines[usize::from(fetches) - 1]);
-            }
-            prev_inst = Some(inst);
-            if !inst.transfers_control() {
-                cur = cur.wrapping_add(ilen);
-                continue;
-            }
-            let target = match inst {
-                Inst::Jal { imm, .. } => Some(cur.wrapping_add(imm as u32)),
-                ref b if b.is_branch() => {
-                    let (_, _, imm) = branch_fields(b);
-                    // BTFN build-time guess, matching the Static
-                    // predictor and typical loop shape; wrong guesses
-                    // only cost a re-dispatch.
-                    Some(if imm < 0 {
-                        cur.wrapping_add(imm as u32)
-                    } else {
-                        cur.wrapping_add(ilen)
-                    })
-                }
-                // jalr targets are data-dependent; ecall/ebreak can stop
-                // the core. Neither chains.
-                _ => None,
-            };
-            match target {
-                Some(t) if t != pc && self.decode.entry(t).is_some() => {
-                    insts.last_mut().expect("just pushed").expected_next = t;
-                    cur = t;
-                }
-                _ => {
-                    complete = true;
-                    break;
-                }
-            }
-        }
-        if insts.is_empty() {
-            return None;
-        }
-        complete |= insts.len() == MAX_SUPERBLOCK;
-        let block = Arc::new(Block { insts });
-        if complete {
-            self.decode.insert_block(pc, Arc::clone(&block));
-        }
-        Some(block)
-    }
-
-    /// Executes one predecoded instruction: identical charges, statistics
-    /// and architectural effects to the slow path, minus the byte reads
-    /// and decode the cached entry makes redundant.
-    fn exec_predecoded(
-        &mut self,
-        pc: u32,
-        inst: Inst,
-        ilen: u32,
-        srcs: (Option<Reg>, Option<Reg>),
-        last_line: &mut Option<u32>,
-    ) -> Result<(), SimError> {
-        self.charge_fetch_timing(pc, ilen, last_line)?;
-        self.retire(pc, inst, ilen, srcs)
-    }
-
-    /// Charges the fetch timing the slow path would for the instruction
+    /// Charges the fetch timing [`Cpu::step`] would for the instruction
     /// at `pc` — every cycle, cache update and device-statistics effect,
     /// without materializing the bytes.
-    fn charge_fetch_timing(
-        &mut self,
-        pc: u32,
-        ilen: u32,
-        last_line: &mut Option<u32>,
-    ) -> Result<(), SimError> {
+    fn charge_fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError> {
+        let mut last_line = None;
         if self.config.compressed {
-            self.charge_fetch_access(pc, 2, last_line)?;
+            self.charge_fetch_access(pc, 2, &mut last_line)?;
             // Second parcel of a 32-bit instruction is charged only when
-            // it crosses into a new device word (mirrors `step_decode`);
-            // the uncharged case was a pure peek — nothing to replay.
-            if ilen == 4 && (pc + 2).is_multiple_of(4) {
-                self.charge_fetch_access(pc + 2, 2, last_line)?;
+            // it crosses into a new device word (mirrors `step`); the
+            // uncharged case was a pure peek — nothing to replay.
+            let high = pc.wrapping_add(2);
+            if ilen == 4 && high.is_multiple_of(4) {
+                self.charge_fetch_access(high, 2, &mut last_line)?;
             }
             Ok(())
         } else {
-            self.charge_fetch_access(pc, 4, last_line)
+            self.charge_fetch_access(pc, 4, &mut last_line)
         }
-    }
-
-    /// Cached-fetch charge with the line address precomputed at
-    /// block-build time: [`Cache::note_hit`] when the previous fetch in
-    /// this dispatch touched the same line, else a full access (with a
-    /// line fill on miss). Callers guarantee an I-cache exists and
-    /// `addr` is below the uncached window (`BlockInst::cached`).
-    #[inline]
-    fn icache_charge(
-        &mut self,
-        addr: u32,
-        line_addr: u32,
-        last_line: &mut Option<u32>,
-    ) -> Result<(), SimError> {
-        let cache = self.icache.as_mut().expect("cached block entries require an I-cache");
-        if *last_line == Some(line_addr) {
-            cache.note_hit();
-            self.stats.cycles += 1;
-            return Ok(());
-        }
-        let line = cache.config().line_bytes;
-        if cache.access(addr) {
-            self.stats.cycles += 1;
-        } else {
-            // Line fill: nobody reads the bytes (data comes from `peek`
-            // at the consumer), so `read_cost` — contractually identical
-            // in cycles, stats and device timing — avoids the buffer.
-            let cycles = self
-                .bus
-                .read_cost(line_addr, line)
-                .map_err(|source| SimError::Mem { pc: addr, source })?;
-            self.stats.cycles += 1 + cycles;
-        }
-        *last_line = Some(line_addr);
-        Ok(())
     }
 
     /// Timing-only replay of one charged fetch access: the I-cache (or
     /// uncached bus) traffic of `fetch`/`fetch_parcel`, minus their
     /// trailing peeks. `last_line` tracks the previous fetch's I-cache
-    /// line so consecutive same-line fetches use [`Cache::note_hit`]
+    /// line so a second parcel on the same line uses [`Cache::note_hit`]
     /// (exact under its guaranteed-resident contract).
     fn charge_fetch_access(
         &mut self,
         addr: u32,
         bytes: usize,
         last_line: &mut Option<u32>,
-    ) -> Result<(), SimError> {
-        let wrap = |source| SimError::Mem { pc: addr, source };
+    ) -> Result<(), MemError> {
         if addr >= UNCACHED_BASE || self.icache.is_none() {
             // Uncached fetches pay the device on every access — the read
             // (and its DeviceStats) is the cost, so it cannot be skipped.
             let mut buf = [0u8; 4];
-            let cycles = self.bus.read(addr, &mut buf[..bytes]).map_err(wrap)?;
+            let cycles = self.bus.read(addr, &mut buf[..bytes])?;
             self.charge(cycles);
             return Ok(());
         }
@@ -821,23 +452,18 @@ impl Cpu {
         if cache.access(addr) {
             self.charge(1);
         } else {
-            let cycles = self.bus.read_cost(line_addr, line).map_err(wrap)?;
+            let cycles = self.bus.read_cost(line_addr, line)?;
             self.charge(1 + cycles);
         }
         *last_line = Some(line_addr);
         Ok(())
     }
 
-    /// Trace, hazard stalls, execution and retirement — shared by the
-    /// slow and predecoded paths (fetch timing already charged).
+    /// Trace, recording, hazard stalls, execution and retirement of one
+    /// decoded instruction (fetch timing already charged).
     #[inline]
-    fn retire(
-        &mut self,
-        pc: u32,
-        inst: Inst,
-        ilen: u32,
-        srcs: (Option<Reg>, Option<Reg>),
-    ) -> Result<(), SimError> {
+    fn retire(&mut self, pc: u32, inst: Inst, ilen: u32) -> Result<(), SimError> {
+        let srcs = inst.sources();
         if self.trace_depth > 0 {
             if self.trace.len() == self.trace_depth {
                 self.trace.pop_front();
@@ -992,16 +618,6 @@ impl Cpu {
         let bytes = value.to_le_bytes();
         // Functional write (device time computed below via the buffer).
         let device_cycles = self.bus.write(addr, &bytes[..len as usize]).map_err(wrap)?;
-        if self.config.decode_cache {
-            // Self-modifying code: a store landing inside cached code
-            // invalidates the affected predecoded entries. Our own store
-            // bumped the bus generation — resync so it is not mistaken
-            // for an external mutation.
-            if self.decode.overlaps_code(addr, len) {
-                self.decode.invalidate_store(addr, len);
-            }
-            self.seen_generation = self.bus.generation();
-        }
         if addr >= UNCACHED_BASE {
             self.charge(device_cycles);
             return Ok(());
@@ -1074,93 +690,6 @@ impl Cpu {
     }
 
     // ---- execution ------------------------------------------------------
-
-    /// [`data_read`](Self::data_read) with the cycle charge deferred into
-    /// `pend` — identical access order, cache effects and device traffic.
-    /// Fast-path only, so there is no recorder to feed.
-    #[inline]
-    fn data_read_deferred(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        len: u32,
-        pend: &mut Pending,
-    ) -> Result<u32, SimError> {
-        let wrap = |source| SimError::Mem { pc, source };
-        let addr = self.check_align(pc, addr, len)?;
-        if addr >= UNCACHED_BASE || self.dcache.is_none() {
-            let mut buf = [0u8; 4];
-            let cycles = self.bus.read(addr, &mut buf[..len as usize]).map_err(wrap)?;
-            pend.cycles += cycles;
-            return Ok(u32::from_le_bytes(buf));
-        }
-        let cache = self.dcache.as_mut().expect("checked above");
-        if cache.access(addr) {
-            pend.cycles += 1;
-        } else {
-            let line = cache.config().line_bytes;
-            let line_addr = addr & !(line - 1);
-            let cycles = self.bus.read_cost(line_addr, line).map_err(wrap)?;
-            pend.cycles += 1 + cycles;
-        }
-        let mut b = [0u8; 4];
-        self.bus.peek(addr, &mut b[..len as usize]).map_err(wrap)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// [`data_write`](Self::data_write) with the cycle charge deferred
-    /// into `pend`. Fast-path only (the decode cache is live and there is
-    /// no recorder), so the self-modifying-code invalidation always runs.
-    #[inline]
-    fn data_write_deferred(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        len: u32,
-        pend: &mut Pending,
-    ) -> Result<(), SimError> {
-        let wrap = |source| SimError::Mem { pc, source };
-        let addr = self.check_align(pc, addr, len)?;
-        let bytes = value.to_le_bytes();
-        let device_cycles = self.bus.write(addr, &bytes[..len as usize]).map_err(wrap)?;
-        if self.decode.overlaps_code(addr, len) {
-            self.decode.invalidate_store(addr, len);
-        }
-        self.seen_generation = self.bus.generation();
-        if addr >= UNCACHED_BASE {
-            pend.cycles += device_cycles;
-            return Ok(());
-        }
-        self.drain_store_deferred(device_cycles, pend);
-        Ok(())
-    }
-
-    /// [`drain_store`](Self::drain_store) replayed at the virtual time
-    /// `stats.cycles + pend.cycles` — the exact cycle the store would run
-    /// at had `pend` been flushed first. Completion times in the buffer
-    /// are absolute, so comparing and charging against the virtual now
-    /// commutes with the eventual flush: both orders leave identical
-    /// buffer contents and identical total cycles. This is what lets
-    /// stores stay on the deferred path instead of forcing a flush.
-    fn drain_store_deferred(&mut self, device_cycles: u64, pend: &mut Pending) {
-        let now = self.stats.cycles + pend.cycles;
-        while let Some(&front) = self.write_buffer.front() {
-            if front <= now {
-                self.write_buffer.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.write_buffer.len() >= WRITE_BUFFER_DEPTH {
-            let front = self.write_buffer.pop_front().expect("nonempty");
-            pend.cycles += front - now; // stall until a slot drains
-        }
-        let now = self.stats.cycles + pend.cycles;
-        let start = self.write_buffer.back().copied().unwrap_or(now);
-        self.write_buffer.push_back(start.max(now) + device_cycles);
-        pend.cycles += 1;
-    }
 
     #[allow(clippy::too_many_lines)]
     fn execute(&mut self, pc: u32, inst: Inst, ilen: u32) -> Result<(), SimError> {
@@ -1505,19 +1034,15 @@ impl TimingModel for Cpu {
     }
 
     fn fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError> {
-        self.charge_fetch_timing(pc, ilen, &mut None).map_err(|e| match e {
-            SimError::Mem { source, .. } => source,
-            // The fetch-timing path only raises memory faults.
-            SimError::Illegal { .. } | SimError::Cfu { .. } => unreachable!("fetch timing"),
-        })?;
-        // The slow fetch path ends in a data peek, whose net device-timing
+        self.charge_fetch_timing(pc, ilen)?;
+        // The live fetch path ends in a data peek, whose net device-timing
         // effect is a reset (it breaks the flash burst tracker between
         // cache-line fills). RVC parcels always peek; 32-bit fetches peek
         // only on the cached path.
         if self.config.compressed {
             self.bus.reset_device_timing(pc)?;
             if ilen == 4 {
-                self.bus.reset_device_timing(pc + 2)?;
+                self.bus.reset_device_timing(pc.wrapping_add(2))?;
             }
         } else if pc < UNCACHED_BASE && self.icache.is_some() {
             self.bus.reset_device_timing(pc)?;
@@ -1617,331 +1142,6 @@ fn branch_fields(inst: &Inst) -> (Reg, Reg, i32) {
 /// keeping the fault's PC. Single definition shared by every decode site.
 fn decode_word(pc: u32, word: u32) -> Result<Inst, SimError> {
     Inst::decode(word).map_err(|_| SimError::Illegal { pc, word })
-}
-
-/// Deferred fast-path charges. Only CSR reads observe the live counters
-/// mid-run (the write-buffer drain is replayed against the virtual time
-/// `stats.cycles + pend.cycles`, see [`Cpu::drain_store_deferred`]), so
-/// everything else accumulates in registers and flushes at those sync
-/// points and on every exit from `run_predecoded`.
-#[derive(Default)]
-pub(crate) struct Pending {
-    cycles: u64,
-    insts: u64,
-    icache_hits: u64,
-}
-
-/// The stall [`Cpu::charge_hazards`] would compute when the previous
-/// instruction is statically known — replicates `execute`'s
-/// `prev_rd = inst.rd()` / `prev_was_load` bookkeeping at block-build
-/// time.
-fn hazard_stall(prev: Inst, srcs: (Option<Reg>, Option<Reg>), bypassing: bool) -> u8 {
-    let Some(rd) = prev.rd() else { return 0 };
-    if rd.is_zero() || (srcs.0 != Some(rd) && srcs.1 != Some(rd)) {
-        return 0;
-    }
-    match (prev.is_load(), bypassing) {
-        (true, true) => 1,
-        (true, false) => 2,
-        (false, true) => 0,
-        (false, false) => 1,
-    }
-}
-
-// ---- threaded-code handlers ---------------------------------------------
-//
-// One function per opcode (family), selected once at block-build time by
-// `handler_for` and stored in each `BlockInst`: the dispatch loop pays an
-// indirect call instead of a full opcode match per instruction. Every
-// handler mirrors the corresponding `execute` arm exactly — same result
-// value, same statistics, same `prev_rd`/`prev_was_load` bookkeeping,
-// same next PC — with the cycle charge deferred into `Pending` wherever
-// nothing can observe the live counters mid-stream. Counter-observing
-// instructions (CSR reads, marked `sync`) and the rare rest (fence,
-// ecall/ebreak, CFU) fall through `h_slow` to `execute`, whose direct
-// charges commute with the deferred ones.
-
-/// Defines a handler for a register-writing ALU-class instruction whose
-/// body computes `(value, cycles)` from the destructured fields. The
-/// caller names the `cpu`/`pc` bindings its body uses (macro hygiene:
-/// identifiers created inside the macro are invisible to the body).
-macro_rules! alu_handler {
-    ($name:ident, $variant:ident { $($f:ident),* }, |$cpu:ident, $pc:ident| $body:expr) => {
-        fn $name(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-            let Inst::$variant { rd, $($f,)* .. } = e.inst else { unreachable!() };
-            #[allow(unused_variables)]
-            let $pc = e.pc;
-            let (value, cycles) = {
-                #[allow(unused_variables)]
-                let $cpu = &mut *cpu;
-                $body
-            };
-            pend.cycles += cycles;
-            cpu.set_reg(rd, value);
-            cpu.prev_rd = Some(rd);
-            cpu.prev_was_load = false;
-            cpu.pc = e.pc.wrapping_add(u32::from(e.ilen));
-            Ok(())
-        }
-    };
-}
-
-alu_handler!(h_lui, Lui { imm }, |cpu, pc| (imm as u32, 1));
-alu_handler!(h_auipc, Auipc { imm }, |cpu, pc| (pc.wrapping_add(imm as u32), 1));
-alu_handler!(h_addi, Addi { rs1, imm }, |cpu, pc| (cpu.reg(rs1).wrapping_add(imm as u32), 1));
-alu_handler!(h_slti, Slti { rs1, imm }, |cpu, pc| (u32::from((cpu.reg(rs1) as i32) < imm), 1));
-alu_handler!(h_sltiu, Sltiu { rs1, imm }, |cpu, pc| (u32::from(cpu.reg(rs1) < imm as u32), 1));
-alu_handler!(h_xori, Xori { rs1, imm }, |cpu, pc| (cpu.reg(rs1) ^ imm as u32, 1));
-alu_handler!(h_ori, Ori { rs1, imm }, |cpu, pc| (cpu.reg(rs1) | imm as u32, 1));
-alu_handler!(h_andi, Andi { rs1, imm }, |cpu, pc| (cpu.reg(rs1) & imm as u32, 1));
-alu_handler!(h_slli, Slli { rs1, shamt }, |cpu, pc| {
-    (cpu.reg(rs1) << shamt, cpu.config.shift_cycles(u32::from(shamt)))
-});
-alu_handler!(h_srli, Srli { rs1, shamt }, |cpu, pc| {
-    (cpu.reg(rs1) >> shamt, cpu.config.shift_cycles(u32::from(shamt)))
-});
-alu_handler!(h_srai, Srai { rs1, shamt }, |cpu, pc| {
-    (((cpu.reg(rs1) as i32) >> shamt) as u32, cpu.config.shift_cycles(u32::from(shamt)))
-});
-alu_handler!(h_add, Add { rs1, rs2 }, |cpu, pc| (cpu.reg(rs1).wrapping_add(cpu.reg(rs2)), 1));
-alu_handler!(h_sub, Sub { rs1, rs2 }, |cpu, pc| (cpu.reg(rs1).wrapping_sub(cpu.reg(rs2)), 1));
-alu_handler!(h_sll, Sll { rs1, rs2 }, |cpu, pc| {
-    let sh = cpu.reg(rs2) & 0x1F;
-    (cpu.reg(rs1) << sh, cpu.config.shift_cycles(sh))
-});
-alu_handler!(h_slt, Slt { rs1, rs2 }, |cpu, pc| {
-    (u32::from((cpu.reg(rs1) as i32) < (cpu.reg(rs2) as i32)), 1)
-});
-alu_handler!(h_sltu, Sltu { rs1, rs2 }, |cpu, pc| (u32::from(cpu.reg(rs1) < cpu.reg(rs2)), 1));
-alu_handler!(h_xor, Xor { rs1, rs2 }, |cpu, pc| (cpu.reg(rs1) ^ cpu.reg(rs2), 1));
-alu_handler!(h_srl, Srl { rs1, rs2 }, |cpu, pc| {
-    let sh = cpu.reg(rs2) & 0x1F;
-    (cpu.reg(rs1) >> sh, cpu.config.shift_cycles(sh))
-});
-alu_handler!(h_sra, Sra { rs1, rs2 }, |cpu, pc| {
-    let sh = cpu.reg(rs2) & 0x1F;
-    (((cpu.reg(rs1) as i32) >> sh) as u32, cpu.config.shift_cycles(sh))
-});
-alu_handler!(h_or, Or { rs1, rs2 }, |cpu, pc| (cpu.reg(rs1) | cpu.reg(rs2), 1));
-alu_handler!(h_and, And { rs1, rs2 }, |cpu, pc| (cpu.reg(rs1) & cpu.reg(rs2), 1));
-alu_handler!(h_mul, Mul { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.muls += 1;
-    (cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)), cpu.config.mul_cycles())
-});
-alu_handler!(h_mulh, Mulh { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.muls += 1;
-    let v = (i64::from(cpu.reg(rs1) as i32) * i64::from(cpu.reg(rs2) as i32)) >> 32;
-    (v as u32, cpu.config.mul_cycles())
-});
-alu_handler!(h_mulhsu, Mulhsu { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.muls += 1;
-    let v = (i64::from(cpu.reg(rs1) as i32) * i64::from(cpu.reg(rs2))) >> 32;
-    (v as u32, cpu.config.mul_cycles())
-});
-alu_handler!(h_mulhu, Mulhu { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.muls += 1;
-    let v = (u64::from(cpu.reg(rs1)) * u64::from(cpu.reg(rs2))) >> 32;
-    (v as u32, cpu.config.mul_cycles())
-});
-alu_handler!(h_div, Div { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.divs += 1;
-    let a = cpu.reg(rs1) as i32;
-    let b = cpu.reg(rs2) as i32;
-    let v = if b == 0 {
-        -1i32
-    } else if a == i32::MIN && b == -1 {
-        a
-    } else {
-        a / b
-    };
-    (v as u32, cpu.config.div_cycles())
-});
-alu_handler!(h_divu, Divu { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.divs += 1;
-    let b = cpu.reg(rs2);
-    (cpu.reg(rs1).checked_div(b).unwrap_or(u32::MAX), cpu.config.div_cycles())
-});
-alu_handler!(h_rem, Rem { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.divs += 1;
-    let a = cpu.reg(rs1) as i32;
-    let b = cpu.reg(rs2) as i32;
-    let v = if b == 0 {
-        a
-    } else if a == i32::MIN && b == -1 {
-        0
-    } else {
-        a % b
-    };
-    (v as u32, cpu.config.div_cycles())
-});
-alu_handler!(h_remu, Remu { rs1, rs2 }, |cpu, pc| {
-    cpu.stats.divs += 1;
-    let b = cpu.reg(rs2);
-    let v = if b == 0 { cpu.reg(rs1) } else { cpu.reg(rs1) % b };
-    (v, cpu.config.div_cycles())
-});
-
-/// Defines a handler for one load width with its value-extension rule.
-macro_rules! load_handler {
-    ($name:ident, $variant:ident, $len:expr, |$v:ident| $ext:expr) => {
-        fn $name(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-            let Inst::$variant { rd, rs1, imm } = e.inst else { unreachable!() };
-            cpu.stats.loads += 1;
-            let addr = cpu.reg(rs1).wrapping_add(imm as u32);
-            let $v = cpu.data_read_deferred(e.pc, addr, $len, pend)?;
-            cpu.set_reg(rd, $ext);
-            cpu.prev_rd = Some(rd);
-            cpu.prev_was_load = true;
-            cpu.pc = e.pc.wrapping_add(u32::from(e.ilen));
-            Ok(())
-        }
-    };
-}
-
-load_handler!(h_lb, Lb, 1, |v| (v as u8 as i8) as i32 as u32);
-load_handler!(h_lbu, Lbu, 1, |v| v & 0xFF);
-load_handler!(h_lh, Lh, 2, |v| (v as u16 as i16) as i32 as u32);
-load_handler!(h_lhu, Lhu, 2, |v| v & 0xFFFF);
-load_handler!(h_lw, Lw, 4, |v| v);
-
-/// Defines a handler for one store width.
-macro_rules! store_handler {
-    ($name:ident, $variant:ident, $len:expr) => {
-        fn $name(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-            let Inst::$variant { rs1, rs2, imm } = e.inst else { unreachable!() };
-            cpu.stats.stores += 1;
-            let addr = cpu.reg(rs1).wrapping_add(imm as u32);
-            cpu.data_write_deferred(e.pc, addr, cpu.reg(rs2), $len, pend)?;
-            cpu.prev_rd = None;
-            cpu.prev_was_load = false;
-            cpu.pc = e.pc.wrapping_add(u32::from(e.ilen));
-            Ok(())
-        }
-    };
-}
-
-store_handler!(h_sb, Sb, 1);
-store_handler!(h_sh, Sh, 2);
-store_handler!(h_sw, Sw, 4);
-
-/// All six conditional branches: evaluate, score the prediction (the real
-/// one — see `PredictorState::update`), defer the cycle charges.
-fn h_branch(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-    let (rs1, rs2, imm) = branch_fields(&e.inst);
-    let a = cpu.reg(rs1);
-    let b = cpu.reg(rs2);
-    let taken = match e.inst {
-        Inst::Beq { .. } => a == b,
-        Inst::Bne { .. } => a != b,
-        Inst::Blt { .. } => (a as i32) < (b as i32),
-        Inst::Bge { .. } => (a as i32) >= (b as i32),
-        Inst::Bltu { .. } => a < b,
-        _ => a >= b,
-    };
-    let prediction = cpu.bpred.predict(e.pc, imm);
-    let correct = cpu.bpred.update(e.pc, prediction, taken);
-    cpu.stats.branches += 1;
-    pend.cycles += 1;
-    if !correct {
-        cpu.stats.mispredicts += 1;
-        pend.cycles += cpu.config.refill_penalty();
-    } else if taken && !prediction.target_known {
-        pend.cycles += 1; // redirect bubble even when predicted
-    }
-    cpu.prev_rd = None;
-    cpu.prev_was_load = false;
-    cpu.pc =
-        if taken { e.pc.wrapping_add(imm as u32) } else { e.pc.wrapping_add(u32::from(e.ilen)) };
-    Ok(())
-}
-
-fn h_jal(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-    let Inst::Jal { rd, imm } = e.inst else { unreachable!() };
-    pend.cycles += 2; // 1 + redirect bubble
-    cpu.set_reg(rd, e.pc.wrapping_add(u32::from(e.ilen)));
-    cpu.prev_rd = Some(rd);
-    cpu.prev_was_load = false;
-    cpu.pc = e.pc.wrapping_add(imm as u32);
-    Ok(())
-}
-
-fn h_jalr(cpu: &mut Cpu, e: &BlockInst, pend: &mut Pending) -> Result<(), SimError> {
-    let Inst::Jalr { rd, rs1, imm } = e.inst else { unreachable!() };
-    pend.cycles += 1 + cpu.config.refill_penalty();
-    // Target before link write: `jalr rd, rd` reads the old value.
-    let target = cpu.reg(rs1).wrapping_add(imm as u32) & !1;
-    cpu.set_reg(rd, e.pc.wrapping_add(u32::from(e.ilen)));
-    cpu.prev_rd = Some(rd);
-    cpu.prev_was_load = false;
-    cpu.pc = target;
-    Ok(())
-}
-
-/// Fallback for instructions that must see (or publish) exact live
-/// counters or are too rare to specialize: the generic `execute` arm,
-/// charging `stats.cycles` directly. Direct and deferred charges commute
-/// because none of these arms read the cycle counter (CSR reads do, but
-/// they are marked `sync`, so the dispatcher flushes `pend` first).
-fn h_slow(cpu: &mut Cpu, e: &BlockInst, _pend: &mut Pending) -> Result<(), SimError> {
-    cpu.execute(e.pc, e.inst, u32::from(e.ilen))
-}
-
-/// The threaded-dispatch target for `inst` (see module comment above).
-fn handler_for(inst: &Inst) -> Handler {
-    use Inst::*;
-    match inst {
-        Lui { .. } => h_lui,
-        Auipc { .. } => h_auipc,
-        Jal { .. } => h_jal,
-        Jalr { .. } => h_jalr,
-        Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. } | Bltu { .. } | Bgeu { .. } => h_branch,
-        Lb { .. } => h_lb,
-        Lbu { .. } => h_lbu,
-        Lh { .. } => h_lh,
-        Lhu { .. } => h_lhu,
-        Lw { .. } => h_lw,
-        Sb { .. } => h_sb,
-        Sh { .. } => h_sh,
-        Sw { .. } => h_sw,
-        Addi { .. } => h_addi,
-        Slti { .. } => h_slti,
-        Sltiu { .. } => h_sltiu,
-        Xori { .. } => h_xori,
-        Ori { .. } => h_ori,
-        Andi { .. } => h_andi,
-        Slli { .. } => h_slli,
-        Srli { .. } => h_srli,
-        Srai { .. } => h_srai,
-        Add { .. } => h_add,
-        Sub { .. } => h_sub,
-        Sll { .. } => h_sll,
-        Slt { .. } => h_slt,
-        Sltu { .. } => h_sltu,
-        Xor { .. } => h_xor,
-        Srl { .. } => h_srl,
-        Sra { .. } => h_sra,
-        Or { .. } => h_or,
-        And { .. } => h_and,
-        Mul { .. } => h_mul,
-        Mulh { .. } => h_mulh,
-        Mulhsu { .. } => h_mulhsu,
-        Mulhu { .. } => h_mulhu,
-        Div { .. } => h_div,
-        Divu { .. } => h_divu,
-        Rem { .. } => h_rem,
-        Remu { .. } => h_remu,
-        Fence
-        | Ecall
-        | Ebreak
-        | Csrrw { .. }
-        | Csrrs { .. }
-        | Csrrc { .. }
-        | Csrrwi { .. }
-        | Csrrsi { .. }
-        | Csrrci { .. }
-        | Cfu { .. }
-        | Cfu1 { .. } => h_slow,
-    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,14 @@
 //! Two execution paths share one timing model:
 //!
 //! * [`Cpu`] — an RV32IM instruction-set simulator that runs real encoded
-//!   programs (the Renode-equivalent path; §II-E of the paper). Custom-0
-//!   instructions dispatch to the attached [`cfu_core::Cfu`].
+//!   programs (the Renode-equivalent path; §II-E of the paper). It is one
+//!   fetch → decode → execute interpreter, also when it records an
+//!   [`IssTrace`]. Custom-0 instructions dispatch to the attached
+//!   [`cfu_core::Cfu`].
 //! * [`TimedCore`] — a transaction-level model that TFLite-Micro-style
-//!   kernels drive op by op, for whole-model inference cycle counts.
+//!   kernels drive op by op, for whole-model inference cycle counts. The
+//!   paper's figures run on it (and on [`TraceReplayer`] replays of its
+//!   [`Trace`]s), never on [`Cpu`].
 //!
 //! Both respect every [`CpuConfig`] knob: pipeline depth, bypassing,
 //! branch predictors ([`BranchPredictor`]), multiplier/divider/shifter
@@ -37,7 +41,6 @@
 mod bpred;
 mod config;
 mod cpu;
-mod decode_cache;
 pub mod energy;
 mod retime;
 mod timed_core;

@@ -181,11 +181,12 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation
-    /// or checksum mismatch.
+    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation,
+    /// checksum mismatch or a malformed op (see
+    /// [`TraceDecodeError::BadRecord`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let (header, ops, marks, flags) = decode_common(bytes, TLM_MAGIC)?;
-        let _ = header;
+        let (ops, marks, flags) = decode_common(bytes, TLM_MAGIC)?;
+        validate_ops(&ops)?;
         let compressed = flags & 1 != 0;
         let retime_safe = flags & 2 != 0;
         let fetch_runs = compute_fetch_runs(&ops, compressed);
@@ -212,11 +213,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Shared header/payload/checksum decoding for both trace formats.
-/// Returns `(version, op_words, marks, flags)`.
-fn decode_common(
-    bytes: &[u8],
-    magic: [u8; 4],
-) -> Result<(u32, Vec<u64>, u32, u32), TraceDecodeError> {
+/// Returns `(op_words, marks, flags)`.
+fn decode_common(bytes: &[u8], magic: [u8; 4]) -> Result<(Vec<u64>, u32, u32), TraceDecodeError> {
     if bytes.len() < 4 || bytes[..4] != magic {
         return Err(TraceDecodeError::BadMagic);
     }
@@ -247,7 +245,58 @@ fn decode_common(
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
-    Ok((version, ops, marks, flags))
+    Ok((ops, marks, flags))
+}
+
+/// Whether `len` is a data access width the timing paths accept.
+fn valid_access_len(len: u64) -> bool {
+    matches!(len, 1 | 2 | 4)
+}
+
+/// Checks a decoded TLM op stream for what a capture can never produce
+/// and replay would trip over: unknown tags, a `Region` op missing its
+/// length word or without address-space headroom for the fetch walk,
+/// and load/store widths other than 1, 2 or 4 bytes. Captured traces
+/// skip this — only bytes from outside need it.
+fn validate_ops(ops: &[u64]) -> Result<(), TraceDecodeError> {
+    let mut i = 0;
+    while i < ops.len() {
+        let w = ops[i];
+        let ok = match w & 0xF {
+            TAG_REGION => ops.get(i + 1).is_some_and(|&len| {
+                let mut walk = FetchWalk::default();
+                walk.set_region((w >> 8) as u32, len as u32);
+                walk.code_len == 4 || walk.has_headroom()
+            }),
+            TAG_LOAD | TAG_STORE => valid_access_len(w >> 4 & 0xF),
+            tag => tag <= TAG_MARK,
+        };
+        if !ok {
+            return Err(TraceDecodeError::BadRecord(i));
+        }
+        i += if w & 0xF == TAG_REGION { 2 } else { 1 };
+    }
+    Ok(())
+}
+
+/// [`validate_ops`] for ISS records: every header names a known kind,
+/// carries its payload word where the kind has one, and loads and
+/// stores are 1, 2 or 4 bytes wide.
+fn validate_iss_records(records: &[u64]) -> Result<(), TraceDecodeError> {
+    let mut i = 0;
+    while i < records.len() {
+        let kind = (records[i] >> 32) & 0xF;
+        let ok = match kind {
+            K_BRANCH | K_CFU => records.get(i + 1).is_some(),
+            K_LOAD | K_STORE => records.get(i + 1).is_some_and(|&p| valid_access_len(p >> 32)),
+            kind => kind <= K_JALR,
+        };
+        if !ok {
+            return Err(TraceDecodeError::BadRecord(i));
+        }
+        i += if matches!(kind, K_BRANCH | K_LOAD | K_STORE | K_CFU) { 2 } else { 1 };
+    }
+    Ok(())
 }
 
 /// Error decoding a serialized trace.
@@ -261,6 +310,12 @@ pub enum TraceDecodeError {
     Truncated,
     /// The checksum does not match the payload.
     BadChecksum,
+    /// The record starting at this word index is malformed: an unknown
+    /// op tag or record kind, a missing payload word, a load or store
+    /// width other than 1, 2 or 4 bytes, or a code region the fetch walk
+    /// cannot address. The checksum is no authentication, so a
+    /// well-framed stream can still carry such records.
+    BadRecord(usize),
 }
 
 impl fmt::Display for TraceDecodeError {
@@ -270,6 +325,9 @@ impl fmt::Display for TraceDecodeError {
             TraceDecodeError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceDecodeError::Truncated => write!(f, "serialized trace is truncated"),
             TraceDecodeError::BadChecksum => write!(f, "serialized trace failed its checksum"),
+            TraceDecodeError::BadRecord(i) => {
+                write!(f, "serialized trace has a malformed record at word {i}")
+            }
         }
     }
 }
@@ -1438,10 +1496,12 @@ impl IssTrace {
     ///
     /// # Errors
     ///
-    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation
-    /// or checksum mismatch.
+    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation,
+    /// checksum mismatch or a malformed record (see
+    /// [`TraceDecodeError::BadRecord`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<IssTrace, TraceDecodeError> {
-        let (_, records, _, flags) = decode_common(bytes, ISS_MAGIC)?;
+        let (records, _, flags) = decode_common(bytes, ISS_MAGIC)?;
+        validate_iss_records(&records)?;
         Ok(IssTrace { records, compressed: flags & 1 != 0, retime_safe: flags & 2 != 0 })
     }
 }
@@ -1743,6 +1803,66 @@ mod tests {
         let mut vers = bytes;
         vers[4] = 99;
         assert_eq!(Trace::from_bytes(&vers), Err(TraceDecodeError::BadVersion(99)));
+    }
+
+    /// Frames `words` exactly as `to_bytes` does, with a correct
+    /// checksum, so only record validation stands between them and
+    /// replay.
+    fn framed(magic: [u8; 4], words: &[u64]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+        out.extend_from_slice(&[0; 8]);
+        out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+        for w in words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn crafted_tlm_ops_fail_to_decode() {
+        // Each of these would panic replay, or for the regions the
+        // fetch-run index `from_bytes` builds, if it decoded.
+        for ops in [
+            vec![TAG_STORE | (8 << 4)],
+            vec![TAG_LOAD | (15 << 4)],
+            vec![TAG_REGION],
+            vec![TAG_REGION | (0xFFFF_FF00 << 8), 0x1000],
+            vec![TAG_MARK + 1],
+        ] {
+            assert_eq!(
+                Trace::from_bytes(&framed(TLM_MAGIC, &ops)),
+                Err(TraceDecodeError::BadRecord(0)),
+                "{ops:x?}"
+            );
+        }
+        let ok =
+            Trace::from_bytes(&framed(TLM_MAGIC, &[TAG_STORE | (4 << 4) | (0x1000_0100 << 8)]));
+        let mut replayer = TraceReplayer::new(CpuConfig::arty_default(), build_bus());
+        replayer.replay(&ok.expect("a 4-byte store decodes")).unwrap();
+    }
+
+    #[test]
+    fn crafted_iss_records_fail_to_decode() {
+        let store8 = framed(ISS_MAGIC, &[K_STORE << 32, 8 << 32]);
+        assert_eq!(store8.len(), 48);
+        assert_eq!(IssTrace::from_bytes(&store8), Err(TraceDecodeError::BadRecord(0)));
+        for records in [vec![K_LOAD << 32, 3 << 32], vec![K_CFU << 32], vec![(K_CFU + 1) << 32]] {
+            assert_eq!(
+                IssTrace::from_bytes(&framed(ISS_MAGIC, &records)),
+                Err(TraceDecodeError::BadRecord(0)),
+                "{records:x?}"
+            );
+        }
+        // The first record is fine; the error names the second.
+        let second = framed(ISS_MAGIC, &[K_SIMPLE << 32, K_STORE << 32, 0x100]);
+        assert_eq!(IssTrace::from_bytes(&second), Err(TraceDecodeError::BadRecord(1)));
+        let ok =
+            IssTrace::from_bytes(&framed(ISS_MAGIC, &[K_STORE << 32, 0x1000_0100 | (4 << 32)]));
+        let mut core = TimedCore::new(CpuConfig::arty_default(), build_bus());
+        replay_iss(&ok.expect("a 4-byte store decodes"), &mut core).unwrap();
     }
 
     #[test]

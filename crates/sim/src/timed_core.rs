@@ -216,6 +216,12 @@ impl FetchWalk {
         k
     }
 
+    /// Whether the walk's `u32` arithmetic has one window of headroom
+    /// past the region.
+    pub(crate) fn has_headroom(&self) -> bool {
+        u64::from(self.code_base) + u64::from(self.code_len) + u64::from(CODE_WINDOW) <= 1 << 32
+    }
+
     /// Exclusive end of the bytes any fetch of `step` bytes can read.
     /// PCs are exactly `window_start + j * step` below the window's end,
     /// so the highest one is the last step of the final window.
@@ -392,10 +398,7 @@ impl TimedCore {
                     warm_skip = lines_in_distinct_sets(cache.config(), line - 1, line + window - 2);
                 }
             }
-            // The walk's u32 arithmetic also needs one window of headroom
-            // past the region.
-            let headroom = u64::from(base) + u64::from(walk.code_len) + u64::from(CODE_WINDOW);
-            if lo < u64::from(info.base) || hi > info.end() || headroom > 1 << 32 {
+            if lo < u64::from(info.base) || hi > info.end() || !walk.has_headroom() {
                 return Err(MemError::OutOfBounds { addr: lo as u32, len: (hi - lo) as usize });
             }
         }

@@ -3,10 +3,8 @@
 
 use cfu_isa::{Assembler, Inst, Reg};
 use cfu_mem::{Bus, Sram};
-use cfu_sim::{Cpu, CpuConfig, StopReason};
+use cfu_sim::{BranchPredictor, Cpu, CpuConfig, StopReason, UNCACHED_BASE};
 use proptest::prelude::*;
-
-mod common;
 
 fn sram_bus() -> Bus {
     let mut bus = Bus::new();
@@ -14,21 +12,23 @@ fn sram_bus() -> Bus {
     bus
 }
 
-/// Runs `src` twice — once with the predecoded-trace fast path, once on
-/// the plain fetch-decode loop — asserts every observable is
-/// bit-identical between the two, and returns the fast-path CPU. Every
-/// program test in this file doubles as a parity test.
+/// Assembles `src` at `base`, runs it under `config` (with a second SRAM
+/// at `base` when it lies in the uncached window) and returns the CPU.
+fn run_at(config: CpuConfig, base: u32, src: &str) -> Cpu {
+    let program = Assembler::new(base).assemble(src).expect("assembles");
+    let mut bus = sram_bus();
+    if base >= UNCACHED_BASE {
+        bus.map("uncached_sram", base, Sram::new(64 << 10));
+    }
+    let mut cpu = Cpu::new(config, bus);
+    cpu.load_program(&program).expect("loads");
+    cpu.run(2_000_000).expect("runs");
+    cpu
+}
+
+/// Runs `src` from address 0 on the Arty default configuration.
 fn run(src: &str) -> Cpu {
-    let program = Assembler::new(0).assemble(src).expect("assembles");
-    let [fast, slow] = [true, false].map(|decode_cache| {
-        let config = CpuConfig::arty_default().with_decode_cache(decode_cache);
-        let mut cpu = Cpu::new(config, sram_bus());
-        cpu.load_program(&program).expect("loads");
-        cpu.run(2_000_000).expect("runs");
-        cpu
-    });
-    common::assert_parity(&fast, &slow);
-    fast
+    run_at(CpuConfig::arty_default(), 0, src)
 }
 
 #[test]
@@ -131,7 +131,8 @@ fn bubble_sort_in_memory() {
         .align 2
         data: .word 42, 7, 99, 1, 65, 23, 88, 14
     "#);
-    assert_eq!(cpu.reg(Reg::A0), 1 * 1000 + 99);
+    // Sorted: data[0] = 1, data[7] = 99.
+    assert_eq!(cpu.reg(Reg::A0), 1000 + 99);
 }
 
 #[test]
@@ -203,7 +204,7 @@ proptest! {
             11 => (Mulhu { rd, rs1, rs2 }, ((u64::from(a) * u64::from(b)) >> 32) as u32),
             12 => (
                 Divu { rd, rs1, rs2 },
-                if b == 0 { u32::MAX } else { a / b },
+                a.checked_div(b).unwrap_or(u32::MAX),
             ),
             _ => (
                 Remu { rd, rs1, rs2 },
@@ -298,4 +299,213 @@ fn budget_exhaustion_is_not_an_error() {
     cpu.load_program(&program).unwrap();
     assert_eq!(cpu.run(1000).unwrap(), StopReason::BudgetExhausted);
     assert!(cpu.stats().instructions >= 1000);
+}
+
+#[test]
+fn patching_an_already_executed_instruction_takes_effect() {
+    // Pass 1 executes `addi a0, a0, 1` at `site`, then patches the site
+    // to `addi a0, a0, 2` and loops. Pass 2 must run the patched
+    // instruction: a0 = 1 + 2 = 3, whether driven by `run` or `step`.
+    let patched = Inst::Addi { rd: Reg::A0, rs1: Reg::A0, imm: 2 }.encode();
+    let src = format!(
+        r#"
+        main:
+            li s0, 0
+            la s1, site
+            la s2, newinst
+            lw s2, 0(s2)
+        pass:
+        site:
+            addi a0, a0, 1
+            addi s0, s0, 1
+            li t0, 2
+            blt s0, t0, patch
+            li a7, 93
+            ecall
+        patch:
+            sw s2, 0(s1)
+            j pass
+        .align 2
+        newinst: .word {patched}
+        "#
+    );
+    let ran = run(&src);
+    assert_eq!(ran.reg(Reg::A0), 3, "patched instruction must execute on the second pass");
+    let program = Assembler::new(0).assemble(&src).expect("assembles");
+    let mut stepped = Cpu::new(CpuConfig::arty_default(), sram_bus());
+    stepped.load_program(&program).expect("loads");
+    while stepped.stop_reason().is_none() {
+        stepped.step().expect("steps");
+    }
+    assert_eq!(stepped.reg(Reg::A0), 3);
+    assert_eq!(stepped.stats(), ran.stats(), "stepping and running retire the same stream");
+}
+
+#[test]
+fn store_patching_a_later_instruction_in_the_same_run_takes_effect() {
+    // The store patches `site`, two instructions ahead in the same
+    // straight-line run, with a different `addi` each pass. Pass 1 must
+    // execute imm=9, pass 2 imm=13 → a0 = 22.
+    let nine = Inst::Addi { rd: Reg::A0, rs1: Reg::A0, imm: 9 }.encode();
+    let thirteen = Inst::Addi { rd: Reg::A0, rs1: Reg::A0, imm: 13 }.encode();
+    let src = format!(
+        r#"
+        main:
+            li s0, 0
+        pass:
+            slli t1, s0, 2
+            la t2, table
+            add t2, t2, t1
+            lw s2, 0(t2)
+            la s1, site
+            sw s2, 0(s1)
+            nop
+        site:
+            addi a0, a0, 5
+            addi s0, s0, 1
+            li t0, 2
+            blt s0, t0, pass
+            li a7, 93
+            ecall
+        .align 2
+        table: .word {nine}, {thirteen}
+        "#
+    );
+    let cpu = run(&src);
+    assert_eq!(cpu.reg(Reg::A0), 9 + 13, "each pass must run that pass's patch");
+}
+
+#[test]
+fn external_image_mutation_between_runs_is_picked_up() {
+    // `load_image` through `bus_mut()` bypasses the core's store path.
+    let add_one = Inst::Addi { rd: Reg::A0, rs1: Reg::A0, imm: 1 };
+    let jump_back = Inst::Jal { rd: Reg::ZERO, imm: -4 };
+    let mut image = add_one.encode().to_le_bytes().to_vec();
+    image.extend_from_slice(&jump_back.encode().to_le_bytes());
+    let mut cpu = Cpu::new(CpuConfig::arty_default(), sram_bus());
+    cpu.bus_mut().load_image(0, &image).unwrap();
+    // Ten instructions: five (addi, jal) pairs — a0 = 5.
+    assert_eq!(cpu.run(10).unwrap(), StopReason::BudgetExhausted);
+    assert_eq!(cpu.reg(Reg::A0), 5);
+    // Hot-patch the addi externally: now each pass adds 100.
+    let patched = Inst::Addi { rd: Reg::A0, rs1: Reg::A0, imm: 100 };
+    cpu.bus_mut().load_image(0, &patched.encode().to_le_bytes()).unwrap();
+    assert_eq!(cpu.run(4).unwrap(), StopReason::BudgetExhausted);
+    assert_eq!(cpu.reg(Reg::A0), 5 + 200, "both patched passes must use the new encoding");
+}
+
+#[test]
+fn uncached_execution_fetches_from_the_device() {
+    // Above UNCACHED_BASE every fetch pays the device, I-cache or not.
+    let src = "
+        li a0, 0
+        li t0, 50
+    loop:
+        addi a0, a0, 3
+        addi t0, t0, -1
+        bnez t0, loop
+        li a7, 93
+        ecall
+    ";
+    let cpu = run_at(CpuConfig::arty_default(), UNCACHED_BASE, src);
+    assert_eq!(cpu.reg(Reg::A0), 150);
+    assert_eq!(cpu.icache_stats().expect("arty has an I-cache").accesses(), 0);
+    let (id, _) = cpu.bus().region_by_name("uncached_sram").expect("mapped");
+    assert_eq!(cpu.bus().stats(id).reads, cpu.stats().instructions);
+}
+
+#[test]
+fn no_icache_config_runs() {
+    // fomu_baseline has no I-cache: fetches charge the raw bus even
+    // below UNCACHED_BASE.
+    let src = "
+        li a0, 0
+        li t0, 20
+    loop:
+        addi a0, a0, 7
+        addi t0, t0, -1
+        bnez t0, loop
+        li a7, 93
+        ecall
+    ";
+    let cpu = run_at(CpuConfig::fomu_baseline(), 0, src);
+    assert_eq!(cpu.reg(Reg::A0), 140);
+    let (id, _) = cpu.bus().region_by_name("sram").expect("mapped");
+    assert_eq!(cpu.bus().stats(id).reads, cpu.stats().instructions);
+}
+
+#[test]
+fn static_predictor_mispredicts_and_charges_refill() {
+    // A loop closed by a *forward taken* branch: BTFN predicts
+    // not-taken, so every looping iteration mispredicts.
+    let src = "
+        li a0, 0
+        li t0, 40
+    top:
+        addi a0, a0, 1
+        addi t0, t0, -1
+        bnez t0, again
+        li a7, 93
+        ecall
+    again:
+        j top
+    ";
+    let config =
+        CpuConfig { branch_predictor: BranchPredictor::Static, ..CpuConfig::arty_default() };
+    let deep = run_at(config, 0, src);
+    assert!(
+        deep.stats().mispredicts >= 39,
+        "forward-taken loop branch must mispredict under BTFN: {:?}",
+        deep.stats()
+    );
+    // The refill penalty really lands per mispredict: the only
+    // pipeline-depth-sensitive cost in this program is the branch
+    // refill, so cycles differ by exactly mispredicts x Δpenalty.
+    let shallow_config = CpuConfig { pipeline_depth: 2, ..config };
+    let shallow = run_at(shallow_config, 0, src);
+    assert_eq!(shallow.stats().mispredicts, deep.stats().mispredicts);
+    let delta = config.refill_penalty() - shallow_config.refill_penalty();
+    assert_eq!(
+        deep.stats().cycles - shallow.stats().cycles,
+        deep.stats().mispredicts * delta,
+        "every mispredict must charge the refill penalty"
+    );
+}
+
+#[test]
+fn nested_loops_retire_every_branch_under_every_predictor() {
+    // Nested loops with both branch directions and a jump: every
+    // bundled predictor, with and without an I-cache, must retire all
+    // 66 branches and compute the same result.
+    let src = "
+        li a0, 0
+        li t0, 6          # outer counter
+    outer:
+        li t1, 5          # inner counter
+    inner:
+        addi a0, a0, 1
+        andi t2, a0, 1
+        beqz t2, skip     # forward, data-dependent direction
+        addi a0, a0, 2
+    skip:
+        addi t1, t1, -1
+        bnez t1, inner    # backward taken
+        addi t0, t0, -1
+        bnez t0, outer    # backward taken
+        li a7, 93
+        ecall
+    ";
+    for predictor in [
+        BranchPredictor::None,
+        BranchPredictor::Static,
+        BranchPredictor::Dynamic { entries: 16 },
+        BranchPredictor::DynamicTarget { entries: 16 },
+    ] {
+        for base in [CpuConfig::arty_default(), CpuConfig::fomu_baseline()] {
+            let cpu = run_at(CpuConfig { branch_predictor: predictor, ..base }, 0, src);
+            // 30 inner passes x (beqz + bnez) + 6 outer bnez = 66.
+            assert_eq!(cpu.stats().branches, 66, "all three branches retire every pass");
+            assert_eq!(cpu.reg(Reg::A0), 60);
+        }
+    }
 }
