@@ -2,10 +2,15 @@
 //!
 //! Usage: `fig4_mnv2_ladder [--input-hw N] [--full-width] [--csv PATH]
 //! [--svg PATH] [--threads N] [--store PATH] [--resume]` (default input
-//! 96, the paper's resolution; use 32 or 48 for a quick look). The
-//! ladder runs through the DSE engine on `--threads` workers (default 1;
-//! rows are byte-identical for every value); under `--threads` a live
-//! step counter prints to stderr.
+//! 96, the paper's resolution; any positive multiple of 8, e.g. 32 or 48
+//! for a quick look). The ladder runs through the DSE engine on
+//! `--threads` workers (default 1; rows are byte-identical for every
+//! value); under `--threads` a live step counter prints to stderr.
+//!
+//! The rungs share their generic layers through a layer memo; stderr
+//! ends with a `layer memo:` line counting the fast-forwarded layer runs
+//! and the guest instructions they skipped (exactly repeatable at
+//! `--threads 1`).
 //!
 //! `--store PATH` persists every freshly simulated ladder step to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -25,7 +30,7 @@ fn main() {
     let (mut input_hw, mut full_width) = (96, false);
     let args = cli::parse_or_exit(&CMD, |flag, value| {
         match flag {
-            "--input-hw" => input_hw = value.int()?,
+            "--input-hw" => input_hw = value.input_hw()?,
             "--full-width" => full_width = true,
             _ => return Ok(false),
         }
@@ -37,6 +42,10 @@ fn main() {
     println!("MAC4Run1 26x, Incl postproc 31.1x, Overlap input 55x; overall MNV2 3x\n");
     let run = cfu_bench::fig4::run(&args.spec, input_hw, full_width);
     CMD.print_store(&args, &run);
+    eprintln!(
+        "layer memo: {} fast-forwarded layer run(s), {} guest instruction(s) skipped",
+        run.fast_forwards, run.skipped_instructions
+    );
     let rows = run.rows;
     print!("{}", cfu_bench::fig4::render(&rows));
     if let Some(path) = args.csv {

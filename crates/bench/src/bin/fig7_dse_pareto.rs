@@ -45,7 +45,7 @@ fn main() {
     let mut args = cli::parse_or_exit(&CMD, |flag, value| {
         match flag {
             "--trials" => cfg.trials = value.int()?,
-            "--input-hw" => cfg.input_hw = value.int()?,
+            "--input-hw" => cfg.input_hw = value.input_hw()?,
             "--random" => cfg.evolutionary = false,
             "--max-retries" => cfg.max_retries = value.int()?,
             "--fail-fast" => cfg.fail_fast = true,

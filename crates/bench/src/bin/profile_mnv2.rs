@@ -1,8 +1,9 @@
 //! Regenerates the §III-A profile (E1): where the unaccelerated
 //! MobileNetV2 baseline spends its ~900M cycles.
 //!
-//! Usage: `profile_mnv2 [--input-hw N]` (default 96). An unknown flag or
-//! a missing or non-integer value prints the usage and exits 2.
+//! Usage: `profile_mnv2 [--input-hw N]` (default 96; a positive multiple
+//! of 8). An unknown flag or a missing, non-integer or out-of-rule value
+//! prints the usage and exits 2.
 
 use cfu_bench::cli::{self, CliError};
 
@@ -13,7 +14,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<usize, CliError> {
     let mut input_hw = 96;
     cli::parse_flags(args, |flag, value| {
         match flag {
-            "--input-hw" => input_hw = value.int()?,
+            "--input-hw" => input_hw = value.input_hw()?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -49,6 +50,12 @@ mod tests {
             Err(CliError::NotAnInteger { flag: "--input-hw".into(), value: "x".into() })
         );
         assert_eq!(parse_strs(&["--input-hw"]), Err(CliError::MissingValue("--input-hw".into())));
+        for value in ["0", "12", "17"] {
+            assert!(
+                matches!(parse_strs(&["--input-hw", value]), Err(CliError::BadValue { .. })),
+                "{value}"
+            );
+        }
         assert_eq!(parse_strs(&["--fast"]), Err(CliError::UnknownFlag("--fast".into())));
         assert_eq!(
             parse_strs(&["--input-hw", "32", "--csv", "p.csv"]),

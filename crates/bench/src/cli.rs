@@ -62,6 +62,15 @@ pub enum CliError {
         /// The value given.
         value: String,
     },
+    /// A flag whose integer value breaks the flag's rule.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The value given.
+        value: String,
+        /// What the value must be.
+        rule: &'static str,
+    },
     /// `--resume` without `--store PATH`.
     ResumeWithoutStore,
     /// The result store could not be opened.
@@ -80,6 +89,9 @@ impl fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             CliError::NotAnInteger { flag, value } => {
                 write!(f, "{flag} needs an integer, got {value:?}")
+            }
+            CliError::BadValue { flag, value, rule } => {
+                write!(f, "{flag} must be {rule}, got {value}")
             }
             CliError::ResumeWithoutStore => write!(f, "--resume requires --store PATH"),
             CliError::Store { path, error } => {
@@ -107,6 +119,20 @@ impl Value<'_> {
     pub fn int<T: FromStr>(&mut self) -> Result<T, CliError> {
         let value = self.string()?;
         value.parse().map_err(|_| CliError::NotAnInteger { flag: self.flag.to_owned(), value })
+    }
+
+    /// The next argument as a MobileNetV2 input resolution: a positive
+    /// multiple of 8, as the model's five stride-2 stages need.
+    pub fn input_hw(&mut self) -> Result<usize, CliError> {
+        let hw: usize = self.int()?;
+        if hw == 0 || !hw.is_multiple_of(8) {
+            return Err(CliError::BadValue {
+                flag: self.flag.to_owned(),
+                value: hw.to_string(),
+                rule: "a positive multiple of 8",
+            });
+        }
+        Ok(hw)
     }
 }
 
@@ -212,7 +238,7 @@ mod tests {
         let mut input_hw = 0usize;
         parse(cmd, args.iter().map(|a| a.to_string()), |flag, value| {
             match flag {
-                "--input-hw" => input_hw = value.int()?,
+                "--input-hw" => input_hw = value.input_hw()?,
                 "--full-width" => {}
                 _ => return Ok(false),
             }
@@ -268,6 +294,26 @@ mod tests {
                 CliError::NotAnInteger { flag: flag.into(), value: value.into() }
             );
         }
+    }
+
+    #[test]
+    fn input_resolutions_must_be_positive_multiples_of_8() {
+        assert!(run(&LADDER, &["--input-hw", "8"]).is_ok());
+        assert!(run(&LADDER, &["--input-hw", "96"]).is_ok());
+        for value in ["0", "12", "17", "100"] {
+            assert_eq!(
+                err(&LADDER, &["--input-hw", value]),
+                CliError::BadValue {
+                    flag: "--input-hw".into(),
+                    value: value.into(),
+                    rule: "a positive multiple of 8"
+                }
+            );
+        }
+        assert_eq!(
+            err(&LADDER, &["--input-hw", "0"]).to_string(),
+            "--input-hw must be a positive multiple of 8, got 0"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! worker pool. Rows are byte-identical at any thread count (pinned in
 //! `tests/ladder_parallel.rs` against `tests/golden/`).
 
+use std::sync::Arc;
+
 use cfu_core::cfu1::Cfu1;
 use cfu_core::{Cfu, NullCfu, Resources};
 use cfu_dse::{
@@ -16,8 +18,10 @@ use cfu_sim::CpuConfig;
 use cfu_soc::Board;
 use cfu_tflm::deploy::{DeployConfig, Deployment, KernelRegistry};
 use cfu_tflm::kernels::conv1x1::Conv1x1Variant;
+use cfu_tflm::memo::LayerMemo;
 use cfu_tflm::model::OpKind;
 use cfu_tflm::models;
+use cfu_tflm::tensor::Tensor;
 
 use crate::{Run, RunSpec};
 
@@ -59,19 +63,58 @@ impl SearchSpace for Fig4Space {
 /// Scores one ladder step by a full MobileNetV2 inference on the
 /// simulated Arty SoC. `latency` carries whole-model cycles, `aux` the
 /// 1x1-CONV_2D operator cycles, `resources` the CFU cost of the step.
-#[derive(Debug, Clone, Copy)]
+/// Every rung it deploys (through any of its clones) shares one
+/// [`LayerMemo`], so rungs fast-forward the layers they have in common
+/// without changing any result (see [`cfu_tflm::memo`]).
+#[derive(Debug, Clone)]
 pub struct Fig4Evaluator {
     cpu: CpuConfig,
     input_hw: usize,
     full_width: bool,
+    memo: Arc<LayerMemo>,
 }
 
 impl Fig4Evaluator {
     /// Creates the evaluator for `cpu` at the given input resolution;
     /// `full_width` selects the width-1.0 MobileNetV2 over width 0.35.
-    pub fn new(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Self {
-        Fig4Evaluator { cpu, input_hw, full_width }
+    pub fn new(cpu: CpuConfig, input_hw: usize, full_width: bool, memo: Arc<LayerMemo>) -> Self {
+        Fig4Evaluator { cpu, input_hw, full_width, memo }
     }
+}
+
+/// Deploys one ladder rung: MobileNetV2 at `input_hw` (width 1.0 with
+/// `full_width`, else 0.35) on a fresh Arty bus under `cpu`, with the
+/// rung's 1x1 kernel and CFU. Returns the deployment, the fixed input
+/// every rung runs on, and the CFU's resources.
+///
+/// # Panics
+///
+/// Panics if deployment fails (harness-level bug).
+pub fn deploy_rung(
+    cpu: CpuConfig,
+    input_hw: usize,
+    full_width: bool,
+    variant: Conv1x1Variant,
+) -> (Deployment, Tensor, Resources) {
+    let model = if full_width {
+        models::mobilenet_v2_full(input_hw, 2, 1)
+    } else {
+        models::mobilenet_v2(input_hw, 2, 1)
+    };
+    let input = models::synthetic_input(&model, 42);
+    let bus = Board::arty_a7_35t().build_bus(None);
+    let mut cfg = DeployConfig::new(cpu, "main_ram", "main_ram", "main_ram");
+    cfg.registry = KernelRegistry { conv1x1: Some(variant), ..Default::default() };
+    let (cfu, resources): (Box<dyn Cfu>, _) = match variant.required_stage() {
+        Some(stage) => {
+            let cfu = Cfu1::new(stage);
+            let resources = cfu.resources();
+            (Box::new(cfu), resources)
+        }
+        None => (Box::new(NullCfu), Resources::ZERO),
+    };
+    let dep = Deployment::new(model, bus, cfu, &cfg).expect("fig4 deployment");
+    (dep, input, resources)
 }
 
 impl Evaluator<Conv1x1Variant> for Fig4Evaluator {
@@ -79,24 +122,9 @@ impl Evaluator<Conv1x1Variant> for Fig4Evaluator {
     ///
     /// Panics if deployment or inference fails (harness-level bug).
     fn evaluate(&mut self, variant: &Conv1x1Variant) -> EvalResult {
-        let model = if self.full_width {
-            models::mobilenet_v2_full(self.input_hw, 2, 1)
-        } else {
-            models::mobilenet_v2(self.input_hw, 2, 1)
-        };
-        let input = models::synthetic_input(&model, 42);
-        let bus = Board::arty_a7_35t().build_bus(None);
-        let mut cfg = DeployConfig::new(self.cpu, "main_ram", "main_ram", "main_ram");
-        cfg.registry = KernelRegistry { conv1x1: Some(*variant), ..Default::default() };
-        let (cfu, resources): (Box<dyn Cfu>, _) = match variant.required_stage() {
-            Some(stage) => {
-                let cfu = Cfu1::new(stage);
-                let resources = cfu.resources();
-                (Box::new(cfu), resources)
-            }
-            None => (Box::new(NullCfu), Resources::ZERO),
-        };
-        let mut dep = Deployment::new(model, bus, cfu, &cfg).expect("fig4 deployment");
+        let (mut dep, input, resources) =
+            deploy_rung(self.cpu, self.input_hw, self.full_width, *variant);
+        dep.share_layers(Arc::clone(&self.memo));
         let (_, profile) = dep.run(&input).expect("fig4 inference");
         EvalResult {
             latency: profile.total_cycles(),
@@ -121,14 +149,23 @@ pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Store
 
 /// Runs the whole ladder on the Arty CPU at the given input resolution.
 /// `full_width` selects the width-1.0 MobileNetV2 (the paper-scale
-/// workload); width 0.35 keeps smoke tests fast. Every rung deploys a
-/// different kernel, so there are no timing siblings to replay and
-/// `spec.retime` is ignored.
+/// workload); width 0.35 keeps smoke tests fast.
+///
+/// The rungs share one [`LayerMemo`]: they differ only in the 1x1
+/// CONV_2D kernel, so every other generic CONV_2D/DEPTHWISE_CONV_2D
+/// layer is recorded once and fast-forwarded in later rungs once its
+/// timing state converges. The run's `fast_forwards` and
+/// `skipped_instructions` count that; at `--threads 1` they repeat
+/// exactly. Rungs are not trace-replay siblings (each executes its own
+/// kernel), so `spec.retime` is not used.
 pub fn run(spec: &RunSpec, input_hw: usize, full_width: bool) -> Run<Vec<Fig4Row>, Conv1x1Variant> {
     let cpu = CpuConfig::arty_default();
-    let evaluator = Fig4Evaluator::new(cpu, input_hw, full_width);
+    let memo = Arc::new(LayerMemo::new());
+    let evaluator = Fig4Evaluator::new(cpu, input_hw, full_width, Arc::clone(&memo));
     let ctx = store_context(cpu, input_hw, full_width);
-    let run = crate::run_ladder(spec, Fig4Space, ctx, &|| evaluator, None);
+    let mut run = crate::run_ladder(spec, Fig4Space, ctx, &|| evaluator.clone(), None);
+    run.fast_forwards = memo.fast_forwards();
+    run.skipped_instructions = memo.skipped_instructions();
     run.map(|results| {
         // The first rung is the generic-kernel baseline.
         let (baseline_conv, baseline_total) = (results[0].aux, results[0].latency);

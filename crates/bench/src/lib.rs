@@ -58,7 +58,9 @@ pub struct RunSpec {
     pub resume: bool,
     /// Execute the guest once per retime group (capturing its operation
     /// trace) and score the group's timing siblings by replaying it.
-    /// Figure 4 has no timing siblings and always executes.
+    /// Figure 4 does not use it: its rungs run different kernels, so none
+    /// replays another's trace. They share their common layers through a
+    /// layer memo instead, whatever this flag says.
     pub retime: bool,
     /// Deterministic evaluation and store-flush faults, for exercising
     /// the retry/quarantine machinery (`CFU_FAULT_PLAN`).
@@ -168,6 +170,10 @@ pub struct Run<R, P> {
     pub captures: u64,
     /// Points scored by trace replay instead of execution.
     pub replays: u64,
+    /// Layer runs fast-forwarded by a shared layer memo (Figure 4).
+    pub fast_forwards: u64,
+    /// Guest instructions those fast-forwards skipped.
+    pub skipped_instructions: u64,
 }
 
 impl<R, P> Run<R, P> {
@@ -181,8 +187,17 @@ impl<R, P> Run<R, P> {
     where
         P: 'a,
     {
-        let mut run =
-            Run { rows, report, hydrated: 0, appended: 0, tombstoned: 0, captures: 0, replays: 0 };
+        let mut run = Run {
+            rows,
+            report,
+            hydrated: 0,
+            appended: 0,
+            tombstoned: 0,
+            captures: 0,
+            replays: 0,
+            fast_forwards: 0,
+            skipped_instructions: 0,
+        };
         for store in stores {
             run.hydrated += store.hydrated();
             run.appended += store.appended();
@@ -197,8 +212,17 @@ impl<R, P> Run<R, P> {
 
     /// The same run with its rows mapped through `f`.
     fn map<T>(self, f: impl FnOnce(R) -> T) -> Run<T, P> {
-        let Run { rows, report, hydrated, appended, tombstoned, captures, replays } = self;
-        Run { rows: f(rows), report, hydrated, appended, tombstoned, captures, replays }
+        Run {
+            rows: f(self.rows),
+            report: self.report,
+            hydrated: self.hydrated,
+            appended: self.appended,
+            tombstoned: self.tombstoned,
+            captures: self.captures,
+            replays: self.replays,
+            fast_forwards: self.fast_forwards,
+            skipped_instructions: self.skipped_instructions,
+        }
     }
 }
 

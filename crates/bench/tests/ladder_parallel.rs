@@ -1,7 +1,7 @@
 //! Every figure run against its checked-in golden CSV, over the run
 //! modes that must not move a byte: threads {1, 4} × retime {off, on},
 //! with retime only where a figure has timing siblings (Figure 6, the
-//! energy table, Figure 7). This is the contract that lets the figure
+//! energy table, Figure 7); Figure 4 at threads {1, 2, 4}. This is the contract that lets the figure
 //! binaries take `--threads N` and `--retime/--no-retime` without
 //! perturbing published numbers.
 
@@ -20,12 +20,20 @@ fn specs(retime_modes: &[bool]) -> Vec<RunSpec> {
 
 #[test]
 fn fig4_matches_golden_at_any_thread_count() {
-    // Every rung deploys a different kernel: no timing siblings to replay.
-    for spec in specs(&[false]) {
+    // Every rung deploys a different kernel: no trace to replay. The
+    // rungs share their other layers through a layer memo, whose
+    // fast-forwards must not move a byte at any thread count.
+    for threads in [1, 2, 4] {
+        let spec = RunSpec { threads, ..RunSpec::default() };
         let run = fig4::run(&spec, 16, false);
         let csv = fig4::to_csv(&run.rows);
         assert_eq!(csv, include_str!("golden/fig4_mnv2_ladder_hw16.csv"), "{spec:?}");
         assert_eq!(run.report.attempts, 10, "one simulation per rung: {spec:?}");
+        assert!(run.fast_forwards > 0, "{spec:?}");
+        if threads == 1 {
+            // Rungs run in ladder order: the counts repeat exactly.
+            assert_eq!((run.fast_forwards, run.skipped_instructions), (74, 18_847_872));
+        }
     }
 }
 

@@ -57,6 +57,19 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
+    /// The traffic accumulated since `earlier`, an earlier reading of the
+    /// same region's statistics.
+    pub fn since(&self, earlier: &DeviceStats) -> DeviceStats {
+        DeviceStats {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            bytes_written: self.bytes_written - earlier.bytes_written,
+            read_cycles: self.read_cycles - earlier.read_cycles,
+            write_cycles: self.write_cycles - earlier.write_cycles,
+        }
+    }
+
     /// Total cycles across reads and writes.
     pub fn total_cycles(&self) -> u64 {
         self.read_cycles + self.write_cycles
@@ -439,15 +452,45 @@ impl Bus {
         self.regions.iter().position(|m| m.info.contains(addr)).map(RegionId)
     }
 
-    /// Credits a region's statistics with `reads` reads totalling
-    /// `bytes` bytes and `cycles` cycles that were charged out-of-band —
-    /// bulk replay paths that memoize a stateless device's access cost
-    /// and account the traffic without routing every access.
-    pub fn note_reads(&mut self, id: RegionId, reads: u64, bytes: u64, cycles: u64) {
+    /// Adds `delta` to a region's statistics: traffic charged out of
+    /// band, by bulk replay paths that memoize a stateless device's
+    /// access cost, or skipped by a fast-forward.
+    pub fn add_stats(&mut self, id: RegionId, delta: DeviceStats) {
         let stats = &mut self.regions[id.0].stats;
-        stats.reads += reads;
-        stats.bytes_read += bytes;
-        stats.read_cycles += cycles;
+        stats.reads += delta.reads;
+        stats.writes += delta.writes;
+        stats.bytes_read += delta.bytes_read;
+        stats.bytes_written += delta.bytes_written;
+        stats.read_cycles += delta.read_cycles;
+        stats.write_cycles += delta.write_cycles;
+    }
+
+    /// Appends the timing state of every mapped device, in mapping order
+    /// and each prefixed by its word count, to `out` (see
+    /// [`BusDevice::save_timing`]). Returns `false`, leaving `out` in an
+    /// unspecified state, when some device cannot express its state.
+    pub fn save_timing(&self, out: &mut Vec<u64>) -> bool {
+        for m in &self.regions {
+            let at = out.len();
+            out.push(0);
+            if !m.slot.dev_ref().save_timing(out) {
+                return false;
+            }
+            out[at] = (out.len() - at - 1) as u64;
+        }
+        true
+    }
+
+    /// Restores every device's timing state from words
+    /// [`save_timing`](Bus::save_timing) wrote on a bus with the same
+    /// regions. Contents and statistics are untouched.
+    pub fn restore_timing(&mut self, saved: &[u64]) {
+        let mut at = 0;
+        for m in &mut self.regions {
+            let len = saved[at] as usize;
+            m.slot.dev().restore_timing(&saved[at + 1..at + 1 + len]);
+            at += 1 + len;
+        }
     }
 
     /// [`timing_stateless_at`](Bus::timing_stateless_at) over a span:
@@ -633,6 +676,28 @@ mod tests {
             assert_eq!(ca, cb, "cycles diverged at {addr:#x}");
         }
         assert_eq!(a.stats(rom_a), b.stats(rom_b));
+    }
+
+    #[test]
+    fn saved_timing_restores_every_device() {
+        let mut bus = demo_bus();
+        let mut buf = [0u8; 4];
+        bus.read(0, &mut buf).unwrap();
+        let mut saved = Vec::new();
+        assert!(bus.save_timing(&mut saved));
+        // The flash tracks its burst (one word); SRAM has no state.
+        assert_eq!(saved, [1, 5, 0]);
+        let sequential = demo_bus().read(0, &mut buf).unwrap() - bus.read(4, &mut buf).unwrap();
+        bus.reset_stats();
+        bus.restore_timing(&saved);
+        let (rom, _) = bus.region_by_name("rom").unwrap();
+        let before = bus.stats(rom);
+        let cycles = bus.read(4, &mut buf).unwrap();
+        assert_eq!(demo_bus().read(0, &mut buf).unwrap() - cycles, sequential);
+        let delta = bus.stats(rom).since(&before);
+        assert_eq!((delta.reads, delta.bytes_read, delta.read_cycles), (1, 4, cycles));
+        bus.add_stats(rom, delta);
+        assert_eq!(bus.stats(rom).reads, 2);
     }
 
     #[test]

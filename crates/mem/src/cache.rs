@@ -64,6 +64,16 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// The counts accumulated since `earlier`, an earlier reading of the
+    /// same cache's statistics.
+    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            evictions: self.evictions - earlier.evictions,
+        }
+    }
+
     /// Total number of lookups.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
@@ -261,6 +271,75 @@ impl Cache {
         false
     }
 
+    /// The replacement clock: it advances on every
+    /// [`lookup`](Cache::lookup), [`fill`](Cache::fill) and
+    /// [`access`](Cache::access), and each of those stamps the line it
+    /// touches with the new value. Pass a reading to
+    /// [`set_touched_since`](Cache::set_touched_since) to ask which sets
+    /// were touched after it.
+    pub fn clock(&self) -> u64 {
+        self.tick
+    }
+
+    /// Whether a lookup hit, fill or access touched `set` after the
+    /// [`clock`](Cache::clock) read `clock`. (A lookup miss leaves its
+    /// set unchanged and is not counted; callers that pair every miss
+    /// with a fill, or only use `access`, see every touch.)
+    pub fn set_touched_since(&self, set: usize, clock: u64) -> bool {
+        let ways = self.config.ways as usize;
+        self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.lru > clock)
+    }
+
+    /// Appends the replacement state of `set` to `out`: one word per way,
+    /// 0 for an invalid line, else the tag plus the line's recency rank
+    /// among the set's valid lines (0 = least recently used). Two sets
+    /// with equal words answer every future access sequence identically;
+    /// the absolute clock values behind the ranks do not matter.
+    pub fn save_set(&self, set: usize, out: &mut Vec<u64>) {
+        let ways = self.config.ways as usize;
+        let lines = &self.lines[set * ways..(set + 1) * ways];
+        out.extend(lines.iter().map(|l| {
+            if l.valid {
+                let rank = lines.iter().filter(|o| o.valid && o.lru < l.lru).count() as u64;
+                1 << 63 | rank << 32 | u64::from(l.tag)
+            } else {
+                0
+            }
+        }));
+    }
+
+    /// Whether `set` is in the state [`save_set`](Cache::save_set)
+    /// wrote as `saved` (one word per way).
+    pub fn set_matches(&self, set: usize, saved: &[u64]) -> bool {
+        let mut words = Vec::with_capacity(self.config.ways as usize);
+        self.save_set(set, &mut words);
+        words == saved
+    }
+
+    /// Puts `set` into the state [`save_set`](Cache::save_set) wrote as
+    /// `saved`, stamping its lines with fresh clock values in rank order.
+    /// Statistics are not touched.
+    pub fn restore_set(&mut self, set: usize, saved: &[u64]) {
+        let ways = self.config.ways as usize;
+        let base = self.tick;
+        for (line, &word) in self.lines[set * ways..(set + 1) * ways].iter_mut().zip(saved) {
+            *line = if word >> 63 == 1 {
+                Line { tag: word as u32, valid: true, lru: base + 1 + (word >> 32 & 0x7FFF_FFFF) }
+            } else {
+                Line::default()
+            };
+        }
+        self.tick += ways as u64;
+    }
+
+    /// Adds `delta` to the statistics (a fast-forward crediting the
+    /// accesses it skipped).
+    pub fn add_stats(&mut self, delta: CacheStats) {
+        self.stats.hits += delta.hits;
+        self.stats.misses += delta.misses;
+        self.stats.evictions += delta.evictions;
+    }
+
     /// Records a hit without a tag lookup, for callers that can prove the
     /// access would hit.
     ///
@@ -393,6 +472,39 @@ mod tests {
         for addr in [0, 64, 128] {
             assert_eq!(a.contains(addr), b.contains(addr), "residency diverged at {addr:#x}");
         }
+    }
+
+    #[test]
+    fn saved_sets_restore_to_the_same_future() {
+        // Two 2-way caches reach the same per-set recency order through
+        // different histories (and clock values); their saved words agree,
+        // and a third cache restored from them evicts the same victims.
+        let mut a = Cache::new(cfg(128, 2)); // 2 sets
+        let mut b = Cache::new(cfg(128, 2));
+        for addr in [0, 64, 0, 128, 0] {
+            a.access(addr);
+        }
+        for addr in [32, 96, 128, 0] {
+            b.access(addr);
+        }
+        let (mut wa, mut wb) = (Vec::new(), Vec::new());
+        a.save_set(0, &mut wa);
+        b.save_set(0, &mut wb);
+        // Set 0 holds {0, 128} in both, but in different ways.
+        assert_ne!(wa, wb);
+        let mut c = Cache::new(cfg(128, 2));
+        c.access(256);
+        let clock = c.clock();
+        c.restore_set(0, &wa);
+        assert!(c.set_matches(0, &wa) && !c.set_matches(0, &wb));
+        assert!(!c.set_touched_since(1, clock));
+        for addr in [64, 0, 256, 128] {
+            assert_eq!(a.access(addr), c.access(addr), "{addr:#x}");
+        }
+        assert!(c.set_touched_since(0, clock));
+        let mut before = a.stats();
+        before.hits -= 1;
+        assert_eq!(a.stats().since(&before), CacheStats { hits: 1, misses: 0, evictions: 0 });
     }
 
     #[test]

@@ -125,6 +125,21 @@ pub trait BusDevice: fmt::Debug {
     /// without touching contents. Called between measured runs.
     fn reset_timing(&mut self) {}
 
+    /// Appends the device's timing state (open rows, burst trackers) to
+    /// `out` and returns `true`, such that two devices of the same type
+    /// and parameters whose appended words are equal charge every future
+    /// access sequence identically. A device that cannot express its
+    /// state returns `false` (the default for timing-stateful devices),
+    /// and callers then never compare or restore it. Contents are not
+    /// part of the timing state.
+    fn save_timing(&self, _out: &mut Vec<u64>) -> bool {
+        self.timing_stateless()
+    }
+
+    /// Restores a timing state that [`save_timing`](Self::save_timing)
+    /// appended as `saved` (exactly those words). Contents are untouched.
+    fn restore_timing(&mut self, _saved: &[u64]) {}
+
     /// Downcast support for peripherals whose host-side state must be
     /// inspected after a run (e.g. a UART's transmit buffer). Devices
     /// that opt in return `self`.

@@ -186,6 +186,17 @@ impl BusDevice for Ddr3 {
     fn reset_timing(&mut self) {
         self.open_rows.fill(None);
     }
+
+    fn save_timing(&self, out: &mut Vec<u64>) -> bool {
+        out.extend(self.open_rows.iter().map(|r| r.map_or(0, |row| u64::from(row) + 1)));
+        true
+    }
+
+    fn restore_timing(&mut self, saved: &[u64]) {
+        for (open, &word) in self.open_rows.iter_mut().zip(saved) {
+            *open = word.checked_sub(1).map(|row| row as u32);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +244,22 @@ mod tests {
         let mut line = [0u8; 32];
         let cycles = d.read(0, &mut line).unwrap();
         assert_eq!(cycles, t.row_miss + 7 * t.per_beat);
+    }
+
+    #[test]
+    fn saved_timing_restores_open_rows() {
+        let t = Ddr3Timing::default();
+        let mut d = Ddr3::new(1 << 20);
+        let mut b = [0u8; 4];
+        d.read(t.row_bytes, &mut b).unwrap();
+        let mut saved = Vec::new();
+        assert!(d.save_timing(&mut saved));
+        assert_eq!(saved.len(), t.banks as usize);
+        d.reset_timing();
+        assert_eq!(d.read(t.row_bytes + 4, &mut b).unwrap(), t.row_miss);
+        d.reset_timing();
+        d.restore_timing(&saved);
+        assert_eq!(d.read(t.row_bytes + 4, &mut b).unwrap(), t.row_hit);
     }
 
     #[test]

@@ -156,6 +156,15 @@ impl BusDevice for SpiFlash {
     fn reset_timing(&mut self) {
         self.next_seq = None;
     }
+
+    fn save_timing(&self, out: &mut Vec<u64>) -> bool {
+        out.push(self.next_seq.map_or(0, |next| u64::from(next) + 1));
+        true
+    }
+
+    fn restore_timing(&mut self, saved: &[u64]) {
+        self.next_seq = saved[0].checked_sub(1).map(|next| next as u32);
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,9 @@ pub struct PredictorState {
     btb_valid: Vec<bool>,
     hits: u64,
     misses: u64,
+    /// Entries trained since the last [`take_touched`](Self::take_touched),
+    /// folded: entry `i` sets bit `i % 64`.
+    touched: u64,
 }
 
 impl PredictorState {
@@ -58,6 +61,7 @@ impl PredictorState {
             btb_valid: vec![false; entries],
             hits: 0,
             misses: 0,
+            touched: 0,
         }
     }
 
@@ -113,6 +117,7 @@ impl PredictorState {
                 // host mispredict per branch on the replay hot path.
                 *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
                 self.btb_valid[i] |= taken;
+                self.touched |= 1 << (i & 63);
             }
         }
         let correct = prediction.taken == taken;
@@ -124,6 +129,61 @@ impl PredictorState {
     /// (correct, incorrect) prediction counts.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// The folded mask of entries trained since the previous call (entry
+    /// `i` sets bit `i % 64`), clearing it. Only the dynamic predictors
+    /// have entries; their predictions read nothing else.
+    pub(crate) fn take_touched(&mut self) -> u64 {
+        std::mem::take(&mut self.touched)
+    }
+
+    /// The entries a folded mask covers.
+    fn masked(&self, mask: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..self.counters.len()).filter(move |i| mask >> (i & 63) & 1 == 1)
+    }
+
+    /// Appends the state of every entry `mask` covers to `out`, one word
+    /// each.
+    pub(crate) fn save_entries(&self, mask: u64, out: &mut Vec<u64>) {
+        out.extend(self.masked(mask).map(|i| self.entry(i)));
+    }
+
+    /// Whether the entries `mask` covers are in the state
+    /// [`save_entries`](Self::save_entries) wrote as `saved`.
+    pub(crate) fn entries_match(&self, mask: u64, saved: &[u64]) -> bool {
+        self.masked(mask).zip(saved).all(|(i, &word)| self.entry(i) == word)
+    }
+
+    /// The words of the entries `mask` covers, out of words
+    /// [`save_entries`](Self::save_entries) wrote under `saved_mask`, a
+    /// superset of `mask`.
+    pub(crate) fn select_entries(&self, saved_mask: u64, saved: &[u64], mask: u64) -> Vec<u64> {
+        self.masked(saved_mask)
+            .zip(saved)
+            .filter(|&(i, _)| mask >> (i & 63) & 1 == 1)
+            .map(|(_, &word)| word)
+            .collect()
+    }
+
+    /// Puts the entries `mask` covers into the state
+    /// [`save_entries`](Self::save_entries) wrote as `saved`.
+    pub(crate) fn restore_entries(&mut self, mask: u64, saved: &[u64]) {
+        let entries: Vec<usize> = self.masked(mask).collect();
+        for (i, &word) in entries.into_iter().zip(saved) {
+            self.counters[i] = word as u8;
+            self.btb_valid[i] = word >> 8 == 1;
+        }
+    }
+
+    fn entry(&self, i: usize) -> u64 {
+        u64::from(self.counters[i]) | u64::from(self.btb_valid[i]) << 8
+    }
+
+    /// Adds skipped prediction counts (a fast-forward).
+    pub(crate) fn add_stats(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
     }
 }
 

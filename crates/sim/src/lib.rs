@@ -43,6 +43,7 @@ mod config;
 mod cpu;
 pub mod energy;
 mod retime;
+pub mod span;
 mod timed_core;
 
 pub use bpred::{Prediction, PredictorState};

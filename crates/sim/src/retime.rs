@@ -937,7 +937,13 @@ impl RegionTable {
     fn spill(&mut self, bus: &mut cfu_mem::Bus) {
         for e in &mut self.entries {
             if e.deferred_reads > 0 {
-                bus.note_reads(e.id, e.deferred_reads, e.deferred_bytes, e.deferred_cycles);
+                let reads = cfu_mem::DeviceStats {
+                    reads: e.deferred_reads,
+                    bytes_read: e.deferred_bytes,
+                    read_cycles: e.deferred_cycles,
+                    ..Default::default()
+                };
+                bus.add_stats(e.id, reads);
                 e.deferred_reads = 0;
                 e.deferred_bytes = 0;
                 e.deferred_cycles = 0;

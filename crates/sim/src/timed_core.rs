@@ -85,11 +85,11 @@ pub struct TimedCore {
     pub(crate) walk: FetchWalk,
     /// Whether the code region qualifies for the warm-window fast path
     /// (see [`set_code_region`](Self::set_code_region)).
-    warm_skip: bool,
-    write_buffer: VecDeque<u64>,
+    pub(crate) warm_skip: bool,
+    pub(crate) write_buffer: VecDeque<u64>,
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
-    recorder: Option<TraceRecorder>,
+    pub(crate) recorder: Option<TraceRecorder>,
 }
 
 /// Size of the active inner-loop window: kernels spend their time in
@@ -104,7 +104,7 @@ const WINDOW_DWELL: u32 = 8 * (CODE_WINDOW / 4);
 /// same fetch-address stream when compacting a captured trace into
 /// line runs). Factoring it into one type is what guarantees capture,
 /// replay and live execution agree on every fetch address.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FetchWalk {
     pub(crate) code_base: u32,
     pub(crate) code_len: u32,

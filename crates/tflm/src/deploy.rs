@@ -10,9 +10,10 @@ use cfu_sim::{CpuConfig, TimedCore};
 
 use crate::kernels::conv1x1::{conv1x1, Conv1x1Variant};
 use crate::kernels::{generic, kws, ConvJob, DwJob, FcJob, KernelError, LayerData, MemTensor};
+use crate::memo::{write_reference, LayerKey, LayerMemo, MemoKernel, MemoScope};
 use crate::model::{Model, Op};
 use crate::profiler::{LayerProfile, Profile};
-use crate::reference::ChannelQuant;
+use crate::reference::{self, ChannelQuant};
 use crate::tensor::Tensor;
 
 /// Which kernel implements standard convolutions.
@@ -144,37 +145,35 @@ impl fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// A simple bump allocator over one bus region.
+/// A simple bump allocator over one bus region. Addresses are `u64`: a
+/// region may end at 4 GiB.
 #[derive(Debug)]
 struct RegionAlloc {
     name: String,
-    base: u32,
-    end: u32,
-    cursor: u32,
+    base: u64,
+    end: u64,
+    cursor: u64,
 }
 
 impl RegionAlloc {
     fn new(bus: &Bus, name: &str) -> Result<Self, DeployError> {
         let (_, info) =
             bus.region_by_name(name).ok_or_else(|| DeployError::MissingRegion(name.to_owned()))?;
-        Ok(RegionAlloc {
-            name: name.to_owned(),
-            base: info.base,
-            end: (info.end() - 1) as u32 + 1,
-            cursor: info.base,
-        })
+        let base = u64::from(info.base);
+        Ok(RegionAlloc { name: name.to_owned(), base, end: info.end(), cursor: base })
     }
 
     fn alloc(&mut self, bytes: u32) -> Result<u32, DeployError> {
-        let aligned = (bytes + 3) & !3;
+        let aligned = (u64::from(bytes) + 3) & !3;
         if self.cursor + aligned > self.end {
+            let clamp = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
             return Err(DeployError::RegionFull {
                 region: self.name.clone(),
-                needed: self.cursor - self.base + aligned,
-                available: self.end - self.base,
+                needed: clamp(self.cursor - self.base + aligned),
+                available: clamp(self.end - self.base),
             });
         }
-        let addr = self.cursor;
+        let addr = self.cursor as u32;
         self.cursor += aligned;
         Ok(addr)
     }
@@ -223,6 +222,7 @@ pub struct Deployment {
     slot_addrs: Vec<u32>,
     registry: KernelRegistry,
     cycle_budget: Option<u64>,
+    memo: Option<Arc<LayerMemo>>,
 }
 
 impl fmt::Debug for Deployment {
@@ -363,7 +363,30 @@ impl Deployment {
             slot_addrs,
             registry: cfg.registry,
             cycle_budget: cfg.cycle_budget,
+            memo: None,
         })
+    }
+
+    /// Shares `memo` with this deployment: its generic CONV_2D and
+    /// DEPTHWISE_CONV_2D layers record into the memo, or fast-forward
+    /// from it once their timing state converges (see [`crate::memo`]).
+    /// Every result stays exactly what a run without the memo produces.
+    /// Returns `false`, and leaves the deployment without a memo, when
+    /// the memo is bound to another CPU configuration or memory plan.
+    ///
+    /// Deployments sharing a memo must build their buses from the same
+    /// board: the plan check compares the region map, not device timing
+    /// parameters.
+    pub fn share_layers(&mut self, memo: Arc<LayerMemo>) -> bool {
+        let scope = MemoScope {
+            cpu: *self.core.config(),
+            regions: self.core.bus().regions().map(|(_, info)| info.clone()).collect(),
+            slot_addrs: self.slot_addrs.clone(),
+            layers: self.plans.iter().map(|p| p.data).collect(),
+        };
+        let admitted = memo.admit(scope);
+        self.memo = admitted.then_some(memo);
+        admitted
     }
 
     /// The model being served.
@@ -520,31 +543,33 @@ impl Deployment {
                         }
                     }
                 }
+                let memo = self.memo.as_deref();
                 match self.registry.conv {
                     ConvKernel::Cfu2 { postproc, specialized } => {
                         match kws::conv2d_cfu2(&mut self.core, &job, postproc, specialized) {
                             Err(KernelError::Unsupported(_)) => {
-                                generic::conv2d(&mut self.core, &job)
+                                generic_conv(&mut self.core, memo, li, &job)
                             }
                             other => other,
                         }
                     }
-                    ConvKernel::Generic => generic::conv2d(&mut self.core, &job),
+                    ConvKernel::Generic => generic_conv(&mut self.core, memo, li, &job),
                 }
             }
             Op::DepthwiseConv2d(p) => {
                 let cq = self.plans[li].cq.as_ref().expect("dwconv has cq");
                 let job = DwJob { input, output, params: p, cq, data };
+                let memo = self.memo.as_deref();
                 match self.registry.dwconv {
                     DwKernel::Cfu2 { postproc, specialized } => {
                         match kws::depthwise_cfu2(&mut self.core, &job, postproc, specialized) {
                             Err(KernelError::Unsupported(_)) => {
-                                generic::depthwise_conv2d(&mut self.core, &job)
+                                generic_depthwise(&mut self.core, memo, li, &job)
                             }
                             other => other,
                         }
                     }
-                    DwKernel::Generic => generic::depthwise_conv2d(&mut self.core, &job),
+                    DwKernel::Generic => generic_depthwise(&mut self.core, memo, li, &job),
                 }
             }
             Op::FullyConnected(p) => {
@@ -564,5 +589,80 @@ impl Deployment {
                 generic::pad(&mut self.core, input, output, *top, *left, code)
             }
         }
+    }
+}
+
+/// The generic CONV_2D kernel, through `memo` when the deployment shares
+/// one.
+fn generic_conv(
+    core: &mut TimedCore,
+    memo: Option<&LayerMemo>,
+    layer: usize,
+    job: &ConvJob<'_>,
+) -> Result<(), KernelError> {
+    let Some(memo) = memo else { return generic::conv2d(core, job) };
+    let p = job.params;
+    let tensors = (&job.input, &job.output);
+    let key = LayerKey::new(layer, MemoKernel::Conv, tensors, &p.filter, p.stride, p.padding);
+    memo.run_layer(
+        core,
+        key,
+        job.output.shape.h,
+        |core| generic::conv2d_prologue(core, job),
+        |core, rows| generic::conv2d_rows(core, job, rows),
+        |core| write_reference(core, job.input, job.output, |x| reference::conv2d(x, p)),
+    )
+}
+
+/// The generic DEPTHWISE_CONV_2D kernel, through `memo` when the
+/// deployment shares one.
+fn generic_depthwise(
+    core: &mut TimedCore,
+    memo: Option<&LayerMemo>,
+    layer: usize,
+    job: &DwJob<'_>,
+) -> Result<(), KernelError> {
+    let Some(memo) = memo else { return generic::depthwise_conv2d(core, job) };
+    let p = job.params;
+    let tensors = (&job.input, &job.output);
+    let key = LayerKey::new(layer, MemoKernel::Depthwise, tensors, &p.filter, p.stride, p.padding);
+    memo.run_layer(
+        core,
+        key,
+        job.output.shape.h,
+        |core| generic::depthwise_conv2d_prologue(core, job),
+        |core, rows| generic::depthwise_conv2d_rows(core, job, rows),
+        |core| write_reference(core, job.input, job.output, |x| reference::depthwise_conv2d(x, p)),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfu_core::NullCfu;
+    use cfu_mem::Sram;
+
+    #[test]
+    fn a_region_ending_at_4_gib_is_usable_to_its_last_byte() {
+        let model = crate::models::tiny_test_net(1);
+        let mut bus = Bus::new();
+        bus.map("top", 0xFFF0_0000, Sram::new(1 << 20));
+        let cfg = DeployConfig::new(CpuConfig::arty_default(), "top", "top", "top");
+        let mut dep = Deployment::new(model.clone(), bus, Box::new(NullCfu), &cfg).unwrap();
+        let input = crate::models::synthetic_input(&model, 2);
+        let (out, _) = dep.run(&input).unwrap();
+        assert_eq!(out, crate::reference::run_model(&model, &input));
+
+        // Filling the region to its last byte still allocates; one more
+        // word is `RegionFull`, not an overflow.
+        let mut bus = Bus::new();
+        bus.map("top", 0xFFFF_FF00, Sram::new(256));
+        let mut alloc = RegionAlloc::new(&bus, "top").unwrap();
+        assert_eq!(alloc.alloc(252).unwrap(), 0xFFFF_FF00);
+        assert_eq!(alloc.alloc(4).unwrap(), 0xFFFF_FFFC);
+        assert_eq!(
+            alloc.alloc(1),
+            Err(DeployError::RegionFull { region: "top".into(), needed: 260, available: 256 })
+        );
     }
 }

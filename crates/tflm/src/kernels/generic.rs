@@ -8,6 +8,8 @@
 //! there is so much room for the paper's ladder to claw back. The charges
 //! below follow that structure op for op.
 
+use std::ops::Range;
+
 use cfu_core::arith;
 use cfu_sim::TimedCore;
 
@@ -56,7 +58,35 @@ const REF_INNER_TAX: u32 = 14;
 /// Memory faults, or [`KernelError::Unsupported`] never (this kernel
 /// handles every configuration — that is its purpose and its cost).
 pub fn conv2d(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError> {
+    conv2d_prologue(core, job)?;
+    conv2d_rows(core, job, 0..job.output.shape.h)
+}
+
+/// The invocation of [`conv2d`] before its first output row. Running it
+/// and then [`conv2d_rows`] over consecutive bands that cover every
+/// output row issues exactly the op stream of [`conv2d`].
+///
+/// # Errors
+///
+/// Memory faults.
+pub fn conv2d_prologue(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError> {
     core.set_code_region(job.data.code_base, job.data.code_len)?;
+    core.call(8)?; // kernel invocation overhead
+    core.alu(24)?; // parameter unpacking, shape checks
+    Ok(())
+}
+
+/// Output rows `rows` of [`conv2d`], after its
+/// [prologue](conv2d_prologue).
+///
+/// # Errors
+///
+/// Memory faults.
+pub fn conv2d_rows(
+    core: &mut TimedCore,
+    job: &ConvJob<'_>,
+    rows: Range<usize>,
+) -> Result<(), KernelError> {
     let p = job.params;
     let input = job.input;
     let out_shape = job.output.shape;
@@ -64,9 +94,7 @@ pub fn conv2d(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError
     let (_, pad_x) = p.padding.output_and_pad(input.shape.w, p.filter.kw, p.stride);
     let input_offset = -input.quant.zero_point;
     let (act_min, act_max) = p.activation.range(p.out_quant);
-    core.call(8)?; // kernel invocation overhead
-    core.alu(24)?; // parameter unpacking, shape checks
-    for oy in 0..out_shape.h {
+    for oy in rows {
         for ox in 0..out_shape.w {
             for oc in 0..out_shape.c {
                 core.alu(4)?; // loop counters and output offset staging
@@ -127,7 +155,34 @@ pub fn conv2d(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError
 ///
 /// Memory faults.
 pub fn depthwise_conv2d(core: &mut TimedCore, job: &DwJob<'_>) -> Result<(), KernelError> {
+    depthwise_conv2d_prologue(core, job)?;
+    depthwise_conv2d_rows(core, job, 0..job.output.shape.h)
+}
+
+/// The invocation of [`depthwise_conv2d`] before its first output row;
+/// see [`conv2d_prologue`].
+///
+/// # Errors
+///
+/// Memory faults.
+pub fn depthwise_conv2d_prologue(core: &mut TimedCore, job: &DwJob<'_>) -> Result<(), KernelError> {
     core.set_code_region(job.data.code_base, job.data.code_len)?;
+    core.call(8)?;
+    core.alu(24)?;
+    Ok(())
+}
+
+/// Output rows `rows` of [`depthwise_conv2d`], after its
+/// [prologue](depthwise_conv2d_prologue).
+///
+/// # Errors
+///
+/// Memory faults.
+pub fn depthwise_conv2d_rows(
+    core: &mut TimedCore,
+    job: &DwJob<'_>,
+    rows: Range<usize>,
+) -> Result<(), KernelError> {
     let p = job.params;
     let input = job.input;
     let out_shape = job.output.shape;
@@ -135,9 +190,7 @@ pub fn depthwise_conv2d(core: &mut TimedCore, job: &DwJob<'_>) -> Result<(), Ker
     let (_, pad_x) = p.padding.output_and_pad(input.shape.w, p.filter.kw, p.stride);
     let input_offset = -input.quant.zero_point;
     let (act_min, act_max) = p.activation.range(p.out_quant);
-    core.call(8)?;
-    core.alu(24)?;
-    for oy in 0..out_shape.h {
+    for oy in rows {
         for ox in 0..out_shape.w {
             for c in 0..out_shape.c {
                 core.alu(4)?;

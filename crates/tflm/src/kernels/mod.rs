@@ -108,7 +108,7 @@ impl MemTensor {
 
 /// Where a kernel's code and a layer's constant data live in simulated
 /// memory — the deployment plan's per-layer slice.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerData {
     /// Filter weights (OHWI int8).
     pub filter_addr: u32,

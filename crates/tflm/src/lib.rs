@@ -9,6 +9,8 @@
 //!   Figure-6 KWS kernels,
 //! * [`deploy`] — placement of weights/arena/code into simulated memory
 //!   and the inference driver,
+//! * [`memo`] — converged-layer fast-forward for deployments that share
+//!   layers (the Figure 4 ladder's rungs),
 //! * [`profiler`] — per-operator cycle attribution (the "profile" step),
 //! * [`models`] — the MLPerf-Tiny-style model zoo with deterministic
 //!   synthetic weights.
@@ -41,6 +43,7 @@
 pub mod deploy;
 pub mod golden;
 pub mod kernels;
+pub mod memo;
 pub mod model;
 pub mod models;
 pub mod profiler;

@@ -3,7 +3,7 @@
 use crate::tensor::{Bias, Filter, QuantParams, Shape};
 
 /// Spatial padding mode (TFLite semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Padding {
     /// Output is `ceil(in / stride)`; input is padded as needed.
     Same,
