@@ -5,12 +5,17 @@
 //! hit over and over: one capture run per `(workload, CFU)` group, then
 //! many timing siblings scored from the shared trace.
 //!
-//! * `mnv2_*` — MobileNetV2 through `InferenceEvaluator` (the exact
-//!   path a `fig7_dse_pareto` worker pays per point) on an SRAM-backed
-//!   main memory: `execute` deploys and runs the guest, `replay` scores
-//!   the same point from the factory's `TraceStore`, `capture` is the
-//!   one-off recording run. The replayed point retimes the multiplier
-//!   (iterative → single-cycle DSP) against the minimal-CPU capture.
+//! * `mnv2_*` — MobileNetV2 8x8 on an SRAM-backed main memory.
+//!   `execute` deploys and runs the guest through `InferenceEvaluator`,
+//!   `capture` is the one-off recording run. The replayed point retimes
+//!   the multiplier (iterative → single-cycle DSP) against the
+//!   minimal-CPU capture: `replay` is a `TraceReplayer::replay` of it
+//!   with nothing shared (fused core and branch scan, memory pass,
+//!   combine), `memory_pass` the memory pass alone, and
+//!   `replay_profiled` an `InferenceEvaluator` scoring it from a
+//!   `TraceStore` that already holds its geometry's and predictor's
+//!   profiles — the combine, which is all most `fig7_dse_pareto` points
+//!   pay.
 //! * `kws_*` — the Figure-6 KWS ladder at the step level on Fomu
 //!   (`fig6::execute`/`fig6::replay`): capture at `SramOpsAndModel`
 //!   (retime group 1's capture rung), then execute/replay its cacheless
@@ -29,7 +34,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cfu_bench::fig6::{execute, replay, Fig6Step};
 use cfu_core::Resources;
 use cfu_dse::{CfuChoice, DesignPoint, Evaluator, EvaluatorFactory, InferenceEvaluatorFactory};
-use cfu_sim::{CpuConfig, Multiplier};
+use cfu_sim::{CoreProfile, CpuConfig, Multiplier, TraceReplayer};
 use cfu_soc::{Board, MemorySpec};
 use cfu_tflm::models;
 
@@ -79,18 +84,33 @@ fn bench_mnv2(group: &mut criterion::BenchmarkGroup<'_>) {
             std::hint::black_box(eval.evaluate(&replay_point))
         });
     });
-    // Seed one capture, then measure pure replay-mode evaluations
-    // against the shared store.
+    // Seed one capture and one replay of the point, which leaves its
+    // geometry's and predictor's profiles in the shared store.
     let retime_factory = mnv2_factory().with_retime(true);
     retime_factory.make_evaluator().evaluate(&capture_point);
     let replayed = retime_factory.make_evaluator().evaluate(&replay_point);
     assert_eq!(reference.latency, replayed.latency, "retime parity");
+    let store = retime_factory.trace_store().expect("retime on");
+    assert_eq!((store.memory_passes(), store.branch_passes()), (1, 1));
+    let trace = store.slot(CfuChoice::None).get().cloned().flatten().expect("captured");
+    let mut replayer = TraceReplayer::new(replay_point.cpu, sram_board().build_bus(None));
+    let summary = replayer.replay(&trace).expect("replays");
+    assert_eq!(reference.latency, summary.total_cycles(), "retime parity");
     group.bench_function("mnv2_replay", |b| {
+        b.iter(|| std::hint::black_box(replayer.replay(&trace).expect("replays")));
+    });
+    let predictor = replay_point.cpu.branch_predictor;
+    let (core, _) = CoreProfile::scan(&trace, replayer.core().bus(), predictor).expect("scans");
+    group.bench_function("mnv2_memory_pass", |b| {
+        b.iter(|| std::hint::black_box(replayer.memory_pass(&trace, &core).expect("passes")));
+    });
+    group.bench_function("mnv2_replay_profiled", |b| {
         b.iter(|| {
             let mut eval = retime_factory.make_evaluator();
             std::hint::black_box(eval.evaluate(&replay_point))
         });
     });
+    assert_eq!((store.memory_passes(), store.branch_passes()), (1, 1), "combine only");
     group.bench_function("mnv2_capture", |b| {
         b.iter(|| {
             // A fresh store per iteration: this measures the one-off

@@ -80,8 +80,8 @@ fn main() {
     let run = cfu_bench::fig7::run(&args.spec, &cfg);
     if args.spec.retime {
         eprintln!(
-            "retime: {} capture run(s), {} point(s) scored by trace replay",
-            run.captures, run.replays
+            "retime: {} capture run(s), {} point(s) scored by trace replay, {} memory pass(es), {} branch pass(es)",
+            run.captures, run.replays, run.memory_passes, run.branch_passes
         );
     }
     CMD.print_store(&args, &run);

@@ -170,6 +170,12 @@ pub struct Run<R, P> {
     pub captures: u64,
     /// Points scored by trace replay instead of execution.
     pub replays: u64,
+    /// Memory passes those replays shared: one per trace and cache
+    /// geometry.
+    pub memory_passes: u64,
+    /// Fused core-count and branch passes those replays shared: one per
+    /// trace and branch predictor.
+    pub branch_passes: u64,
     /// Layer runs fast-forwarded by a shared layer memo (Figure 4).
     pub fast_forwards: u64,
     /// Guest instructions those fast-forwards skipped.
@@ -195,6 +201,8 @@ impl<R, P> Run<R, P> {
             tombstoned: 0,
             captures: 0,
             replays: 0,
+            memory_passes: 0,
+            branch_passes: 0,
             fast_forwards: 0,
             skipped_instructions: 0,
         };
@@ -206,6 +214,8 @@ impl<R, P> Run<R, P> {
         for trace in traces {
             run.captures += trace.captures();
             run.replays += trace.replays();
+            run.memory_passes += trace.memory_passes();
+            run.branch_passes += trace.branch_passes();
         }
         run
     }
@@ -220,6 +230,8 @@ impl<R, P> Run<R, P> {
             tombstoned: self.tombstoned,
             captures: self.captures,
             replays: self.replays,
+            memory_passes: self.memory_passes,
+            branch_passes: self.branch_passes,
             fast_forwards: self.fast_forwards,
             skipped_instructions: self.skipped_instructions,
         }

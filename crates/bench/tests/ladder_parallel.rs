@@ -78,12 +78,14 @@ fn fig7_matches_golden_and_report_in_every_mode() {
     // one suggest/observe round per curve; 24 cross a round boundary
     // (`SUGGEST_BATCH` = 16), so the second round's replays come from
     // traces captured in the first.
-    // Each golden comes with the replay count the retime run reports.
+    // Each golden comes with the counts the retime run reports: points
+    // replayed, memory passes (one per curve and cache geometry) and
+    // branch passes (one per curve and predictor).
     let goldens = [
-        (8, include_str!("golden/fig7_dse_pareto_trials8_hw8.csv"), 21),
-        (24, include_str!("golden/fig7_dse_pareto_trials24_hw8.csv"), 69),
+        (8, include_str!("golden/fig7_dse_pareto_trials8_hw8.csv"), [21, 18, 12]),
+        (24, include_str!("golden/fig7_dse_pareto_trials24_hw8.csv"), [69, 39, 18]),
     ];
-    for (trials, golden, replays) in goldens {
+    for (trials, golden, [replays, memory_passes, branch_passes]) in goldens {
         let cfg = fig7::Fig7Config { trials, input_hw: 8, ..fig7::Fig7Config::default() };
         let mut report = None;
         for spec in specs(&[false, true]) {
@@ -99,6 +101,10 @@ fn fig7_matches_golden_and_report_in_every_mode() {
             // One capture per curve; timing siblings replay.
             let expected = if spec.retime { (3, replays) } else { (0, 0) };
             assert_eq!((run.captures, run.replays), expected, "{trials} trials, {spec:?}");
+            if spec.retime && spec.threads == 1 {
+                let passes = (run.memory_passes, run.branch_passes);
+                assert_eq!(passes, (memory_passes, branch_passes), "{trials} trials");
+            }
         }
     }
 }

@@ -6,7 +6,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cfu_core::{Cfu, NullCfu, Resources};
-use cfu_sim::{Trace, TraceReplayer};
+use cfu_mem::{CacheConfig, RegionInfo};
+use cfu_sim::{
+    BranchPredictor, BranchProfile, CoreProfile, MemoryProfile, ReplayError, ReplaySummary, Trace,
+    TraceReplayer,
+};
 use cfu_soc::Board;
 use cfu_tflm::deploy::{
     ConvKernel, DeployConfig, DeployError, Deployment, DwKernel, KernelRegistry,
@@ -132,34 +136,100 @@ impl Evaluator for ResourceEvaluator {
 /// capture refused retime-eligibility.
 pub type TraceSlot = Arc<OnceLock<Option<Arc<Trace>>>>;
 
+/// A profile-cache slot: one pass's outcome, computed exactly once.
+type ProfileSlot<T> = Arc<OnceLock<Result<Arc<T>, ReplayError>>>;
+
+/// The slot for `key` in `map`, created empty on first request. The map
+/// lock is held only for the probe, never while a slot fills. Poison
+/// recovery: the map is valid after any unwind (the lock only ever
+/// guards a probe-or-insert), and one panicked worker must not wedge
+/// every later lookup.
+fn probe<Q: Eq + Hash, T>(map: &Mutex<HashMap<Q, Arc<OnceLock<T>>>>, key: Q) -> Arc<OnceLock<T>> {
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(key).or_default())
+}
+
+/// The memory pass's key: trace key, I-cache, D-cache, RVC.
+type Geometry<K> = (K, Option<CacheConfig>, Option<CacheConfig>, bool);
+
+/// What replay profiles computed over a bus depend on: its region map
+/// and, per region, the device's write-latency bound and whether its
+/// timing is stateless.
+type BusSignature = Vec<(RegionInfo, Option<u64>, bool)>;
+
+fn bus_signature(bus: &cfu_mem::Bus) -> BusSignature {
+    bus.regions()
+        .map(|(_, info)| {
+            let bound = bus.write_latency_bound(info.base, 4);
+            (info.clone(), bound, bus.timing_stateless_at(info.base))
+        })
+        .collect()
+}
+
+/// Replay profiles shared by every point replayed from a store's traces
+/// (see [`TraceStore::replay`]).
+#[derive(Debug)]
+struct Profiles<K> {
+    /// The signature of the first bus a replay ran on; profiles are
+    /// valid for that bus only.
+    bus: OnceLock<BusSignature>,
+    core: Mutex<HashMap<K, ProfileSlot<CoreProfile>>>,
+    branches: Mutex<HashMap<(K, BranchPredictor), ProfileSlot<BranchProfile>>>,
+    memory: Mutex<HashMap<Geometry<K>, ProfileSlot<MemoryProfile>>>,
+    memory_passes: AtomicU64,
+    branch_passes: AtomicU64,
+}
+
+impl<K> Default for Profiles<K> {
+    fn default() -> Self {
+        Profiles {
+            bus: OnceLock::new(),
+            core: Mutex::default(),
+            branches: Mutex::default(),
+            memory: Mutex::default(),
+            memory_passes: AtomicU64::new(0),
+            branch_passes: AtomicU64::new(0),
+        }
+    }
+}
+
 /// A shared store of captured operation traces, one per
-/// retime-eligibility key.
+/// retime-eligibility key, and of the replay profiles computed from them.
 ///
 /// Retime-eligible design points share the guest's *architectural*
 /// behaviour — the committed operation stream — and differ only in
 /// *timing* knobs (caches, predictors, functional-unit latencies). The
 /// store runs the guest once per key (capture), then every other point
 /// with the same key replays the shared [`Trace`] through timing-only
-/// machinery at a fraction of the cost.
+/// machinery. [`replay`](TraceStore::replay) shares that work too: one
+/// memory pass per cache geometry and one branch pass per predictor,
+/// after which a point costs only the per-segment combine.
 ///
 /// The store is shared by `Arc` across a
 /// [`ParallelStudy`](crate::ParallelStudy) worker pool: each slot is a
-/// [`OnceLock`], so exactly one worker performs the capture while racing
-/// workers block briefly and then replay. A slot holding `None` records
-/// a capture that *refused* eligibility (the run failed, or the trace is
-/// not retime-safe) — every point under that key falls back to
-/// execute mode.
+/// [`OnceLock`], so exactly one worker performs the capture (or a pass)
+/// while racing workers block briefly and then reuse it. A trace slot
+/// holding `None` records a capture that *refused* eligibility (the run
+/// failed, or the trace is not retime-safe) — every point under that key
+/// falls back to execute mode.
 ///
 /// Keyed by `K` (default [`CfuChoice`], the Figure-7 eligibility key:
 /// for a fixed board/model/input the operation stream depends only on
 /// which CFU's kernels are deployed). Ladder harnesses key by their own
 /// step-group type.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceStore<K = CfuChoice> {
     slots: Mutex<HashMap<K, TraceSlot>>,
     captures_started: AtomicU64,
     captures_finished: AtomicU64,
     replays: AtomicU64,
+    profiles: Profiles<K>,
+}
+
+impl<K: Copy + Eq + Hash> Default for TraceStore<K> {
+    fn default() -> Self {
+        TraceStore::new()
+    }
 }
 
 impl<K: Copy + Eq + Hash> TraceStore<K> {
@@ -170,17 +240,66 @@ impl<K: Copy + Eq + Hash> TraceStore<K> {
             captures_started: AtomicU64::new(0),
             captures_finished: AtomicU64::new(0),
             replays: AtomicU64::new(0),
+            profiles: Profiles::default(),
         }
     }
 
     /// The capture slot for `key`, created empty on first request. The
     /// slot lock is held only for the map probe, never during capture.
     pub fn slot(&self, key: K) -> TraceSlot {
-        // Poison recovery: the map is valid after any unwind (the lock
-        // only ever guards a probe-or-insert), and one panicked worker
-        // must not wedge every later capture lookup.
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(slots.entry(key).or_default())
+        probe(&self.slots, key)
+    }
+
+    /// Replays `trace`, the trace captured under `key`, on `replayer`,
+    /// sharing the passes with every other replay of it: the fused core
+    /// count and branch pass run once per predictor, the memory pass once
+    /// per (I-cache, D-cache) geometry, and each point pays only
+    /// [`TraceReplayer::combine`]. The profiles are bound to the first
+    /// replayer's bus (its region map and each region's device kind, as
+    /// far as the write-latency bound and timing statelessness tell);
+    /// a replayer on any other bus replays on its own
+    /// ([`TraceReplayer::replay`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReplayer::replay`]; a failed pass is cached and fails
+    /// every point that needs it.
+    pub fn replay(
+        &self,
+        key: K,
+        trace: &Trace,
+        replayer: &mut TraceReplayer,
+    ) -> Result<ReplaySummary, ReplayError> {
+        let p = &self.profiles;
+        let bus = bus_signature(replayer.core().bus());
+        if *p.bus.get_or_init(|| bus.clone()) != bus {
+            return replayer.replay(trace);
+        }
+        let cpu = *replayer.core().config();
+        let predictor = cpu.branch_predictor;
+        let scan = |replayer: &TraceReplayer| {
+            p.branch_passes.fetch_add(1, Ordering::Relaxed);
+            CoreProfile::scan(trace, replayer.core().bus(), predictor)
+        };
+        // The first scan of a trace also fills its predictor's branch
+        // slot.
+        let core = probe(&p.core, key)
+            .get_or_init(|| {
+                let (core, branches) = scan(replayer)?;
+                let _ = probe(&p.branches, (key, predictor)).set(Ok(Arc::new(branches)));
+                Ok(Arc::new(core))
+            })
+            .clone()?;
+        let branches = probe(&p.branches, (key, predictor))
+            .get_or_init(|| scan(replayer).map(|(_, branches)| Arc::new(branches)))
+            .clone()?;
+        let memory = probe(&p.memory, (key, cpu.icache, cpu.dcache, cpu.compressed))
+            .get_or_init(|| {
+                p.memory_passes.fetch_add(1, Ordering::Relaxed);
+                replayer.memory_pass(trace, &core).map(Arc::new)
+            })
+            .clone()?;
+        replayer.combine(&core, &branches, &memory)
     }
 
     /// Marks a capture run as started (drives "capturing trace…"
@@ -215,6 +334,18 @@ impl<K: Copy + Eq + Hash> TraceStore<K> {
     pub fn replays(&self) -> u64 {
         self.replays.load(Ordering::Relaxed)
     }
+
+    /// Memory passes [`replay`](TraceStore::replay) ran: one per trace
+    /// and cache geometry.
+    pub fn memory_passes(&self) -> u64 {
+        self.profiles.memory_passes.load(Ordering::Relaxed)
+    }
+
+    /// Fused core-count and branch passes [`replay`](TraceStore::replay)
+    /// ran: one per trace and branch predictor.
+    pub fn branch_passes(&self) -> u64 {
+        self.profiles.branch_passes.load(Ordering::Relaxed)
+    }
 }
 
 /// The real evaluator: deploys the workload on the simulated SoC and
@@ -226,7 +357,10 @@ impl<K: Copy + Eq + Hash> TraceStore<K> {
 /// [`InferenceEvaluator::set_trace_store`]) the evaluator runs the
 /// guest once per [`CfuChoice`] and serves every other point under that
 /// choice by replaying the captured trace through timing-only machinery
-/// — same results, a fraction of the per-point cost.
+/// — same results. A replayed point costs one memory pass when its cache
+/// geometry is new to the store, one branch pass when its predictor is,
+/// and otherwise only the per-segment combine (well under a
+/// millisecond).
 pub struct InferenceEvaluator {
     board: Board,
     model: Arc<Model>,
@@ -363,12 +497,13 @@ impl InferenceEvaluator {
     }
 
     /// Replays a captured trace under `point`'s *timing* configuration:
-    /// a fresh board bus (contents are irrelevant to timing), a
-    /// [`TraceReplayer`] with the point's CPU knobs, and the same energy
-    /// model over the replayed core. `None` on replay error (caller
-    /// falls back to execute mode).
+    /// a recycled board bus (contents are irrelevant to timing), a
+    /// [`TraceReplayer`] with the point's CPU knobs sharing `store`'s
+    /// replay profiles, and the same energy model over the replayed core.
+    /// `None` on replay error (caller falls back to execute mode).
     fn replay_point(
         &mut self,
+        store: &TraceStore,
         point: &DesignPoint,
         resources: Resources,
         trace: &Trace,
@@ -376,7 +511,7 @@ impl InferenceEvaluator {
         let bus = self.replay_bus.take().unwrap_or_else(|| self.board.build_bus(None));
         let params = cfu_sim::energy::default_params_for(&point.cpu);
         let mut replayer = TraceReplayer::new(point.cpu, bus);
-        let result = replayer.replay(trace);
+        let result = store.replay(point.cfu, trace, &mut replayer);
         let out = result.ok().map(|summary| {
             let e = cfu_sim::energy::estimate_core(replayer.core(), resources, &params);
             (summary.total_cycles(), e.total_uj())
@@ -422,7 +557,7 @@ impl InferenceEvaluator {
             return own;
         }
         if let Some(trace) = shared {
-            if let Some(replayed) = self.replay_point(point, resources, &trace) {
+            if let Some(replayed) = self.replay_point(store, point, resources, &trace) {
                 store.note_replay();
                 return Ok(replayed);
             }
@@ -591,6 +726,130 @@ mod tests {
         assert_eq!(store.captures(), 3);
         assert_eq!(store.capturing(), 0);
         assert!(store.replays() > 0, "replay path never taken");
+    }
+
+    /// Everything a replay must reproduce of an execute-mode run: core
+    /// statistics, per-layer cycles, per-region traffic, both caches'
+    /// statistics and the energy estimate's bits.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        stats: cfu_sim::TlmStats,
+        layers: Vec<u64>,
+        regions: Vec<cfu_mem::DeviceStats>,
+        icache: Option<cfu_mem::CacheStats>,
+        dcache: Option<cfu_mem::CacheStats>,
+        energy_bits: u64,
+    }
+
+    fn observe(core: &cfu_sim::TimedCore, point: &DesignPoint, layers: Vec<u64>) -> Observed {
+        let resources = point.resources() + cfu_soc::SocFeatures::default().resources();
+        let params = cfu_sim::energy::default_params_for(&point.cpu);
+        let energy = cfu_sim::energy::estimate_core(core, resources, &params);
+        Observed {
+            stats: core.stats(),
+            layers,
+            regions: core.bus().regions().map(|(id, _)| core.bus().stats(id)).collect(),
+            icache: core.icache_stats(),
+            dcache: core.dcache_stats(),
+            energy_bits: energy.total_uj().to_bits(),
+        }
+    }
+
+    /// Runs `point` in execute mode on MobileNetV2 8x8 over the Arty
+    /// board, capturing its trace when asked.
+    fn execute(
+        eval: &InferenceEvaluator,
+        point: &DesignPoint,
+        capture: bool,
+    ) -> (Observed, Option<Trace>) {
+        let (_, cfu) = InferenceEvaluator::kernels_for(point.cfu);
+        let bus = eval.board.build_bus(None);
+        let mut dep =
+            Deployment::new(Arc::clone(&eval.model), bus, cfu, &eval.deploy_config(point))
+                .expect("MobileNetV2 8x8 deploys on Arty");
+        let (profile, trace) = if capture {
+            let (_, profile, trace) = dep.run_captured(&eval.input).expect("capture runs");
+            (profile, Some(trace))
+        } else {
+            (dep.run(&eval.input).expect("execute runs").1, None)
+        };
+        let layers = profile.entries().iter().map(|l| l.cycles).collect();
+        (observe(dep.core(), point, layers), trace)
+    }
+
+    fn mnv2_evaluator() -> InferenceEvaluator {
+        let model = models::mobilenet_v2(8, 2, 1);
+        let input = models::synthetic_input(&model, 5);
+        InferenceEvaluator::new(cfu_soc::Board::arty_a7_35t(), model, input)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+        /// For random paper-scale points of every CFU choice, replaying
+        /// the CFU's trace with shared profiles, replaying it on its own
+        /// and executing the point agree on everything observable. The
+        /// second point of each pair reuses the first one's cache
+        /// geometry, so its memory profile comes from the store.
+        #[test]
+        fn shared_replay_equals_one_shot_replay_and_execution(
+            picks in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 3..4)
+        ) {
+            let eval = mnv2_evaluator();
+            let space = DesignSpace::paper_scale();
+            let store = TraceStore::new();
+            let choices = [CfuChoice::None, CfuChoice::Cfu1, CfuChoice::Cfu2];
+            for (choice, &(a, b)) in choices.into_iter().zip(&picks) {
+                let capture = DesignPoint { cpu: cfu_sim::CpuConfig::arty_default(), cfu: choice };
+                let trace = execute(&eval, &capture, true).1.expect("captured");
+                let first = DesignPoint { cfu: choice, ..space.point(space.random_index(a)) };
+                let second = space.point(space.random_index(b)).cpu;
+                let second = DesignPoint {
+                    cpu: cfu_sim::CpuConfig { icache: first.cpu.icache, dcache: first.cpu.dcache, ..second },
+                    cfu: choice,
+                };
+                for point in [first, second] {
+                    let executed = execute(&eval, &point, false).0;
+                    let mut one_shot = TraceReplayer::new(point.cpu, eval.board.build_bus(None));
+                    let alone = one_shot.replay(&trace).expect("one-shot replay");
+                    let mut shared = TraceReplayer::new(point.cpu, eval.board.build_bus(None));
+                    let summary = store.replay(choice, &trace, &mut shared).expect("shared replay");
+                    proptest::prop_assert_eq!(&summary, &alone, "{:?}", point);
+                    let what = format!("{point:?}");
+                    proptest::prop_assert_eq!(
+                        &observe(one_shot.core(), &point, alone.layer_cycles()), &executed, "{}", what
+                    );
+                    proptest::prop_assert_eq!(
+                        &observe(shared.core(), &point, summary.layer_cycles()), &executed, "{}", what
+                    );
+                }
+            }
+            // The second point of every pair reused the first's geometry.
+            proptest::prop_assert_eq!(store.memory_passes(), 3);
+        }
+    }
+
+    #[test]
+    fn profiles_bind_to_the_first_bus() {
+        let eval = mnv2_evaluator();
+        let point = DesignPoint { cpu: cfu_sim::CpuConfig::arty_default(), cfu: CfuChoice::None };
+        let trace = execute(&eval, &point, true).1.expect("captured");
+        let store = TraceStore::new();
+        let mut arty = TraceReplayer::new(point.cpu, eval.board.build_bus(None));
+        let on_arty = store.replay(point.cfu, &trace, &mut arty).expect("replays on Arty");
+        // The same address map with SRAM as main memory: the Arty
+        // profiles do not describe it, so the store replays it alone.
+        let mut sram_main = cfu_soc::Board::arty_a7_35t();
+        for memory in &mut sram_main.memories {
+            if let cfu_soc::MemorySpec::Ddr3 { name, base, size } = *memory {
+                *memory = cfu_soc::MemorySpec::Sram { name, base, size };
+            }
+        }
+        let mut other = TraceReplayer::new(point.cpu, sram_main.build_bus(None));
+        let shared = store.replay(point.cfu, &trace, &mut other).expect("replays on SRAM");
+        let alone = TraceReplayer::new(point.cpu, sram_main.build_bus(None)).replay(&trace);
+        assert_eq!(Ok(&shared), alone.as_ref());
+        assert_ne!(shared, on_arty);
+        assert_eq!((store.memory_passes(), store.branch_passes()), (1, 1));
     }
 
     #[test]

@@ -1108,7 +1108,7 @@ mod tests {
         EvalResult {
             latency: 1000 + salt,
             resources: Resources { luts: 10, ffs: 20, brams: 1, dsps: 2 },
-            fits: salt % 2 == 0,
+            fits: salt.is_multiple_of(2),
             energy_uj: 0.5 + salt as f64,
             aux: salt.wrapping_mul(3),
         }

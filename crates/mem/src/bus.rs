@@ -447,6 +447,15 @@ impl Bus {
         self.regions.iter().find(|m| m.info.contains(addr)).is_some_and(|m| m.timing_stateless)
     }
 
+    /// [`BusDevice::write_latency_bound`] of the device that a write of
+    /// `len` bytes at `addr` reaches: an upper bound on the cycles that
+    /// [`write`](Bus::write) can return for it. `None` when the device
+    /// claims no bound or `addr` is unmapped.
+    pub fn write_latency_bound(&self, addr: u32, len: u32) -> Option<u64> {
+        let m = self.regions.iter().find(|m| m.info.contains(addr))?;
+        m.slot.dev_ref().write_latency_bound(len)
+    }
+
     /// The region containing `addr`, if any.
     pub fn region_at(&self, addr: u32) -> Option<RegionId> {
         self.regions.iter().position(|m| m.info.contains(addr)).map(RegionId)

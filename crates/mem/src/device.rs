@@ -121,6 +121,16 @@ pub trait BusDevice: fmt::Debug {
         (self.timing_partition_mask(offset, span), offset.saturating_add(span))
     }
 
+    /// An upper bound on the cycles [`write`](Self::write) returns for
+    /// any in-bounds write of `len` bytes (1, 2 or 4), whatever the
+    /// offset and the timing state. Trace replay uses it to prove that a
+    /// store finds the write buffer already drained. The default, `None`,
+    /// claims no bound; every buffered store to such a device is then
+    /// timed exactly.
+    fn write_latency_bound(&self, _len: u32) -> Option<u64> {
+        None
+    }
+
     /// Resets timing-related state (sequential-burst trackers, open rows)
     /// without touching contents. Called between measured runs.
     fn reset_timing(&mut self) {}

@@ -183,6 +183,16 @@ impl BusDevice for Ddr3 {
         (mask, hold_end)
     }
 
+    fn write_latency_bound(&self, len: u32) -> Option<u64> {
+        // A row miss is the worst a write can meet; beats past the first
+        // add `per_beat` each, exactly as `access_cycles` charges them.
+        let beats = u64::from(len.div_ceil(4));
+        Some(
+            self.timing.row_miss.max(self.timing.row_hit)
+                + beats.saturating_sub(1) * self.timing.per_beat,
+        )
+    }
+
     fn reset_timing(&mut self) {
         self.open_rows.fill(None);
     }

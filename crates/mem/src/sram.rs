@@ -77,6 +77,10 @@ impl BusDevice for Sram {
         self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         Ok(())
     }
+
+    fn write_latency_bound(&self, len: u32) -> Option<u64> {
+        Some(self.access_cycles * u64::from(len.div_ceil(4)))
+    }
 }
 
 #[cfg(test)]

@@ -111,6 +111,42 @@ proptest! {
         prop_assert!(second <= first, "repeat read slower: {second} > {first}");
     }
 
+    /// No DDR3 or SRAM write costs more than the device's write-latency
+    /// bound, whatever the offset, the width and the open rows left by
+    /// earlier reads and writes.
+    #[test]
+    fn writes_never_exceed_their_latency_bound(
+        history in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..24),
+        writes in proptest::collection::vec((any::<u32>(), 0usize..3), 1..24),
+        latency in 1u64..4,
+    ) {
+        use cfu_mem::{BusDevice, Ddr3Timing};
+        let size = 1u32 << 20;
+        let mut bus = Bus::new();
+        bus.map("ddr", 0, Ddr3::new(size));
+        bus.map("sram", size, Sram::with_latency(size, latency));
+        let mut b = [0u8; 4];
+        for &(off, write) in &history {
+            // Leaves rows open across the banks.
+            let off = off % (2 * size - 4);
+            if write {
+                bus.write(off, &b).unwrap();
+            } else {
+                bus.read(off, &mut b).unwrap();
+            }
+        }
+        for &(off, width) in &writes {
+            let len = [1usize, 2, 4][width];
+            let off = off % (2 * size - 4);
+            let bound = bus.write_latency_bound(off, len as u32).expect("both devices bound writes");
+            let cycles = bus.write(off, &b[..len]).unwrap();
+            prop_assert!(cycles <= bound, "{len}-byte write at {off:#x}: {cycles} > {bound}");
+        }
+        prop_assert_eq!(Ddr3::new(64).write_latency_bound(4), Some(Ddr3Timing::default().row_miss));
+        prop_assert_eq!(Sram::with_latency(64, latency).write_latency_bound(2), Some(latency));
+        prop_assert_eq!(bus.write_latency_bound(2 * size, 4), None, "unmapped");
+    }
+
     /// Bus routing: any address inside a mapped region reads back what a
     /// direct poke installed; unmapped addresses fault.
     #[test]

@@ -126,6 +126,18 @@ impl PredictorState {
         correct
     }
 
+    /// Predicts and then trains one branch, returning `(mispredicted,
+    /// redirect)`: `redirect` marks a correctly predicted taken branch
+    /// whose target was not known, which still pays a one-cycle bubble.
+    /// The TLM's branch charge and the trace-replay branch pass share
+    /// it.
+    #[inline]
+    pub(crate) fn resolve(&mut self, pc: u32, offset: i32, taken: bool) -> (bool, bool) {
+        let prediction = self.predict(pc, offset);
+        let correct = self.update(pc, prediction, taken);
+        (!correct, correct & taken & !prediction.target_known)
+    }
+
     /// (correct, incorrect) prediction counts.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

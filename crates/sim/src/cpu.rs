@@ -20,6 +20,7 @@ use crate::retime::{
     hazard_penalty, IssRecorder, IssTrace, TimingModel, K_BRANCH, K_CFU, K_DIV, K_JAL, K_JALR,
     K_LOAD, K_MUL, K_SHIFT, K_SIMPLE, K_STORE,
 };
+use crate::timed_core::buffer_store;
 
 /// Addresses at or above this bypass the caches (peripheral/CSR space,
 /// matching the LiteX CSR region placement).
@@ -195,9 +196,6 @@ impl fmt::Debug for Cpu {
             .finish_non_exhaustive()
     }
 }
-
-/// Depth of the store write buffer.
-const WRITE_BUFFER_DEPTH: usize = 4;
 
 impl Cpu {
     /// Creates a CPU over `bus` with no CFU attached.
@@ -626,26 +624,14 @@ impl Cpu {
         Ok(())
     }
 
-    /// Write-through, no-write-allocate, 4-deep write buffer: the store
-    /// timing of [`Cpu::data_write`] once the device latency is known.
+    /// Write-through, no-write-allocate, 4-deep write buffer (the one
+    /// [`buffer_store`] model): the store timing of [`Cpu::data_write`]
+    /// once the device latency is known.
     /// Shared with the timing-only [`TimingModel::store_timing`] replay
     /// path.
     fn drain_store(&mut self, device_cycles: u64) {
-        let now = self.stats.cycles;
-        while let Some(&front) = self.write_buffer.front() {
-            if front <= now {
-                self.write_buffer.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.write_buffer.len() >= WRITE_BUFFER_DEPTH {
-            let front = self.write_buffer.pop_front().expect("nonempty");
-            self.charge(front - now); // stall until a slot drains
-        }
-        let start = self.write_buffer.back().copied().unwrap_or(self.stats.cycles);
-        self.write_buffer.push_back(start.max(self.stats.cycles) + device_cycles);
-        self.charge(1);
+        let charged = buffer_store(&mut self.write_buffer, self.stats.cycles, device_cycles);
+        self.charge(charged);
     }
 
     fn check_align(&self, pc: u32, addr: u32, len: u32) -> Result<u32, SimError> {

@@ -50,7 +50,7 @@ pub use bpred::{Prediction, PredictorState};
 pub use config::{BranchPredictor, CpuConfig, Divider, Multiplier, Shifter};
 pub use cpu::{syscall, Cpu, CpuStats, SimError, StopReason, UNCACHED_BASE};
 pub use retime::{
-    replay_iss, IssTrace, ReplayError, ReplaySummary, TimingModel, Trace, TraceDecodeError,
-    TraceReplayer,
+    replay_iss, BranchProfile, CoreProfile, IssTrace, MemoryProfile, ReplayError, ReplaySummary,
+    TimingModel, Trace, TraceDecodeError, TraceReplayer,
 };
 pub use timed_core::{TimedCore, TlmStats};

@@ -21,7 +21,7 @@
 //!   layer cycle profile are bit-identical to an execute-mode run under
 //!   the replayed configuration.
 //!
-//! The exactness argument rests on three properties, each pinned by
+//! The exactness argument rests on four properties, each pinned by
 //! tests here or in `cfu-mem`:
 //!
 //! 1. [`cfu_mem::Bus::read_cost`] evolves routing, statistics and device
@@ -56,19 +56,30 @@
 //! 3. Store timing is value-independent (device write latency does not
 //!    depend on the data), so replay writes zeros through the same
 //!    write-buffer model and nobody ever reads the replay bus's contents.
+//! 4. Memory-side timing state — cache tags and LRU, DRAM open rows, the
+//!    flash burst tracker — never reads the cycle counter. So a replay
+//!    splits into a memory pass per cache geometry ([`MemoryProfile`]),
+//!    a core count and a branch pass per predictor ([`CoreProfile`],
+//!    [`BranchProfile`]), and a per-segment combine. The write buffer is
+//!    their one coupling: it drains against the live cycle counter. The
+//!    combine runs it at every store where it may still hold a write,
+//!    and a store that provably finds it drained costs one issue cycle
+//!    wherever it falls in its segment.
 //!
 //! The [`TimingModel`] trait is the factored timing surface: the live
-//! ISS `Cpu`, the abstract `TimedCore`, and the `TraceReplayer` all
-//! implement it, and [`replay_iss`] drives any of them from a captured
-//! ISS instruction trace ([`IssTrace`]).
+//! ISS `Cpu` and the abstract `TimedCore` implement it, and
+//! [`replay_iss`] drives either of them from a captured ISS instruction
+//! trace ([`IssTrace`]).
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use cfu_mem::{Cache, MemError};
+use cfu_mem::{Cache, CacheConfig, CacheStats, MemError};
 
-use crate::config::CpuConfig;
+use crate::bpred::PredictorState;
+use crate::config::{BranchPredictor, CpuConfig};
 use crate::cpu::UNCACHED_BASE;
-use crate::timed_core::{lines_in_distinct_sets, FetchWalk, TimedCore, TlmStats};
+use crate::timed_core::{buffer_store, lines_in_distinct_sets, FetchWalk, TimedCore, TlmStats};
 
 /// Op-word tags (low 4 bits of each packed `u64`).
 const TAG_REGION: u64 = 0;
@@ -151,11 +162,6 @@ impl Trace {
     /// `compressed` flag).
     pub fn compressed(&self) -> bool {
         self.compressed
-    }
-
-    /// Number of layer marks recorded.
-    pub fn marks(&self) -> u32 {
-        self.marks
     }
 
     /// Serializes the trace: magic, version, flags, mark count, op
@@ -1006,10 +1012,337 @@ impl ReplaySummary {
     }
 }
 
+/// The cheapest multiply any [`CpuConfig`] charges (a single-cycle
+/// multiplier).
+const MIN_MUL_CYCLES: u64 = 1;
+/// The cheapest divide any [`CpuConfig`] charges (the iterative divider).
+const MIN_DIV_CYCLES: u64 = 34;
+/// The cheapest pipeline refill any [`CpuConfig`] charges.
+const MIN_REFILL: u64 = 1;
+
+/// What closes a segment of a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SegmentEnd {
+    /// A cached store the write buffer may still hold a write at (or the
+    /// last store before such a one): the combine times it exactly.
+    Store,
+    /// A layer mark: the combine samples the cycle counter.
+    Mark,
+    /// The end of the trace.
+    End,
+}
+
+/// Core-side work of one segment: everything its cycle count needs
+/// besides memory timing and branch outcomes, summed over its ops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CoreCounts {
+    /// Cycles no timing knob changes: ALU ops, each branch's issue
+    /// cycle, call overhead besides the refill, CFU latency and the
+    /// issue cycle of every store merged into the segment.
+    fixed: u64,
+    muls: u64,
+    divs: u64,
+    shifts: u64,
+    /// Σ shift amounts: an iterative shifter pays one cycle per bit.
+    shamt: u64,
+    /// Calls; each pays one pipeline refill.
+    calls: u64,
+    branches: u64,
+    cfu_ops: u64,
+}
+
+impl CoreCounts {
+    /// The fewest cycles these ops cost under any [`CpuConfig`], memory
+    /// cycles counted as zero.
+    fn min_cycles(&self) -> u64 {
+        self.fixed
+            + self.muls * MIN_MUL_CYCLES
+            + self.divs * MIN_DIV_CYCLES
+            + self.shifts
+            + self.calls * MIN_REFILL
+    }
+}
+
+/// Branch outcomes of one segment under one predictor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BranchCounts {
+    mispredicts: u64,
+    /// Correctly predicted taken branches whose target was unknown: one
+    /// redirect cycle each.
+    bubbles: u64,
+}
+
+impl std::ops::AddAssign for CoreCounts {
+    fn add_assign(&mut self, o: CoreCounts) {
+        self.fixed += o.fixed;
+        self.muls += o.muls;
+        self.divs += o.divs;
+        self.shifts += o.shifts;
+        self.shamt += o.shamt;
+        self.calls += o.calls;
+        self.branches += o.branches;
+        self.cfu_ops += o.cfu_ops;
+    }
+}
+
+impl std::ops::AddAssign for BranchCounts {
+    fn add_assign(&mut self, o: BranchCounts) {
+        self.mispredicts += o.mispredicts;
+        self.bubbles += o.bubbles;
+    }
+}
+
+/// The counts of a run of ops: what the fused scan accumulates.
+type Counts = (CoreCounts, BranchCounts);
+
+/// The segmentation of a trace over one bus, with the core-side counts
+/// of every segment: the part of a replay that depends on neither the
+/// caches nor the branch predictor nor any latency knob.
+///
+/// Segments end at layer marks and at the cached stores where the write
+/// buffer may still hold a write; every other cached store is *quiet*
+/// and merges into its segment as one issue cycle (see
+/// [`scan`](CoreProfile::scan)). Built together with a
+/// [`BranchProfile`] by one fused scan; combined with a
+/// [`MemoryProfile`] by [`TraceReplayer::combine`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoreProfile {
+    ends: Vec<SegmentEnd>,
+    counts: Vec<CoreCounts>,
+    /// Word index of every store that ends a segment, in trace order.
+    store_words: Vec<usize>,
+}
+
+/// Per-segment branch outcomes of a trace under one predictor (the
+/// branch pass).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BranchProfile {
+    predictor: BranchPredictor,
+    counts: Vec<BranchCounts>,
+}
+
+/// Per-segment memory cycles of a trace under one bus and one (I-cache,
+/// D-cache) geometry, with the device cycles of every store that ends a
+/// segment and the run's bus and cache statistics (the memory pass).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemoryProfile {
+    icache: Option<CacheConfig>,
+    dcache: Option<CacheConfig>,
+    compressed: bool,
+    /// Memory cycles per segment: fetches, loads, uncached stores.
+    cycles: Vec<u64>,
+    /// Device write cycles of each segment-ending store.
+    store_cycles: Vec<u64>,
+    /// Instructions, loads and stores of the run.
+    stats: TlmStats,
+    regions: Vec<cfu_mem::DeviceStats>,
+    icache_stats: Option<CacheStats>,
+    dcache_stats: Option<CacheStats>,
+}
+
+/// Builds a [`CoreProfile`] while the fused scan walks a trace, from the
+/// counts of the ops between consecutive cached stores and marks.
+///
+/// A cached store is quiet when the write buffer is provably empty at
+/// it. `bound` is an upper bound `U` on how long after the previous
+/// cached store's issue the buffer's last write completes. The gap is
+/// the fewest cycles that can have elapsed since that issue: 1 for the
+/// issue itself plus the cheapest core cost of every op since
+/// ([`CoreCounts::min_cycles`]; memory cycles count as zero). The store
+/// is quiet when `U ≤ gap`; then `U ← max(U − gap, 0) + W`, with `W` the
+/// device's write-latency bound (`None`, no bound, makes every later
+/// cached store a boundary).
+///
+/// A quiet store still leaves its own write in the buffer, which the
+/// next store can meet if that one is not quiet. So the latest quiet
+/// store stays *pending*: it merges into its segment (one issue cycle)
+/// once the next cached store proves quiet too or the trace ends, and
+/// becomes a boundary when the next one is not, or when a mark closes
+/// the segment first.
+struct Segmenter {
+    profile: CoreProfile,
+    branches: Vec<BranchCounts>,
+    /// Counts up to and including the pending store.
+    closed: Counts,
+    pending: Option<usize>,
+    bound: Option<u64>,
+    /// Cheapest core cycles since the last cached store, up to the last
+    /// mark.
+    carry: u64,
+}
+
+impl Segmenter {
+    fn new() -> Self {
+        Segmenter {
+            profile: CoreProfile { ends: Vec::new(), counts: Vec::new(), store_words: Vec::new() },
+            branches: Vec::new(),
+            closed: Counts::default(),
+            pending: None,
+            bound: Some(0),
+            carry: 0,
+        }
+    }
+
+    fn emit(&mut self, (core, branch): Counts, end: SegmentEnd) {
+        self.profile.ends.push(end);
+        self.profile.counts.push(core);
+        self.branches.push(branch);
+    }
+
+    /// Closes the pending store as a segment boundary.
+    fn close_pending(&mut self) {
+        if let Some(word) = self.pending.take() {
+            let closed = std::mem::take(&mut self.closed);
+            self.emit(closed, SegmentEnd::Store);
+            self.profile.store_words.push(word);
+        }
+    }
+
+    /// A store below [`UNCACHED_BASE`] at word `word`, after the ops
+    /// counted in `open`, to a device that bounds its write latency by
+    /// `bound` cycles.
+    fn cached_store(&mut self, word: usize, bound: Option<u64>, open: Counts) {
+        let gap = 1 + std::mem::take(&mut self.carry) + open.0.min_cycles();
+        if self.bound.is_some_and(|u| u <= gap) {
+            if self.pending.is_some() {
+                // This store found the buffer drained: the pending one's
+                // write never mattered.
+                self.closed.0.fixed += 1;
+            }
+            self.closed.0 += open.0;
+            self.closed.1 += open.1;
+            self.pending = Some(word);
+        } else {
+            self.close_pending();
+            self.emit(open, SegmentEnd::Store);
+            self.profile.store_words.push(word);
+        }
+        self.bound = self.bound.zip(bound).map(|(u, w)| u.saturating_sub(gap) + w);
+    }
+
+    /// A layer mark after the ops counted in `open`.
+    fn mark(&mut self, open: Counts) {
+        self.carry += open.0.min_cycles();
+        self.close_pending();
+        self.emit(open, SegmentEnd::Mark);
+    }
+
+    /// The end of the trace after the ops counted in `open`.
+    fn finish(
+        mut self,
+        mut open: Counts,
+        predictor: BranchPredictor,
+    ) -> (CoreProfile, BranchProfile) {
+        if self.pending.take().is_some() {
+            open.0 += self.closed.0;
+            open.0.fixed += 1;
+            open.1 += self.closed.1;
+        }
+        self.emit(open, SegmentEnd::End);
+        (self.profile, BranchProfile { predictor, counts: self.branches })
+    }
+}
+
+impl CoreProfile {
+    /// The core count and the branch pass of `trace`, fused into one
+    /// scan: segments the trace against `bus`'s write-latency bounds
+    /// ([`cfu_mem::Bus::write_latency_bound`]), sums each segment's
+    /// core-side work, and runs `predictor` over its branches.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Mismatch`] on a truncated or unknown record.
+    pub fn scan(
+        trace: &Trace,
+        bus: &cfu_mem::Bus,
+        predictor: BranchPredictor,
+    ) -> Result<(CoreProfile, BranchProfile), ReplayError> {
+        let mut seg = Segmenter::new();
+        let mut bpred = PredictorState::new(predictor);
+        // The ops since the last cached store or mark, kept in locals so
+        // the per-op adds stay in registers.
+        let (mut core, mut branch) = Counts::default();
+        let ops = trace.ops();
+        let mut i = 0;
+        while i < ops.len() {
+            let w = ops[i];
+            match w & 0xF {
+                TAG_REGION => {
+                    if i + 1 == ops.len() {
+                        return Err(ReplayError::Mismatch("truncated region record"));
+                    }
+                    i += 1;
+                }
+                TAG_ALU => core.fixed += w >> 8,
+                TAG_MUL => core.muls += 1,
+                TAG_DIV => core.divs += 1,
+                TAG_SHIFT => {
+                    core.shifts += 1;
+                    core.shamt += w >> 8;
+                }
+                TAG_BRANCH => {
+                    let taken = w >> 4 & 1 != 0;
+                    let offset = if w >> 5 & 1 != 0 { -4 } else { 4 };
+                    let pc = ((w >> 8) as u32).wrapping_mul(4);
+                    let (mispredicted, redirect) = bpred.resolve(pc, offset, taken);
+                    core.fixed += 1;
+                    core.branches += 1;
+                    branch.mispredicts += u64::from(mispredicted);
+                    branch.bubbles += u64::from(redirect);
+                }
+                TAG_CALL => {
+                    core.fixed += 3 + 2 * (w >> 8);
+                    core.calls += 1;
+                }
+                TAG_LOAD | TAG_PEEK => {}
+                TAG_STORE => {
+                    let addr = (w >> 8) as u32;
+                    if addr < UNCACHED_BASE {
+                        let bound = bus.write_latency_bound(addr, (w >> 4 & 0xF) as u32);
+                        let open = (std::mem::take(&mut core), std::mem::take(&mut branch));
+                        seg.cached_store(i, bound, open);
+                    }
+                }
+                TAG_CFU => {
+                    core.fixed += w >> 8;
+                    core.cfu_ops += 1;
+                }
+                TAG_CFU_HIDDEN => core.cfu_ops += 1,
+                TAG_MARK => seg.mark((std::mem::take(&mut core), std::mem::take(&mut branch))),
+                _ => return Err(ReplayError::Mismatch("unknown op tag")),
+            }
+            i += 1;
+        }
+        Ok(seg.finish((core, branch), predictor))
+    }
+
+    /// Number of segments.
+    pub fn segments(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Number of stores timed exactly by the combine (those ending a
+    /// segment); every other cached store merged into its segment.
+    pub fn boundary_stores(&self) -> usize {
+        self.store_words.len()
+    }
+}
+
 /// Streams a captured [`Trace`] through only the timing machinery of a
 /// [`TimedCore`]: caches, branch predictor, bus wait states, CFU
 /// latencies. No functional work happens — the replay bus needs mapped
 /// regions (for routing and device timing) but no model weights.
+///
+/// A replay is three exact passes and a combine. Memory-side timing
+/// state (cache tags and LRU, DRAM open rows, the flash burst tracker)
+/// never reads the cycle counter, so the [memory pass](Self::memory_pass)
+/// depends only on the trace, the bus and the cache geometry; the core
+/// count and the branch pass ([`CoreProfile::scan`]) depend only on the
+/// trace and the predictor; and the [combine](Self::combine) prices each
+/// segment under the point's latency knobs, running the write buffer —
+/// the one coupling between the two sides — at the segment-ending
+/// stores. [`replay`](Self::replay) runs all of them; a caller scoring
+/// many points over one trace shares the profiles instead.
 ///
 /// # Example
 ///
@@ -1056,14 +1389,15 @@ impl TraceReplayer {
 
     /// Consumes the replayer, returning the underlying bus so the next
     /// replay over the same board mapping can reuse the mapped devices
-    /// instead of rebuilding them. [`replay`](TraceReplayer::replay)
-    /// resets statistics and device timing up front, so a reused bus is
-    /// timing-equivalent to a fresh one.
+    /// instead of rebuilding them. Every pass resets statistics and
+    /// device timing up front, so a reused bus is timing-equivalent to a
+    /// fresh one.
     pub fn into_bus(self) -> cfu_mem::Bus {
         self.core.into_bus()
     }
 
-    /// Replays `trace`, resetting statistics first.
+    /// Replays `trace`, resetting statistics first: the fused core and
+    /// branch scan, the memory pass and the combine, with nothing shared.
     ///
     /// # Errors
     ///
@@ -1071,6 +1405,26 @@ impl TraceReplayer {
     /// with the replay configuration or the stream is internally
     /// inconsistent; [`ReplayError::Mem`] on bus faults (wrong board).
     pub fn replay(&mut self, trace: &Trace) -> Result<ReplaySummary, ReplayError> {
+        let (core, branches) =
+            CoreProfile::scan(trace, &self.core.bus, self.core.config.branch_predictor)?;
+        let memory = self.memory_pass(trace, &core)?;
+        self.combine(&core, &branches, &memory)
+    }
+
+    /// The memory pass: streams `trace` through the caches and bus
+    /// devices of this replayer's geometry with every core-side charge
+    /// left out, recording each of `core`'s segments' memory cycles.
+    /// Leaves the core's bus and cache statistics as the run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`replay`](Self::replay); also [`ReplayError::Mismatch`] when
+    /// `core` was not scanned from `trace`.
+    pub fn memory_pass(
+        &mut self,
+        trace: &Trace,
+        profile: &CoreProfile,
+    ) -> Result<MemoryProfile, ReplayError> {
         if trace.compressed() != self.core.config.compressed {
             return Err(ReplayError::Mismatch("trace captured under a different RVC setting"));
         }
@@ -1087,7 +1441,6 @@ impl TraceReplayer {
             m_used: 0,
             memo: RunMemo::new(),
         };
-        let mut mark_cycles = Vec::with_capacity(trace.marks() as usize);
         // Per-region lookup table: pending fetches only ever touch the
         // *code* device, so a load (or peek) commutes with the deferred
         // backlog unless it lands on that same device with stateful
@@ -1097,54 +1450,29 @@ impl TraceReplayer {
         // The device(s) behind the active code region. `Ideal` (no
         // region declared) never touches the bus at all.
         let mut code = CodeDevice::Ideal;
-        // Per-config costs are loop invariants: hoisting them keeps the
-        // ~10⁷-record dispatch loop free of config matches.
-        let mul_cycles = core.config.mul_cycles();
-        let div_cycles = core.config.div_cycles();
-        let call_base = 2 + 1 + core.config.refill_penalty();
-        let mut it = trace.ops().iter().copied();
-        while let Some(w) = it.next() {
+        let mut cycles = Vec::with_capacity(profile.segments());
+        let mut store_cycles = Vec::with_capacity(profile.boundary_stores());
+        let mut bounds = profile.store_words.iter().copied();
+        let mut next_bound = bounds.next();
+        let mut seg_start = 0;
+        let ops = trace.ops();
+        let mut i = 0;
+        while i < ops.len() {
+            let w = ops[i];
             match w & 0xF {
                 TAG_REGION => {
-                    let len = it.next().ok_or(ReplayError::Mismatch("truncated region record"))?;
+                    let len =
+                        *ops.get(i + 1).ok_or(ReplayError::Mismatch("truncated region record"))?;
+                    i += 1;
                     cur.flush(core)?;
                     let base = (w >> 8) as u32;
                     let span = (len as u32).max(4);
                     core.set_code_region(base, span)?;
                     code = memo.classify_code(&core.bus, base, span);
                 }
-                TAG_ALU => {
-                    let n = w >> 8;
-                    cur.defer(n);
-                    core.charge(n);
-                }
-                TAG_MUL => {
-                    cur.defer(1);
-                    core.stats.muls += 1;
-                    core.charge(mul_cycles);
-                }
-                TAG_DIV => {
-                    cur.defer(1);
-                    core.stats.divs += 1;
-                    core.charge(div_cycles);
-                }
-                TAG_SHIFT => {
-                    cur.defer(1);
-                    let cycles = core.config.shift_cycles((w >> 8) as u32);
-                    core.charge(cycles);
-                }
-                TAG_BRANCH => {
-                    let taken = w >> 4 & 1 != 0;
-                    let backward = w >> 5 & 1 != 0;
-                    let site = (w >> 8) as u32;
-                    cur.defer(1);
-                    core.branch_cost(site.wrapping_mul(4), if backward { -4 } else { 4 }, taken);
-                }
-                TAG_CALL => {
-                    let saved = w >> 8;
-                    cur.defer(2 + 2 * saved);
-                    core.charge(call_base + 2 * saved);
-                }
+                TAG_ALU => cur.defer(w >> 8),
+                TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_CFU => cur.defer(1),
+                TAG_CALL => cur.defer(2 + 2 * (w >> 8)),
                 TAG_LOAD => {
                     let addr = (w >> 8) as u32;
                     let len = (w >> 4 & 0xF) as u32;
@@ -1218,20 +1546,25 @@ impl TraceReplayer {
                     }
                 }
                 TAG_STORE => {
-                    // The write-buffer drain compares against the live
-                    // cycle counter: settle all deferred charges first.
+                    // Stores keep the order of every earlier fetch
+                    // charge, so each settles the backlog first.
                     cur.defer(1);
                     cur.flush(core)?;
-                    core.store_cost((w >> 8) as u32, (w >> 4 & 0xF) as u32)?;
+                    let addr = (w >> 8) as u32;
+                    let len = (w >> 4 & 0xF) as usize;
+                    core.stats.stores += 1;
+                    // Write timing is value-independent: write zeros.
+                    let device_cycles = core.bus.write(addr, &[0; 4][..len])?;
+                    if addr >= UNCACHED_BASE {
+                        core.stats.cycles += device_cycles;
+                    } else if next_bound == Some(i) {
+                        cycles.push(core.stats.cycles - seg_start);
+                        seg_start = core.stats.cycles;
+                        store_cycles.push(device_cycles);
+                        next_bound = bounds.next();
+                    }
                 }
-                TAG_CFU => {
-                    cur.defer(1);
-                    core.stats.cfu_ops += 1;
-                    core.charge(w >> 8);
-                }
-                TAG_CFU_HIDDEN => {
-                    core.stats.cfu_ops += 1;
-                }
+                TAG_CFU_HIDDEN => {}
                 TAG_PEEK => {
                     let addr = (w >> 8) as u32;
                     if code.must_flush_for(memo.find(addr, 0).as_deref()) {
@@ -1241,23 +1574,130 @@ impl TraceReplayer {
                 }
                 TAG_MARK => {
                     cur.flush(core)?;
-                    mark_cycles.push(core.stats.cycles);
+                    cycles.push(core.stats.cycles - seg_start);
+                    seg_start = core.stats.cycles;
                 }
                 _ => return Err(ReplayError::Mismatch("unknown op tag")),
             }
+            i += 1;
         }
         cur.flush(core)?;
         if !cur.finished() {
             return Err(ReplayError::Mismatch("fetch stream not fully consumed"));
         }
+        cycles.push(core.stats.cycles - seg_start);
+        if cycles.len() != profile.segments() || store_cycles.len() != profile.boundary_stores() {
+            return Err(ReplayError::Mismatch("core profile scanned from another trace"));
+        }
         memo.spill(&mut core.bus);
-        Ok(ReplaySummary { stats: core.stats, mark_cycles })
+        Ok(MemoryProfile {
+            icache: core.config.icache,
+            dcache: core.config.dcache,
+            compressed: core.config.compressed,
+            cycles,
+            store_cycles,
+            stats: core.stats,
+            regions: core.bus.regions().map(|(id, _)| core.bus.stats(id)).collect(),
+            icache_stats: core.icache_stats(),
+            dcache_stats: core.dcache_stats(),
+        })
+    }
+
+    /// The combine: prices every segment of `core` under this replayer's
+    /// latency knobs, adds its memory cycles and branch outcomes, and
+    /// runs the write buffer at each segment-ending store. Yields the
+    /// same summary as [`replay`](Self::replay), and leaves the same
+    /// statistics, cache statistics and per-device traffic on
+    /// [`core`](Self::core) (cache contents and device timing state are
+    /// not reproduced).
+    ///
+    /// `memory` must come from a memory pass over `core` on a bus with
+    /// the same devices as this replayer's; only its structure is
+    /// checked.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Mismatch`] when the profiles disagree with each
+    /// other or with this replayer's predictor, caches or bus regions.
+    pub fn combine(
+        &mut self,
+        core: &CoreProfile,
+        branches: &BranchProfile,
+        memory: &MemoryProfile,
+    ) -> Result<ReplaySummary, ReplayError> {
+        let config = self.core.config;
+        let n = core.segments();
+        if branches.predictor != config.branch_predictor
+            || branches.counts.len() != n
+            || (memory.icache, memory.dcache, memory.compressed)
+                != (config.icache, config.dcache, config.compressed)
+            || memory.cycles.len() != n
+            || memory.store_cycles.len() != core.boundary_stores()
+            || memory.regions.len() != self.core.bus.regions().count()
+        {
+            return Err(ReplayError::Mismatch("profiles do not fit this replayer"));
+        }
+        let (mul, div, refill) =
+            (config.mul_cycles(), config.div_cycles(), config.refill_penalty());
+        let shift = config.shift_cycles(0);
+        let per_bit = config.shift_cycles(1) - shift;
+        let mut buffer = VecDeque::with_capacity(4);
+        let mut stores = memory.store_cycles.iter();
+        let mut mark_cycles = Vec::new();
+        let mut now = 0;
+        for (((end, c), b), mem) in
+            core.ends.iter().zip(&core.counts).zip(&branches.counts).zip(&memory.cycles)
+        {
+            now += mem
+                + c.fixed
+                + c.muls * mul
+                + c.divs * div
+                + c.shifts * shift
+                + c.shamt * per_bit
+                + (c.calls + b.mispredicts) * refill
+                + b.bubbles;
+            match end {
+                SegmentEnd::Store => {
+                    let device_cycles = stores.next().expect("counts checked above");
+                    now += buffer_store(&mut buffer, now, *device_cycles);
+                }
+                SegmentEnd::Mark => mark_cycles.push(now),
+                SegmentEnd::End => {}
+            }
+        }
+        let mut totals = CoreCounts::default();
+        core.counts.iter().for_each(|&c| totals += c);
+        let stats = TlmStats {
+            instructions: memory.stats.instructions,
+            cycles: now,
+            loads: memory.stats.loads,
+            stores: memory.stats.stores,
+            muls: totals.muls,
+            divs: totals.divs,
+            branches: totals.branches,
+            mispredicts: branches.counts.iter().map(|b| b.mispredicts).sum(),
+            cfu_ops: totals.cfu_ops,
+        };
+        let c = &mut self.core;
+        c.reset_stats();
+        let ids: Vec<_> = c.bus.regions().map(|(id, _)| id).collect();
+        for (id, delta) in ids.into_iter().zip(&memory.regions) {
+            c.bus.add_stats(id, *delta);
+        }
+        for (cache, delta) in
+            [(&mut c.icache, memory.icache_stats), (&mut c.dcache, memory.dcache_stats)]
+        {
+            if let (Some(cache), Some(delta)) = (cache, delta) {
+                cache.add_stats(delta);
+            }
+        }
+        c.stats = stats;
+        Ok(ReplaySummary { stats, mark_cycles })
     }
 }
 
 /// The factored per-event timing surface shared by the live ISS
-/// [`Cpu`](crate::Cpu), the transaction-level [`TimedCore`], and the
-/// [`TraceReplayer`].
+/// [`Cpu`](crate::Cpu) and the transaction-level [`TimedCore`].
 ///
 /// Each method charges the *timing* of one committed event — cycles,
 /// cache traffic, predictor updates, statistics — with no functional
@@ -1377,60 +1817,6 @@ impl TimingModel for TimedCore {
     fn cfu_timing(&mut self, latency: u32) {
         self.stats.cfu_ops += 1;
         self.charge(u64::from(latency));
-    }
-}
-
-impl TimingModel for TraceReplayer {
-    fn timing_config(&self) -> &CpuConfig {
-        self.core.timing_config()
-    }
-
-    fn elapsed_cycles(&self) -> u64 {
-        self.core.elapsed_cycles()
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.core.retired_instructions()
-    }
-
-    fn charge_cycles(&mut self, n: u64) {
-        self.core.charge_cycles(n);
-    }
-
-    fn fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError> {
-        self.core.fetch_timing(pc, ilen)
-    }
-
-    fn hazard_timing(&mut self, after_load: bool) {
-        self.core.hazard_timing(after_load);
-    }
-
-    fn load_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.core.load_timing(addr, len)
-    }
-
-    fn store_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.core.store_timing(addr, len)
-    }
-
-    fn branch_timing(&mut self, pc: u32, offset: i32, taken: bool) {
-        self.core.branch_timing(pc, offset, taken);
-    }
-
-    fn mul_timing(&mut self) {
-        self.core.mul_timing();
-    }
-
-    fn div_timing(&mut self) {
-        self.core.div_timing();
-    }
-
-    fn shift_timing(&mut self, shamt: u32) {
-        self.core.shift_timing(shamt);
-    }
-
-    fn cfu_timing(&mut self, latency: u32) {
-        self.core.cfu_timing(latency);
     }
 }
 
@@ -1876,6 +2262,65 @@ mod tests {
         let (_, trace) = capture_workload(CpuConfig::arty_default().with_compressed(true));
         let mut rp = TraceReplayer::new(CpuConfig::arty_default(), build_bus());
         assert!(matches!(rp.replay(&trace), Err(ReplayError::Mismatch(_))));
+    }
+
+    #[test]
+    fn combine_refuses_profiles_of_another_configuration() {
+        let config = CpuConfig::arty_default();
+        let (_, trace) = capture_workload(config);
+        let mut rp = TraceReplayer::new(config, build_bus());
+        let predictor = config.branch_predictor;
+        let (core, branches) = CoreProfile::scan(&trace, rp.core().bus(), predictor).unwrap();
+        let memory = rp.memory_pass(&trace, &core).unwrap();
+        let alone = TraceReplayer::new(config, build_bus()).replay(&trace).unwrap();
+        assert_eq!(rp.combine(&core, &branches, &memory).unwrap(), alone);
+        for other in [
+            CpuConfig { branch_predictor: BranchPredictor::Static, ..config },
+            config.with_dcache_bytes(0),
+            config.with_compressed(true),
+        ] {
+            let mut rp = TraceReplayer::new(other, build_bus());
+            let refused = rp.combine(&core, &branches, &memory);
+            assert!(matches!(refused, Err(ReplayError::Mismatch(_))), "{other:?}");
+        }
+        // A core profile scanned from another trace does not fit.
+        let (_, other) = capture_workload(CpuConfig::fomu_baseline());
+        let mut empty = TimedCore::new(config, build_bus());
+        empty.start_recording();
+        empty.mark_layer();
+        let empty = empty.finish_recording().unwrap();
+        let mut rp = TraceReplayer::new(config, build_bus());
+        let (short, _) = CoreProfile::scan(&empty, rp.core().bus(), predictor).unwrap();
+        assert!(matches!(rp.memory_pass(&other, &short), Err(ReplayError::Mismatch(_))));
+    }
+
+    #[test]
+    fn minimum_costs_are_the_cheapest_any_config_charges() {
+        use crate::config::{Divider, Multiplier, Shifter};
+        let base = CpuConfig::arty_default();
+        let muls = [
+            Multiplier::None,
+            Multiplier::Iterative,
+            Multiplier::SingleCycleDsp,
+            Multiplier::SingleCycleLut,
+        ];
+        let mul = muls.map(|multiplier| CpuConfig { multiplier, ..base }.mul_cycles());
+        assert_eq!(mul.into_iter().min(), Some(MIN_MUL_CYCLES));
+        let div = [Divider::None, Divider::Iterative]
+            .map(|divider| CpuConfig { divider, ..base }.div_cycles());
+        assert_eq!(div.into_iter().min(), Some(MIN_DIV_CYCLES));
+        let refill = (2..=7).map(|pipeline_depth| CpuConfig { pipeline_depth, ..base });
+        assert_eq!(refill.map(|c| c.refill_penalty()).min(), Some(MIN_REFILL));
+        // The combine prices a shift as a base cost plus a per-bit one;
+        // the scan counts it at one cycle.
+        for shifter in [Shifter::Iterative, Shifter::Barrel] {
+            let c = CpuConfig { shifter, ..base };
+            let per_bit = c.shift_cycles(1) - c.shift_cycles(0);
+            assert_eq!(c.shift_cycles(0), 1);
+            for shamt in 0..32 {
+                assert_eq!(c.shift_cycles(shamt), 1 + u64::from(shamt) * per_bit);
+            }
+        }
     }
 
     #[test]

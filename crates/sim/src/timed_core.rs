@@ -22,7 +22,7 @@ use crate::config::CpuConfig;
 use crate::cpu::UNCACHED_BASE;
 use crate::retime::TraceRecorder;
 
-/// Depth of the store write buffer (matches the ISS).
+/// Depth of the store write buffer (the ISS shares [`buffer_store`]).
 const WRITE_BUFFER_DEPTH: usize = 4;
 
 /// Statistics accumulated by a [`TimedCore`].
@@ -90,6 +90,26 @@ pub struct TimedCore {
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
     pub(crate) recorder: Option<TraceRecorder>,
+}
+
+/// The 4-deep write-through buffer every cached store goes through, at
+/// cycle `now`: entries whose write completed by `now` leave, a full
+/// buffer stalls until its oldest write completes, and the store's write
+/// of `device_cycles` queues behind the last one. Returns the cycles the
+/// store charges: the stall plus one issue cycle. Shared by live
+/// execution and the trace-replay combine, which runs it only at the
+/// stores where the buffer may still hold a write.
+pub(crate) fn buffer_store(buffer: &mut VecDeque<u64>, now: u64, device_cycles: u64) -> u64 {
+    while buffer.front().is_some_and(|&front| front <= now) {
+        buffer.pop_front();
+    }
+    let mut t = now;
+    if buffer.len() >= WRITE_BUFFER_DEPTH {
+        t = buffer.pop_front().expect("nonempty");
+    }
+    let start = buffer.back().copied().unwrap_or(t);
+    buffer.push_back(start.max(t) + device_cycles);
+    t + 1 - now
 }
 
 /// Size of the active inner-loop window: kernels spend their time in
@@ -594,13 +614,13 @@ impl TimedCore {
         Ok(())
     }
 
-    /// Post-fetch multiply charge, shared with trace replay.
+    /// Post-fetch multiply charge, shared with the `TimingModel` impl.
     pub(crate) fn mul_cost(&mut self) {
         self.stats.muls += 1;
         self.charge(self.config.mul_cycles());
     }
 
-    /// Post-fetch divide charge, shared with trace replay.
+    /// Post-fetch divide charge, shared with the `TimingModel` impl.
     pub(crate) fn div_cost(&mut self) {
         self.stats.divs += 1;
         self.charge(self.config.div_cycles());
@@ -653,21 +673,19 @@ impl TimedCore {
         Ok(())
     }
 
-    /// Post-fetch branch charge through the predictor, shared with trace
-    /// replay and the [`crate::TimingModel`] impl. `pc` and `offset` are
-    /// the predictor's view of the branch (the TLM derives them from the
-    /// stable site id and its static direction).
+    /// Post-fetch branch charge through the predictor, shared with the
+    /// [`crate::TimingModel`] impl. `pc` and `offset` are the predictor's
+    /// view of the branch (the TLM derives them from the stable site id
+    /// and its static direction).
     pub(crate) fn branch_cost(&mut self, pc: u32, offset: i32, taken: bool) {
         self.stats.branches += 1;
-        let prediction = self.bpred.predict(pc, offset);
-        let correct = self.bpred.update(pc, prediction, taken);
-        self.stats.mispredicts += u64::from(!correct);
+        let (mispredicted, redirect) = self.bpred.resolve(pc, offset, taken);
+        self.stats.mispredicts += u64::from(mispredicted);
         // Arithmetic form of: mispredict → refill, correct taken branch
         // without a known target → 1-cycle redirect. The outcome is
         // data-dependent, so a branchy form mispredicts on the host.
         self.charge(
-            1 + u64::from(!correct) * self.config.refill_penalty()
-                + u64::from(correct & taken & !prediction.target_known),
+            1 + u64::from(mispredicted) * self.config.refill_penalty() + u64::from(redirect),
         );
     }
 
@@ -748,9 +766,8 @@ impl TimedCore {
     }
 
     /// Post-fetch timing of [`timed_write`](Self::timed_write) with the
-    /// stored value replaced by zeros (trace replay: the replay bus's
-    /// contents are never read, and no device's write timing depends on
-    /// the data).
+    /// stored value replaced by zeros, for the `TimingModel` impl (no
+    /// device's write timing depends on the data).
     pub(crate) fn store_cost(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
         self.stats.stores += 1;
         let device_cycles = self.bus.write(addr, &[0u8; 4][..len as usize])?;
@@ -758,29 +775,16 @@ impl TimedCore {
         Ok(())
     }
 
-    /// The write-through buffer model shared by live stores and replay:
-    /// uncached stores expose the device latency; cached ones drain
-    /// through the 4-deep buffer against the live cycle counter.
+    /// Store timing after the device write: uncached stores expose the
+    /// device latency; cached ones drain through the write buffer
+    /// ([`buffer_store`]) against the live cycle counter.
     pub(crate) fn drain_store(&mut self, addr: u32, device_cycles: u64) {
         if addr >= UNCACHED_BASE {
             self.charge(device_cycles);
             return;
         }
-        let now = self.stats.cycles;
-        while let Some(&front) = self.write_buffer.front() {
-            if front <= now {
-                self.write_buffer.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.write_buffer.len() >= WRITE_BUFFER_DEPTH {
-            let front = self.write_buffer.pop_front().expect("nonempty");
-            self.charge(front - now);
-        }
-        let start = self.write_buffer.back().copied().unwrap_or(self.stats.cycles);
-        self.write_buffer.push_back(start.max(self.stats.cycles) + device_cycles);
-        self.charge(1);
+        let charged = buffer_store(&mut self.write_buffer, self.stats.cycles, device_cycles);
+        self.charge(charged);
     }
 
     /// Timed signed 8-bit load.
