@@ -1,9 +1,10 @@
 //! Capture/replay ablation (`abl_retime`): per-design-point evaluation
 //! cost with trace-capture + retime-only replay vs plain execution.
 //!
-//! Both workloads measure the retime-eligible shape the sweep drivers
-//! hit over and over: one capture run per `(workload, CFU)` group, then
-//! many timing siblings scored from the shared trace.
+//! It measures the retime-eligible shape `fig7_dse_pareto` hits over
+//! and over: one capture run per `(workload, CFU)` group, then many
+//! timing siblings scored from the shared trace. Figure 7 is the only
+//! artifact that replays; every other figure executes.
 //!
 //! * `mnv2_*` — MobileNetV2 8x8 on an SRAM-backed main memory.
 //!   `execute` deploys and runs the guest through `InferenceEvaluator`,
@@ -16,22 +17,17 @@
 //!   `TraceStore` that already holds its geometry's and predictor's
 //!   profiles — the combine, which is all most `fig7_dse_pareto` points
 //!   pay.
-//! * `kws_*` — the Figure-6 KWS ladder at the step level on Fomu
-//!   (`fig6::execute`/`fig6::replay`): capture at `SramOpsAndModel`
-//!   (retime group 1's capture rung), then execute/replay its cacheless
-//!   timing sibling (`SramOpsAndModel` + `SingleCycleDsp`).
 //!
-//! Every sample evaluates with a *fresh* evaluator (or a fresh
-//! `execute`/`replay` call) so no per-evaluator memo cache
-//! short-circuits the work; replayed cycle counts are bit-identical to
-//! execute mode (pinned in `crates/bench/tests/ladder_parallel.rs` and
-//! `crates/sim/tests/retime.rs`, and re-asserted here). Results land in
+//! Every sample evaluates with a *fresh* evaluator so no per-evaluator
+//! memo cache short-circuits the work; replayed cycle counts are
+//! bit-identical to execute mode (pinned by `cfu-dse`'s
+//! `shared_replay_equals_one_shot_replay_and_execution` test, and
+//! re-asserted here). Results land in
 //! `target/criterion-stub/abl_retime.json` and are summarised (min-ns
 //! estimator) in `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cfu_bench::fig6::{execute, replay, Fig6Step};
 use cfu_core::Resources;
 use cfu_dse::{CfuChoice, DesignPoint, Evaluator, EvaluatorFactory, InferenceEvaluatorFactory};
 use cfu_sim::{CoreProfile, CpuConfig, Multiplier, TraceReplayer};
@@ -122,29 +118,10 @@ fn bench_mnv2(group: &mut criterion::BenchmarkGroup<'_>) {
     });
 }
 
-fn bench_kws(group: &mut criterion::BenchmarkGroup<'_>) {
-    let step = Fig6Step::SramOpsAndModel;
-    let sibling = step.cpu().with_multiplier(Multiplier::SingleCycleDsp);
-    let trace = execute(step, step.cpu(), true).1.expect("capture requested");
-    let executed = execute(step, sibling, false).0;
-    let replayed = replay(step, sibling, &trace).expect("sibling is retime-eligible");
-    assert_eq!(executed, replayed, "retime parity");
-    group.bench_function("kws_execute", |b| {
-        b.iter(|| std::hint::black_box(execute(step, sibling, false)));
-    });
-    group.bench_function("kws_replay", |b| {
-        b.iter(|| std::hint::black_box(replay(step, sibling, &trace)));
-    });
-    group.bench_function("kws_capture", |b| {
-        b.iter(|| std::hint::black_box(execute(step, step.cpu(), true)));
-    });
-}
-
 fn bench_retime(c: &mut Criterion) {
     let mut group = c.benchmark_group("abl_retime");
     group.sample_size(10);
     bench_mnv2(&mut group);
-    bench_kws(&mut group);
     group.finish();
 }
 

@@ -22,7 +22,6 @@ use cfu_bench::cli::{self, Command};
 const CMD: Command = Command {
     usage: "fig4_mnv2_ladder [--input-hw N] [--full-width] [--csv PATH] [--svg PATH] [--threads N] [--store PATH] [--resume]",
     svg: true,
-    retime: false,
     tombstones: false,
 };
 

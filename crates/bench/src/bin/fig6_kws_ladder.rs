@@ -16,7 +16,6 @@ use cfu_bench::cli::{self, Command};
 const CMD: Command = Command {
     usage: "fig6_kws_ladder [--csv PATH] [--svg PATH] [--threads N] [--store PATH] [--resume]",
     svg: true,
-    retime: false,
     tombstones: false,
 };
 

@@ -1,16 +1,15 @@
 //! Regenerates Figure 7: design-space-exploration Pareto fronts.
 //!
 //! Usage: `fig7_dse_pareto [--trials N] [--input-hw N] [--threads N]
-//! [--random] [--retime|--no-retime]` (defaults: 120 trials per curve,
-//! 16x16 MobileNetV2, regularized evolution, 1 worker thread, retime
-//! on). The three curves run as three concurrent studies, each on
-//! `--threads` workers; per-curve progress counters print to stderr
-//! while the sweep runs. The Pareto fronts are byte-identical for every
-//! `--threads` value and for both retime modes; those knobs only change
-//! wall-clock time. With retime on (the default), each curve executes
-//! the guest once to capture its operation trace and scores every other
-//! design point by replaying the trace through timing-only machinery;
-//! `--no-retime` executes the guest for every point instead.
+//! [--random]` (defaults: 120 trials per curve, 16x16 MobileNetV2,
+//! regularized evolution, 1 worker thread). The three curves run as
+//! three concurrent studies, each on `--threads` workers; per-curve
+//! progress counters print to stderr while the sweep runs. The Pareto
+//! fronts are byte-identical for every `--threads` value, which only
+//! changes wall-clock time. Each curve executes the guest once to
+//! capture its operation trace and scores every other design point by
+//! replaying the trace through timing-only machinery; a `retime:` line
+//! on stderr counts the captures, replays and shared replay passes.
 //!
 //! `--store PATH` persists every freshly simulated point to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -34,9 +33,8 @@ use cfu_bench::fig7::{render, Fig7Config};
 use cfu_dse::FaultPlan;
 
 const CMD: Command = Command {
-    usage: "fig7_dse_pareto [--trials N] [--input-hw N] [--threads N] [--random] [--retime|--no-retime] [--max-retries N] [--fail-fast] [--cycle-budget N] [--csv PATH] [--svg PATH] [--store PATH] [--resume]",
+    usage: "fig7_dse_pareto [--trials N] [--input-hw N] [--threads N] [--random] [--max-retries N] [--fail-fast] [--cycle-budget N] [--csv PATH] [--svg PATH] [--store PATH] [--resume]",
     svg: true,
-    retime: true,
     tombstones: true,
 };
 
@@ -78,12 +76,10 @@ fn main() {
         args.spec.threads.max(1)
     );
     let run = cfu_bench::fig7::run(&args.spec, &cfg);
-    if args.spec.retime {
-        eprintln!(
-            "retime: {} capture run(s), {} point(s) scored by trace replay, {} memory pass(es), {} branch pass(es)",
-            run.captures, run.replays, run.memory_passes, run.branch_passes
-        );
-    }
+    eprintln!(
+        "retime: {} capture run(s), {} point(s) scored by trace replay, {} memory pass(es), {} branch pass(es)",
+        run.captures, run.replays, run.memory_passes, run.branch_passes
+    );
     CMD.print_store(&args, &run);
     eprintln!("{}", run.report.render());
     let curves = run.rows;

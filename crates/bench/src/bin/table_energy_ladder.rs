@@ -1,15 +1,11 @@
 //! Extension table (paper §V future work): energy and energy-delay
 //! product for every Figure 6 ladder step on Fomu.
 //!
-//! Usage: `table_energy_ladder [--threads N] [--csv PATH]
-//! [--retime|--no-retime] [--store PATH] [--resume]`. The ladder runs
-//! through the DSE engine on `--threads` workers (default 1; the table
-//! is byte-identical for every value; under `--threads` a live step
-//! counter prints to stderr), and each step is simulated exactly once. With retime on (the default), only the first step of
-//! each retime group executes the guest; its timing siblings (QuadSPI,
-//! Larger Icache, Fast Mult) are scored by replaying the group's
-//! captured trace — byte-identical table, less time. `--no-retime`
-//! executes every step.
+//! Usage: `table_energy_ladder [--threads N] [--csv PATH] [--store PATH]
+//! [--resume]`. The ladder runs through the DSE engine on `--threads`
+//! workers (default 1; the table is byte-identical for every value;
+//! under `--threads` a live step counter prints to stderr), and each
+//! step is executed exactly once, as `fig6_kws_ladder` executes it.
 //!
 //! The paper stops at performance; this regenerates the KWS ladder with
 //! the iCE40-class energy model to show the co-design's *energy* story:
@@ -18,15 +14,14 @@
 //!
 //! `--store PATH` persists every freshly simulated step to an
 //! append-only result store; `--resume` additionally hydrates prior
-//! results from it, so a warm re-run performs zero simulations (and
-//! zero trace captures) while printing a byte-identical table.
+//! results from it, so a warm re-run performs zero simulations while
+//! printing a byte-identical table.
 
 use cfu_bench::cli::{self, Command};
 
 const CMD: Command = Command {
-    usage: "table_energy_ladder [--threads N] [--csv PATH] [--retime|--no-retime] [--store PATH] [--resume]",
+    usage: "table_energy_ladder [--threads N] [--csv PATH] [--store PATH] [--resume]",
     svg: false,
-    retime: true,
     tombstones: false,
 };
 

@@ -1,9 +1,9 @@
 //! Flag parsing shared by the four figure binaries (`fig4_mnv2_ladder`,
 //! `fig6_kws_ladder`, `fig7_dse_pareto`, `table_energy_ladder`).
 //!
-//! [`parse`] reads the common flags — `--csv PATH`, `--svg PATH`,
-//! `--threads N`, `--store PATH`, `--resume` and `--retime`/`--no-retime`
-//! where a binary has them — into a [`RunSpec`], opening the result
+//! [`parse`] reads the common flags — `--csv PATH`, `--svg PATH` where a
+//! binary has it, `--threads N`, `--store PATH` and `--resume` — into a
+//! [`RunSpec`], opening the result
 //! store on the way, and hands every other flag to the binary's own
 //! callback. Unknown flags, missing or malformed values, `--resume`
 //! without `--store` and an unopenable store are typed [`CliError`]s;
@@ -28,9 +28,6 @@ pub struct Command {
     pub usage: &'static str,
     /// Accepts `--svg PATH`.
     pub svg: bool,
-    /// Accepts `--retime`/`--no-retime`, with retime on by default.
-    /// Without it the binary always executes (retime off).
-    pub retime: bool,
     /// Reports failure tombstones on the `store:` line.
     pub tombstones: bool,
 }
@@ -159,8 +156,7 @@ pub fn parse(
     args: impl IntoIterator<Item = String>,
     mut extra: impl FnMut(&str, &mut Value<'_>) -> Result<bool, CliError>,
 ) -> Result<Args, CliError> {
-    let spec = RunSpec { retime: cmd.retime, ..RunSpec::default() };
-    let mut out = Args { csv: None, svg: None, store_path: None, spec };
+    let mut out = Args { csv: None, svg: None, store_path: None, spec: RunSpec::default() };
     parse_flags(args, |flag, value| {
         match flag {
             "--csv" => out.csv = Some(value.string()?),
@@ -171,8 +167,6 @@ pub fn parse(
             }
             "--store" => out.store_path = Some(value.string()?),
             "--resume" => out.spec.resume = true,
-            "--retime" if cmd.retime => out.spec.retime = true,
-            "--no-retime" if cmd.retime => out.spec.retime = false,
             other => return extra(other, value),
         }
         Ok(true)
@@ -230,9 +224,8 @@ impl Command {
 mod tests {
     use super::*;
 
-    const LADDER: Command =
-        Command { usage: "ladder", svg: true, retime: false, tombstones: false };
-    const TABLE: Command = Command { usage: "table", svg: false, retime: true, tombstones: false };
+    const LADDER: Command = Command { usage: "ladder", svg: true, tombstones: false };
+    const TABLE: Command = Command { usage: "table", svg: false, tombstones: false };
 
     fn run(cmd: &Command, args: &[&str]) -> Result<Args, CliError> {
         let mut input_hw = 0usize;
@@ -260,18 +253,15 @@ mod tests {
         assert_eq!(args.csv.as_deref(), Some("a.csv"));
         assert_eq!(args.svg.as_deref(), Some("a.svg"));
         assert_eq!(args.spec.threads, 3);
-        assert!(!args.spec.retime, "a binary without retime flags never replays");
         assert!(args.spec.progress, "--threads turns the progress readout on");
         assert!(!run(&LADDER, &[]).unwrap().spec.progress);
-        assert!(run(&TABLE, &[]).unwrap().spec.retime, "retime defaults on where it is a flag");
-        assert!(!run(&TABLE, &["--no-retime"]).unwrap().spec.retime);
     }
 
     #[test]
     fn unknown_flags_are_refused() {
         assert_eq!(err(&LADDER, &["--bogus"]), CliError::UnknownFlag("--bogus".into()));
-        assert_eq!(err(&LADDER, &["--retime"]), CliError::UnknownFlag("--retime".into()));
         assert_eq!(err(&TABLE, &["--svg", "x.svg"]), CliError::UnknownFlag("--svg".into()));
+
         // A known flag never hides an unknown one after it.
         assert_eq!(
             err(&LADDER, &["--csv", "a.csv", "--trials", "4"]),

@@ -156,14 +156,13 @@ pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Store
 /// layer is recorded once and fast-forwarded in later rungs once its
 /// timing state converges. The run's `fast_forwards` and
 /// `skipped_instructions` count that; at `--threads 1` they repeat
-/// exactly. Rungs are not trace-replay siblings (each executes its own
-/// kernel), so `spec.retime` is not used.
+/// exactly.
 pub fn run(spec: &RunSpec, input_hw: usize, full_width: bool) -> Run<Vec<Fig4Row>, Conv1x1Variant> {
     let cpu = CpuConfig::arty_default();
     let memo = Arc::new(LayerMemo::new());
     let evaluator = Fig4Evaluator::new(cpu, input_hw, full_width, Arc::clone(&memo));
     let ctx = store_context(cpu, input_hw, full_width);
-    let mut run = crate::run_ladder(spec, Fig4Space, ctx, &|| evaluator.clone(), None);
+    let mut run = crate::run_ladder(spec, Fig4Space, ctx, &|| evaluator.clone());
     run.fast_forwards = memo.fast_forwards();
     run.skipped_instructions = memo.skipped_instructions();
     run.map(|results| {

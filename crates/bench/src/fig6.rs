@@ -4,23 +4,19 @@
 //! Both artifacts are one engine run over [`Fig6Space`], the eight steps
 //! as a degenerate [`SearchSpace`]: [`run`] for the performance ladder,
 //! [`run_energy`] for the energy table, whose [`Fig6Evaluator`] threads
-//! the [`EnergyEstimate`] through `EvalResult::{energy_uj, aux}`. With
-//! [`RunSpec::retime`] on, the first step of each
-//! [`Fig6Step::retime_group`] executes the guest (capturing its trace)
-//! and the group's timing siblings are scored by replaying it. Rows are
-//! byte-identical at any thread count and in either mode.
+//! the [`EnergyEstimate`] through `EvalResult::{energy_uj, aux}`. Both
+//! execute every step on its own [`Fig6Step::cpu`]. Rows are
+//! byte-identical at any thread count.
 //!
 //! [`EnergyEstimate`]: cfu_sim::energy::EnergyEstimate
 
-use std::sync::Arc;
-
 use cfu_core::cfu2::Cfu2;
 use cfu_core::{Cfu, NullCfu};
-use cfu_dse::{EvalResult, Evaluator, SearchSpace, StoreContext, StoreKey, TraceStore};
+use cfu_dse::{EvalResult, Evaluator, SearchSpace, StoreContext, StoreKey};
 use cfu_mem::SpiWidth;
 use cfu_sim::energy::{estimate_core, EnergyParams};
-use cfu_sim::{CpuConfig, Multiplier, TimedCore, Trace, TraceReplayer};
-use cfu_soc::{Board, Soc, SocBuilder, SocFeatures};
+use cfu_sim::{CpuConfig, Multiplier};
+use cfu_soc::{Board, SocBuilder, SocFeatures};
 use cfu_tflm::deploy::{ConvKernel, DeployConfig, Deployment, DwKernel, KernelRegistry};
 use cfu_tflm::models;
 
@@ -128,6 +124,10 @@ impl Fig6Step {
     ///   `LargerIcache`/`FastMult` only change CPU timing on top of it;
     /// * each kernel/CFU change (`MacConv`, `PostProc`, `SwSpecialize`)
     ///   issues a different stream and gets its own group.
+    ///
+    /// The figure runs execute every step; the artifact benchmark's
+    /// traced energy pipeline (`benchmark/`) is this grouping's only
+    /// user.
     pub fn retime_group(self) -> u8 {
         match self {
             Fig6Step::Baseline | Fig6Step::QuadSpi => 0,
@@ -216,39 +216,17 @@ pub struct Fig6Row {
     pub fits: bool,
 }
 
-/// `step`'s SoC (board, features and CFU) around `cpu`.
-fn soc(step: Fig6Step, cpu: CpuConfig) -> Soc {
-    let cfu = step.cfu();
-    SocBuilder::new(Board::fomu()).cpu(cpu).features(step.features()).cfu(cfu.as_ref()).build()
-}
-
-/// Scores a finished simulation on `soc`: `cycles` as the latency, the
-/// SoC's fit report as resources, and the iCE40 energy estimate over
-/// `core` as `energy_uj` (total) and `aux` (bit pattern of the dynamic
-/// component), so the energy rows rebuild loss-free from the memo cache.
-fn score(cycles: u64, soc: &Soc, core: &TimedCore) -> EvalResult {
-    let fit = soc.fit_report();
-    let energy = estimate_core(core, fit.used(), &EnergyParams::ice40());
-    EvalResult {
-        latency: cycles,
-        resources: fit.used(),
-        fits: fit.fits(),
-        energy_uj: energy.total_uj(),
-        aux: energy.dynamic_bits(),
-    }
-}
-
-/// Executes the KWS workload with `step`'s deployment, kernels and SoC
-/// features on `cpu` (the step's own [`Fig6Step::cpu`], or a *timing
-/// sibling*: same committed instruction stream, different timing knobs)
-/// and scores it (see [`Fig6Evaluator`] for the fields). With `capture`,
-/// also returns the committed operation trace for [`replay`].
+/// Executes the KWS workload with `step`'s deployment, kernels, CPU and
+/// SoC features, and scores it as [`Fig6Evaluator`] describes.
 ///
 /// # Panics
 ///
 /// Panics if deployment or inference fails.
-pub fn execute(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (EvalResult, Option<Trace>) {
-    let soc = soc(step, cpu);
+pub fn execute(step: Fig6Step) -> EvalResult {
+    let cpu = step.cpu();
+    let cfu = step.cfu();
+    let soc =
+        SocBuilder::new(Board::fomu()).cpu(cpu).features(step.features()).cfu(cfu.as_ref()).build();
     let model = models::ds_cnn_kws(1);
     let input = models::synthetic_input(&model, 7);
     // Baseline placement: weights + code execute-in-place from flash,
@@ -259,26 +237,17 @@ pub fn execute(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (EvalResult, Op
         cfg.hot_code_region = Some("sram".to_owned());
         cfg.hot_weights_region = Some("sram".to_owned());
     }
-    let mut dep =
-        Deployment::new(model, soc.build_bus(), step.cfu(), &cfg).expect("fig6 deployment");
-    let (profile, trace) = if capture {
-        let (_, profile, trace) = dep.run_captured(&input).expect("fig6 inference");
-        (profile, Some(trace))
-    } else {
-        let (_, profile) = dep.run(&input).expect("fig6 inference");
-        (profile, None)
-    };
-    (score(profile.total_cycles(), &soc, dep.core()), trace)
-}
-
-/// Scores `step` on `cpu` by replaying a trace captured from its retime
-/// group instead of executing the guest; bit-identical to [`execute`].
-/// `None` on replay error.
-pub fn replay(step: Fig6Step, cpu: CpuConfig, trace: &Trace) -> Option<EvalResult> {
-    let soc = soc(step, cpu);
-    let mut replayer = TraceReplayer::new(cpu, soc.build_bus());
-    let cycles = replayer.replay(trace).ok()?.total_cycles();
-    Some(score(cycles, &soc, replayer.core()))
+    let mut dep = Deployment::new(model, soc.build_bus(), cfu, &cfg).expect("fig6 deployment");
+    let (_, profile) = dep.run(&input).expect("fig6 inference");
+    let fit = soc.fit_report();
+    let energy = estimate_core(dep.core(), fit.used(), &EnergyParams::ice40());
+    EvalResult {
+        latency: profile.total_cycles(),
+        resources: fit.used(),
+        fits: fit.fits(),
+        energy_uj: energy.total_uj(),
+        aux: energy.dynamic_bits(),
+    }
 }
 
 /// The Figure-6 ladder as a degenerate one-axis design space over
@@ -302,58 +271,22 @@ impl SearchSpace for Fig6Space {
 /// Scores one KWS ladder step: a full DS-CNN inference on the simulated
 /// Fomu SoC for `latency`, the step's SoC fit report for
 /// `resources`/`fits`, and the iCE40 energy estimate in `energy_uj`
-/// (total) and `aux` (bit pattern of the dynamic component). The
-/// performance ladder ignores the energy fields.
-#[derive(Debug, Clone)]
-pub struct Fig6Evaluator {
-    /// A trace store shared by every worker's evaluator: the first step
-    /// of each retime group captures into it and the group's timing
-    /// siblings replay from it. `None` executes every step.
-    pub traces: Option<Arc<TraceStore<u8>>>,
-}
+/// (total) and `aux` (bit pattern of the dynamic component), so the
+/// energy rows rebuild loss-free from the memo cache. The performance
+/// ladder ignores the energy fields.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig6Evaluator;
 
 impl Evaluator<Fig6Step> for Fig6Evaluator {
     fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let (step, cpu) = (*step, step.cpu());
-        match &self.traces {
-            Some(traces) => capture_or_replay(traces, step, cpu),
-            None => execute(step, cpu, false).0,
-        }
+        execute(*step)
     }
-}
-
-/// The first step of each retime group executes and captures (its live
-/// result is its score, and the trace is published), timing siblings
-/// replay the shared trace, and a failed or retime-unsafe capture sends
-/// every step of the group through plain execution.
-fn capture_or_replay(traces: &TraceStore<u8>, step: Fig6Step, cpu: CpuConfig) -> EvalResult {
-    let slot = traces.slot(step.retime_group());
-    let mut own = None;
-    let shared = slot
-        .get_or_init(|| {
-            traces.begin_capture();
-            let (result, trace) = execute(step, cpu, true);
-            own = Some(result);
-            traces.finish_capture();
-            trace.map(Arc::new).filter(|t| t.retime_safe())
-        })
-        .clone();
-    if let Some(result) = own {
-        return result;
-    }
-    if let Some(result) = shared.and_then(|trace| replay(step, cpu, &trace)) {
-        traces.note_replay();
-        return result;
-    }
-    execute(step, cpu, false).0
 }
 
 /// Runs the ladder's steps through the engine per `spec` under the
 /// store workload `ctx`.
 fn run_steps(spec: &RunSpec, ctx: StoreContext) -> Run<Vec<EvalResult>, Fig6Step> {
-    let traces = spec.retime.then(|| Arc::new(TraceStore::new()));
-    let factory = || Fig6Evaluator { traces: traces.clone() };
-    crate::run_ladder(spec, Fig6Space, ctx, &factory, traces.as_ref())
+    crate::run_ladder(spec, Fig6Space, ctx, &|| Fig6Evaluator)
 }
 
 /// Runs the whole Figure 6 ladder.

@@ -4,9 +4,11 @@
 //! Each curve is a [`Fig7CurveSpace`] — the paper-scale space restricted
 //! to one CFU choice — explored through the same [`ParallelStudy`]
 //! engine as every other experiment in the repo. [`run`] explores the
-//! three curves as three concurrently-pipelined studies (each with its
-//! own worker pool and, under [`RunSpec::retime`], its own trace store);
-//! with [`RunSpec::progress`] on, live per-curve evaluation counters
+//! three curves as three concurrently-pipelined studies, each with its
+//! own worker pool and its own trace store: a curve executes the guest
+//! once to capture its operation trace and scores every other design
+//! point by replaying it through timing-only machinery (DESIGN.md §4b).
+//! With [`RunSpec::progress`] on, live per-curve evaluation counters
 //! print to stderr while long sweeps run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +43,8 @@ pub struct Fig7Curve {
     pub report: StudyReport<DesignPoint>,
 }
 
-/// Exploration settings. How the exploration executes (workers, trace
-/// replay, store, faults) is the [`RunSpec`]'s business.
+/// Exploration settings. How the exploration executes (workers, store,
+/// faults) is the [`RunSpec`]'s business.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Config {
     /// MobileNetV2 input resolution (small values keep sweeps fast; the
@@ -137,7 +139,7 @@ fn run_curve(
     // One factory per curve: workers share the model weights and the
     // input tensor by `Arc`, each minting a private evaluator.
     let factory = InferenceEvaluatorFactory::new(Board::arty_a7_35t(), model, input)
-        .with_retime(spec.retime)
+        .with_retime(true)
         .with_cycle_budget(cfg.cycle_budget);
     if let Some(traces) = factory.trace_store() {
         let _ = progress.traces[i].set(Arc::clone(traces));
@@ -226,8 +228,14 @@ pub fn run(spec: &RunSpec, cfg: &Fig7Config) -> Run<Vec<Fig7Curve>, DesignPoint>
     for curve in &curves {
         report.merge(&curve.report);
     }
-    let traces = progress.traces.iter().flat_map(OnceLock::get);
-    Run::collect(curves, report, stores.iter().flatten(), traces)
+    let mut run = Run::collect(curves, report, stores.iter().flatten());
+    for traces in progress.traces.iter().flat_map(OnceLock::get) {
+        run.captures += traces.captures();
+        run.replays += traces.replays();
+        run.memory_passes += traces.memory_passes();
+        run.branch_passes += traces.branch_passes();
+    }
+    run
 }
 
 /// The overall Pareto-optimal points across all curves (the starred

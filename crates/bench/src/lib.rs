@@ -12,10 +12,11 @@
 //!
 //! Every figure is one run of the shared DSE engine (`ParallelStudy`)
 //! whose mode is data: a [`RunSpec`] says how many workers, which result
-//! store, whether timing siblings are scored by trace replay, and which
-//! faults to inject. Each figure exposes one `run` over it, and the rows
-//! are byte-identical for every spec (pinned against the checked-in
-//! fixtures in `tests/golden/`).
+//! store and which faults to inject. Figure 7 scores its timing siblings
+//! by trace replay; every other artifact executes each of its points.
+//! Each figure exposes one `run` over it, and the rows are
+//! byte-identical for every spec (pinned against the checked-in fixtures
+//! in `tests/golden/`).
 //!
 //! Binaries under `src/bin/` parse their flags with [`cli`] and print the
 //! same rows/series the paper reports; Criterion benches under `benches/`
@@ -40,7 +41,7 @@ use std::time::Duration;
 
 use cfu_dse::{
     EvalResult, EvaluatorFactory, FaultPlan, FaultyFactory, GridSearch, Optimizer, ParallelStudy,
-    ResultStore, SearchSpace, StoreContext, StoreKey, StudyReport, StudyStore, TraceStore,
+    ResultStore, SearchSpace, StoreContext, StoreKey, StudyReport, StudyStore,
 };
 
 /// How one figure run executes. The figure binaries fill it from their
@@ -56,12 +57,6 @@ pub struct RunSpec {
     /// Hydrate prior results from `store` before running, so a fully
     /// warm store means zero simulations.
     pub resume: bool,
-    /// Execute the guest once per retime group (capturing its operation
-    /// trace) and score the group's timing siblings by replaying it.
-    /// Figure 4 does not use it: its rungs run different kernels, so none
-    /// replays another's trace. They share their common layers through a
-    /// layer memo instead, whatever this flag says.
-    pub retime: bool,
     /// Deterministic evaluation and store-flush faults, for exercising
     /// the retry/quarantine machinery (`CFU_FAULT_PLAN`).
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -72,16 +67,9 @@ pub struct RunSpec {
 }
 
 impl Default for RunSpec {
-    /// One worker, no store, plain execution, no faults, silent.
+    /// One worker, no store, no faults, silent.
     fn default() -> Self {
-        RunSpec {
-            threads: 1,
-            store: None,
-            resume: false,
-            retime: false,
-            fault_plan: None,
-            progress: false,
-        }
+        RunSpec { threads: 1, store: None, resume: false, fault_plan: None, progress: false }
     }
 }
 
@@ -166,7 +154,7 @@ pub struct Run<R, P> {
     pub appended: u64,
     /// Failure tombstones appended to the result store.
     pub tombstoned: u64,
-    /// Guest executions that captured a trace for retime replay.
+    /// Guest executions that captured a trace for retime replay (Figure 7).
     pub captures: u64,
     /// Points scored by trace replay instead of execution.
     pub replays: u64,
@@ -183,12 +171,12 @@ pub struct Run<R, P> {
 }
 
 impl<R, P> Run<R, P> {
-    /// Assembles a run from its rows, report and the stores it used.
-    fn collect<'a, K: 'a + Copy + Eq + Hash>(
+    /// Assembles a run from its rows, report and the result stores it
+    /// used.
+    fn collect<'a>(
         rows: R,
         report: StudyReport<P>,
         stores: impl IntoIterator<Item = &'a Arc<StudyStore<P>>>,
-        traces: impl IntoIterator<Item = &'a Arc<TraceStore<K>>>,
     ) -> Self
     where
         P: 'a,
@@ -210,12 +198,6 @@ impl<R, P> Run<R, P> {
             run.hydrated += store.hydrated();
             run.appended += store.appended();
             run.tombstoned += store.tombstoned();
-        }
-        for trace in traces {
-            run.captures += trace.captures();
-            run.replays += trace.replays();
-            run.memory_passes += trace.memory_passes();
-            run.branch_passes += trace.branch_passes();
         }
         run
     }
@@ -241,13 +223,11 @@ impl<R, P> Run<R, P> {
 /// Evaluates every rung of a ladder space once through the engine
 /// (`GridSearch` at full budget walks the rungs in order; each batch fans
 /// out over the spec's workers) and returns the results in ladder order.
-/// `traces` is the store the factory's evaluators capture into, if any.
 fn run_ladder<S, F>(
     spec: &RunSpec,
     space: S,
     ctx: StoreContext,
     factory: &F,
-    traces: Option<&Arc<TraceStore<u8>>>,
 ) -> Run<Vec<EvalResult>, S::Point>
 where
     S: SearchSpace,
@@ -271,7 +251,7 @@ where
     let results = (0..total)
         .map(|i| study.cache().get(&study.space().point(i)).expect("engine evaluated every rung"))
         .collect();
-    Run::collect(results, study.report(), &store, traces)
+    Run::collect(results, study.report(), &store)
 }
 
 /// Formats a speedup for tables ("55.30x").

@@ -1,21 +1,15 @@
-//! Every figure run against its checked-in golden CSV, over the run
-//! modes that must not move a byte: threads {1, 4} × retime {off, on},
-//! with retime only where a figure has timing siblings (Figure 6, the
-//! energy table, Figure 7); Figure 4 at threads {1, 2, 4}. This is the contract that lets the figure
-//! binaries take `--threads N` and `--retime/--no-retime` without
-//! perturbing published numbers.
+//! Every figure run against its checked-in golden CSV at the thread
+//! counts that must not move a byte: threads {1, 4}, Figure 4 at
+//! {1, 2, 4}. This is the contract that lets the figure binaries take
+//! `--threads N` without perturbing published numbers. Figure 7 scores
+//! its timing siblings by trace replay; every other figure executes each
+//! point.
 
 use cfu_bench::{fig4, fig6, fig7, RunSpec};
 
 /// The run modes each figure is checked under.
-fn specs(retime_modes: &[bool]) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for &retime in retime_modes {
-        for threads in [1, 4] {
-            specs.push(RunSpec { threads, retime, ..RunSpec::default() });
-        }
-    }
-    specs
+fn specs() -> Vec<RunSpec> {
+    [1, 4].map(|threads| RunSpec { threads, ..RunSpec::default() }).to_vec()
 }
 
 #[test]
@@ -38,47 +32,42 @@ fn fig4_matches_golden_at_any_thread_count() {
 }
 
 #[test]
-fn fig6_matches_golden_in_every_mode() {
-    for spec in specs(&[false, true]) {
+fn fig6_matches_golden_at_any_thread_count() {
+    for spec in specs() {
         let run = fig6::run(&spec);
         let csv = fig6::to_csv(&run.rows);
         assert_eq!(csv, include_str!("golden/fig6_kws_ladder.csv"), "{spec:?}");
-        assert_eq!(run.report.attempts, 8, "one simulation per step: {spec:?}");
-        // Five retime groups capture; QuadSPI, Larger Icache and Fast
-        // Mult replay their group's trace.
-        let expected = if spec.retime { (5, 3) } else { (0, 0) };
-        assert_eq!((run.captures, run.replays), expected, "{spec:?}");
+        assert_eq!(run.report.attempts, 8, "one execution per step: {spec:?}");
+        assert_eq!((run.captures, run.replays), (0, 0), "{spec:?}");
     }
 }
 
 #[test]
-fn energy_table_matches_golden_with_one_simulation_per_step() {
-    // The replayed energy estimate rides the memo cache through
-    // `EvalResult::{energy_uj, aux}` exactly like the executed one, so
-    // the rendered table (rebuilt from the cached bits) must not move
-    // either.
+fn energy_table_matches_golden_with_one_execution_per_step() {
+    // The energy estimate rides the memo cache through
+    // `EvalResult::{energy_uj, aux}`, so the rendered table (rebuilt
+    // from the cached bits) must not move either.
     let mut table = None;
-    for spec in specs(&[false, true]) {
+    for spec in specs() {
         let run = fig6::run_energy(&spec);
         let csv = fig6::energy_to_csv(&run.rows);
         assert_eq!(csv, include_str!("golden/table_energy_ladder.csv"), "{spec:?}");
         let rendered = fig6::render_energy(&run.rows);
         assert_eq!(table.get_or_insert_with(|| rendered.clone()), &rendered, "{spec:?}");
-        assert_eq!(run.report.attempts, 8, "one simulation per step: {spec:?}");
-        let expected = if spec.retime { (5, 3) } else { (0, 0) };
-        assert_eq!((run.captures, run.replays), expected, "{spec:?}");
+        assert_eq!(run.report.attempts, 8, "one execution per step: {spec:?}");
+        assert_eq!((run.captures, run.replays), (0, 0), "{spec:?}");
     }
 }
 
 #[test]
-fn fig7_matches_golden_and_report_in_every_mode() {
+fn fig7_matches_golden_and_report_at_any_thread_count() {
     // The three curves run concurrently on N-worker studies; the CSV
     // and the rendered report (including the starred overall optima)
-    // must not move for any N or either retime mode. Eight trials are
+    // must not move for any N. Eight trials are
     // one suggest/observe round per curve; 24 cross a round boundary
     // (`SUGGEST_BATCH` = 16), so the second round's replays come from
     // traces captured in the first.
-    // Each golden comes with the counts the retime run reports: points
+    // Each golden comes with the counts the run reports: points
     // replayed, memory passes (one per curve and cache geometry) and
     // branch passes (one per curve and predictor).
     let goldens = [
@@ -88,7 +77,7 @@ fn fig7_matches_golden_and_report_in_every_mode() {
     for (trials, golden, [replays, memory_passes, branch_passes]) in goldens {
         let cfg = fig7::Fig7Config { trials, input_hw: 8, ..fig7::Fig7Config::default() };
         let mut report = None;
-        for spec in specs(&[false, true]) {
+        for spec in specs() {
             let run = fig7::run(&spec, &cfg);
             let csv = fig7::to_csv(&run.rows);
             assert_eq!(csv, golden, "{trials} trials, {spec:?}");
@@ -99,9 +88,8 @@ fn fig7_matches_golden_and_report_in_every_mode() {
                 "{trials} trials, {spec:?}"
             );
             // One capture per curve; timing siblings replay.
-            let expected = if spec.retime { (3, replays) } else { (0, 0) };
-            assert_eq!((run.captures, run.replays), expected, "{trials} trials, {spec:?}");
-            if spec.retime && spec.threads == 1 {
+            assert_eq!((run.captures, run.replays), (3, replays), "{trials} trials, {spec:?}");
+            if spec.threads == 1 {
                 let passes = (run.memory_passes, run.branch_passes);
                 assert_eq!(passes, (memory_passes, branch_passes), "{trials} trials");
             }

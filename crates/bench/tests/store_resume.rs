@@ -19,22 +19,22 @@ fn temp_store(tag: &str) -> PathBuf {
 }
 
 /// A two-worker spec over the store file at `path`.
-fn stored(path: &Path, resume: bool, retime: bool) -> RunSpec {
+fn stored(path: &Path, resume: bool) -> RunSpec {
     let store = Arc::new(ResultStore::open(path).unwrap());
-    RunSpec { threads: 2, store: Some(store), resume, retime, ..RunSpec::default() }
+    RunSpec { threads: 2, store: Some(store), resume, ..RunSpec::default() }
 }
 
 #[test]
 fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
     let cfg = fig7::Fig7Config { input_hw: 8, trials: 24, ..fig7::Fig7Config::default() };
-    let plain = RunSpec { threads: 2, retime: true, ..RunSpec::default() };
+    let plain = RunSpec { threads: 2, ..RunSpec::default() };
     let baseline = fig7::to_csv(&fig7::run(&plain, &cfg).rows);
     let path = temp_store("fig7");
-    let cold = fig7::run(&stored(&path, false, true), &cfg);
+    let cold = fig7::run(&stored(&path, false), &cfg);
     assert_eq!(fig7::to_csv(&cold.rows), baseline, "attaching a store must not move the fronts");
     assert!(cold.appended > 0, "cold run must persist fresh evaluations");
 
-    let warm = fig7::run(&stored(&path, true, true), &cfg);
+    let warm = fig7::run(&stored(&path, true), &cfg);
     assert_eq!(fig7::to_csv(&warm.rows), baseline, "warm resume must reproduce the fronts");
     assert_eq!(warm.appended, 0, "warm resume must append nothing");
     assert!(warm.hydrated > 0, "warm resume must hydrate prior results");
@@ -49,10 +49,10 @@ fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
 fn fig4_warm_resume_is_byte_identical_and_appends_nothing() {
     let baseline = include_str!("golden/fig4_mnv2_ladder_hw16.csv");
     let path = temp_store("fig4");
-    let cold = fig4::run(&stored(&path, false, false), 16, false);
+    let cold = fig4::run(&stored(&path, false), 16, false);
     assert_eq!(fig4::to_csv(&cold.rows), baseline, "attaching a store must not move the rows");
     assert!(cold.appended > 0, "cold run must persist fresh steps");
-    let warm = fig4::run(&stored(&path, true, false), 16, false);
+    let warm = fig4::run(&stored(&path, true), 16, false);
     assert_eq!(fig4::to_csv(&warm.rows), baseline, "warm resume must reproduce the rows");
     assert_eq!(warm.appended, 0, "warm resume must append nothing");
     assert!(warm.hydrated > 0, "warm resume must hydrate prior steps");
@@ -80,16 +80,16 @@ fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
     let baseline = include_str!("golden/fig6_kws_ladder.csv");
     let energy_csv = include_str!("golden/table_energy_ladder.csv");
     let path = temp_store("fig6-shared");
-    let cold = fig6::run(&stored(&path, false, false));
+    let cold = fig6::run(&stored(&path, false));
     assert_eq!(fig6::to_csv(&cold.rows), baseline, "attaching a store must not move the rows");
     assert!(cold.appended > 0, "cold ladder run must persist fresh steps");
-    let cold_energy = fig6::run_energy(&stored(&path, false, true));
+    let cold_energy = fig6::run_energy(&stored(&path, false));
     assert_eq!(fig6::energy_to_csv(&cold_energy.rows), energy_csv);
     assert!(cold_energy.appended > 0, "cold energy run must persist fresh steps");
     assert_eq!(cold_energy.report.attempts, 8, "each step must be simulated exactly once");
     let energy_table = fig6::render_energy(&cold_energy.rows);
 
-    let warm = fig6::run(&stored(&path, true, false));
+    let warm = fig6::run(&stored(&path, true));
     assert_eq!(fig6::to_csv(&warm.rows), baseline, "warm resume must reproduce the rows");
     assert_eq!(warm.appended, 0, "warm resume must append nothing");
     assert_eq!(
@@ -97,11 +97,10 @@ fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
         fig6::Fig6Step::LADDER.len() as u64,
         "the ladder must hydrate exactly its own records, not the energy rows"
     );
-    // A fully hydrated memo cache means no evaluator (execute *or*
-    // retime capture) ever touches the guest.
-    let warm_energy = fig6::run_energy(&stored(&path, true, true));
+    // A fully hydrated memo cache means no evaluator ever touches the
+    // guest.
+    let warm_energy = fig6::run_energy(&stored(&path, true));
     assert_eq!(warm_energy.report.attempts, 0, "warm resume must simulate zero steps");
-    assert_eq!((warm_energy.captures, warm_energy.replays), (0, 0));
     assert_eq!(fig6::render_energy(&warm_energy.rows), energy_table, "warm energy table diverged");
     assert_eq!(fig6::energy_to_csv(&warm_energy.rows), energy_csv, "warm energy CSV diverged");
     assert_eq!(warm_energy.appended, 0, "warm energy resume must append nothing");

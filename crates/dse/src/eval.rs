@@ -133,7 +133,7 @@ impl Evaluator for ResourceEvaluator {
 }
 
 /// One [`TraceStore`] slot: filled exactly once, `None` when the
-/// capture refused retime-eligibility.
+/// capture failed.
 pub type TraceSlot = Arc<OnceLock<Option<Arc<Trace>>>>;
 
 /// A profile-cache slot: one pass's outcome, computed exactly once.
@@ -209,9 +209,8 @@ impl<K> Default for Profiles<K> {
 /// [`ParallelStudy`](crate::ParallelStudy) worker pool: each slot is a
 /// [`OnceLock`], so exactly one worker performs the capture (or a pass)
 /// while racing workers block briefly and then reuse it. A trace slot
-/// holding `None` records a capture that *refused* eligibility (the run
-/// failed, or the trace is not retime-safe) — every point under that key
-/// falls back to execute mode.
+/// holding `None` records a failed capture run — every point under that
+/// key falls back to execute mode.
 ///
 /// Keyed by `K` (default [`CfuChoice`], the Figure-7 eligibility key:
 /// for a fixed board/model/input the operation stream depends only on
@@ -538,9 +537,7 @@ impl InferenceEvaluator {
                 match outcome {
                     Ok((latency, energy_uj, trace)) => {
                         captured = Some(Ok((latency, energy_uj)));
-                        // A timing-dependent trace refuses eligibility
-                        // for the whole key.
-                        trace.filter(|t| t.retime_safe()).map(Arc::new)
+                        trace.map(Arc::new)
                     }
                     Err(failure) => {
                         // A failed capture fails only its own point; the

@@ -12,9 +12,8 @@
 //!
 //! # Record format (version 2)
 //!
-//! The file reuses the framing discipline of
-//! [`cfu_sim::Trace::to_bytes`]: magic, version, length-prefixed
-//! payload, FNV-1a-64 checksum. All integers are little-endian.
+//! The file is framed as magic, version, then length-prefixed records,
+//! each closed by an FNV-1a-64 checksum. All integers are little-endian.
 //!
 //! ```text
 //! file   := magic "CFRS" | format_version u32 | record*
@@ -114,7 +113,7 @@ const VALUE_TAG_TOMBSTONE: u8 = 1;
 /// taxonomy can evolve without another whole-file format bump.
 const TOMBSTONE_VERSION: u8 = 1;
 
-/// FNV-1a 64-bit — the same checksum the retime trace format uses.
+/// FNV-1a 64-bit: the record checksum and the key hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -340,28 +340,19 @@ impl Cache {
         self.stats.evictions += delta.evictions;
     }
 
-    /// Records a hit without a tag lookup, for callers that can prove the
-    /// access would hit.
+    /// Records `n` hits without a tag lookup, for callers that can prove
+    /// the accesses would hit.
     ///
-    /// Contract: the caller's previous operation on *this* cache was an
-    /// [`access`](Cache::access) / [`fill`](Cache::fill) /
-    /// [`note_hit`](Cache::note_hit) of the **same line**, with no other
-    /// cache operation in between. Under that contract the line is
-    /// resident and already most-recently-used, so skipping the LRU
+    /// Contract, per counted hit: the caller's previous operation on
+    /// *this* cache was an [`access`](Cache::access) /
+    /// [`fill`](Cache::fill) or a counted hit of the **same line**, with
+    /// no other cache operation in between. Under that contract the line
+    /// is resident and already most-recently-used, so skipping the LRU
     /// re-touch cannot change any future hit/miss/eviction decision: the
     /// relative order of last-touch times across lines is preserved, and
-    /// the internal tick counter is not otherwise observable. Used by the
-    /// ISS's timing-only fetch replay for the second parcel of a 32-bit
-    /// RVC instruction that lies on the line its first parcel touched.
-    #[inline]
-    pub fn note_hit(&mut self) {
-        self.stats.hits += 1;
-    }
-
-    /// Bulk form of [`note_hit`](Cache::note_hit): records `n` proven
-    /// hits at once. Same contract per counted hit; callers may defer
-    /// the ticks as long as the statistics are not observed in between
-    /// (hit counts have no effect on replacement decisions).
+    /// the internal tick counter is not otherwise observable. Callers may
+    /// defer the counts as long as the statistics are not observed in
+    /// between (hit counts have no effect on replacement decisions).
     ///
     /// More generally, a hit may be counted here for any line that is
     /// resident and was touched after every other line of its set: it
@@ -451,10 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn note_hit_matches_repeated_access_exactly() {
+    fn note_hits_match_repeated_access_exactly() {
         // Two caches driven identically, except one replaces repeated
-        // same-line accesses with `note_hit`, as the ISS fetch-timing
-        // replay does for a second parcel on its first parcel's line.
+        // same-line accesses with `note_hits`, as fetch charging does for
+        // the rest of a stretch on the line its first fetch touched.
         // Contents, stats and every later eviction decision must agree.
         let mut a = Cache::new(cfg(64, 2)); // 1 set of 2 ways
         let mut b = Cache::new(cfg(64, 2));
@@ -462,8 +453,8 @@ mod tests {
         b.access(0);
         for _ in 0..3 {
             a.access(4); // same 32B line as 0 → guaranteed hits
-            b.note_hit();
         }
+        b.note_hits(3);
         a.access(64);
         b.access(64);
         a.access(128); // evicts the LRU way — must pick the same victim

@@ -16,10 +16,6 @@ use cfu_mem::{Bus, Cache, MemError};
 
 use crate::bpred::PredictorState;
 use crate::config::CpuConfig;
-use crate::retime::{
-    hazard_penalty, IssRecorder, IssTrace, TimingModel, K_BRANCH, K_CFU, K_DIV, K_JAL, K_JALR,
-    K_LOAD, K_MUL, K_SHIFT, K_SIMPLE, K_STORE,
-};
 use crate::timed_core::buffer_store;
 
 /// Addresses at or above this bypass the caches (peripheral/CSR space,
@@ -181,9 +177,6 @@ pub struct Cpu {
     /// when tracing is off.
     trace: std::collections::VecDeque<(u32, Inst)>,
     trace_depth: usize,
-    /// Committed-instruction trace recorder; `Some` while capturing (see
-    /// [`Cpu::start_recording`]); fed by every [`Cpu::retire`].
-    recorder: Option<IssRecorder>,
 }
 
 impl fmt::Debug for Cpu {
@@ -223,22 +216,7 @@ impl Cpu {
             stopped: None,
             trace: std::collections::VecDeque::new(),
             trace_depth: 0,
-            recorder: None,
         }
-    }
-
-    /// Starts recording the committed instruction stream into an
-    /// [`IssTrace`]. Recording is passive — timing, statistics and
-    /// architectural state are those of an unrecorded run — and ends with
-    /// [`Cpu::finish_recording`].
-    pub fn start_recording(&mut self) {
-        self.recorder = Some(IssRecorder::new(self.config.compressed));
-    }
-
-    /// Stops recording and returns the captured trace, or `None` when
-    /// [`Cpu::start_recording`] was never called.
-    pub fn finish_recording(&mut self) -> Option<IssTrace> {
-        self.recorder.take().map(IssRecorder::finish)
     }
 
     /// Enables an execution trace of the last `depth` retired
@@ -400,64 +378,7 @@ impl Cpu {
         self.retire(pc, inst, ilen)
     }
 
-    /// Charges the fetch timing [`Cpu::step`] would for the instruction
-    /// at `pc` — every cycle, cache update and device-statistics effect,
-    /// without materializing the bytes.
-    fn charge_fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError> {
-        let mut last_line = None;
-        if self.config.compressed {
-            self.charge_fetch_access(pc, 2, &mut last_line)?;
-            // Second parcel of a 32-bit instruction is charged only when
-            // it crosses into a new device word (mirrors `step`); the
-            // uncharged case was a pure peek — nothing to replay.
-            let high = pc.wrapping_add(2);
-            if ilen == 4 && high.is_multiple_of(4) {
-                self.charge_fetch_access(high, 2, &mut last_line)?;
-            }
-            Ok(())
-        } else {
-            self.charge_fetch_access(pc, 4, &mut last_line)
-        }
-    }
-
-    /// Timing-only replay of one charged fetch access: the I-cache (or
-    /// uncached bus) traffic of `fetch`/`fetch_parcel`, minus their
-    /// trailing peeks. `last_line` tracks the previous fetch's I-cache
-    /// line so a second parcel on the same line uses [`Cache::note_hit`]
-    /// (exact under its guaranteed-resident contract).
-    fn charge_fetch_access(
-        &mut self,
-        addr: u32,
-        bytes: usize,
-        last_line: &mut Option<u32>,
-    ) -> Result<(), MemError> {
-        if addr >= UNCACHED_BASE || self.icache.is_none() {
-            // Uncached fetches pay the device on every access — the read
-            // (and its DeviceStats) is the cost, so it cannot be skipped.
-            let mut buf = [0u8; 4];
-            let cycles = self.bus.read(addr, &mut buf[..bytes])?;
-            self.charge(cycles);
-            return Ok(());
-        }
-        let cache = self.icache.as_mut().expect("checked above");
-        let line = cache.config().line_bytes;
-        let line_addr = addr & !(line - 1);
-        if *last_line == Some(line_addr) {
-            cache.note_hit();
-            self.charge(1);
-            return Ok(());
-        }
-        if cache.access(addr) {
-            self.charge(1);
-        } else {
-            let cycles = self.bus.read_cost(line_addr, line)?;
-            self.charge(1 + cycles);
-        }
-        *last_line = Some(line_addr);
-        Ok(())
-    }
-
-    /// Trace, recording, hazard stalls, execution and retirement of one
+    /// Trace, hazard stalls, execution and retirement of one
     /// decoded instruction (fetch timing already charged).
     #[inline]
     fn retire(&mut self, pc: u32, inst: Inst, ilen: u32) -> Result<(), SimError> {
@@ -468,59 +389,10 @@ impl Cpu {
             }
             self.trace.push_back((pc, inst));
         }
-        if self.recorder.is_some() {
-            let haz = self.hazard_class(srcs);
-            let (kind, extra) = self.classify(&inst);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.inst(pc, ilen, haz, kind, extra);
-            }
-        }
         self.charge_hazards(srcs);
         self.execute(pc, inst, ilen)?;
         self.stats.instructions += 1;
         Ok(())
-    }
-
-    /// The data-hazard class [`Cpu::charge_hazards`] will stall on:
-    /// 0 no dependency, 1 ALU-use, 2 load-use. The class is
-    /// configuration-independent (only the *penalty* varies), so a
-    /// recorded class replays exactly under any timing configuration.
-    fn hazard_class(&self, srcs: (Option<Reg>, Option<Reg>)) -> u8 {
-        let Some(prev) = self.prev_rd else { return 0 };
-        if prev.is_zero() || (srcs.0 != Some(prev) && srcs.1 != Some(prev)) {
-            return 0;
-        }
-        if self.prev_was_load {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Maps an instruction onto its trace-record kind (and the shift
-    /// amount for shifts — dynamic shifts read `rs2` here, before
-    /// `execute` can clobber it).
-    fn classify(&self, inst: &Inst) -> (u64, u64) {
-        use Inst::*;
-        match *inst {
-            Jal { .. } => (K_JAL, 0),
-            Jalr { .. } => (K_JALR, 0),
-            Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. } | Bltu { .. } | Bgeu { .. } => {
-                (K_BRANCH, 0)
-            }
-            Lb { .. } | Lbu { .. } | Lh { .. } | Lhu { .. } | Lw { .. } => (K_LOAD, 0),
-            Sb { .. } | Sh { .. } | Sw { .. } => (K_STORE, 0),
-            Slli { shamt, .. } | Srli { shamt, .. } | Srai { shamt, .. } => {
-                (K_SHIFT, u64::from(shamt))
-            }
-            Sll { rs2, .. } | Srl { rs2, .. } | Sra { rs2, .. } => {
-                (K_SHIFT, u64::from(self.reg(rs2) & 0x1F))
-            }
-            Mul { .. } | Mulh { .. } | Mulhsu { .. } | Mulhu { .. } => (K_MUL, 0),
-            Div { .. } | Divu { .. } | Rem { .. } | Remu { .. } => (K_DIV, 0),
-            Cfu { .. } | Cfu1 { .. } => (K_CFU, 0),
-            _ => (K_SIMPLE, 0),
-        }
     }
 
     // ---- timing helpers -------------------------------------------------
@@ -584,9 +456,6 @@ impl Cpu {
     fn data_read(&mut self, pc: u32, addr: u32, len: u32) -> Result<u32, SimError> {
         let wrap = |source| SimError::Mem { pc, source };
         let addr = self.check_align(pc, addr, len)?;
-        if let Some(r) = self.recorder.as_mut() {
-            r.load_payload(addr, len);
-        }
         if addr >= UNCACHED_BASE || self.dcache.is_none() {
             let mut buf = [0u8; 4];
             let cycles = self.bus.read(addr, &mut buf[..len as usize]).map_err(wrap)?;
@@ -610,9 +479,6 @@ impl Cpu {
     fn data_write(&mut self, pc: u32, addr: u32, value: u32, len: u32) -> Result<(), SimError> {
         let wrap = |source| SimError::Mem { pc, source };
         let addr = self.check_align(pc, addr, len)?;
-        if let Some(r) = self.recorder.as_mut() {
-            r.store_payload(addr, len);
-        }
         let bytes = value.to_le_bytes();
         // Functional write (device time computed below via the buffer).
         let device_cycles = self.bus.write(addr, &bytes[..len as usize]).map_err(wrap)?;
@@ -620,18 +486,11 @@ impl Cpu {
             self.charge(device_cycles);
             return Ok(());
         }
-        self.drain_store(device_cycles);
-        Ok(())
-    }
-
-    /// Write-through, no-write-allocate, 4-deep write buffer (the one
-    /// [`buffer_store`] model): the store timing of [`Cpu::data_write`]
-    /// once the device latency is known.
-    /// Shared with the timing-only [`TimingModel::store_timing`] replay
-    /// path.
-    fn drain_store(&mut self, device_cycles: u64) {
+        // Write-through, no-write-allocate, 4-deep write buffer: the one
+        // `buffer_store` model.
         let charged = buffer_store(&mut self.write_buffer, self.stats.cycles, device_cycles);
         self.charge(charged);
+        Ok(())
     }
 
     fn check_align(&self, pc: u32, addr: u32, len: u32) -> Result<u32, SimError> {
@@ -714,9 +573,6 @@ impl Cpu {
                     Bltu { .. } => a < b,
                     _ => a >= b,
                 };
-                if let Some(r) = self.recorder.as_mut() {
-                    r.branch_payload(imm, taken);
-                }
                 let prediction = self.bpred.predict(pc, imm);
                 let correct = self.bpred.update(pc, prediction, taken);
                 self.stats.branches += 1;
@@ -868,13 +724,11 @@ impl Cpu {
             Csrrw { rd, rs1, csr } | Csrrs { rd, rs1, csr } | Csrrc { rd, rs1, csr } => {
                 self.charge(1);
                 let _ = rs1; // counters are read-only here; writes ignored
-                self.note_csr_observed(csr);
                 let v = self.read_csr(csr);
                 self.set_reg(rd, v);
             }
             Csrrwi { rd, csr, .. } | Csrrsi { rd, csr, .. } | Csrrci { rd, csr, .. } => {
                 self.charge(1);
-                self.note_csr_observed(csr);
                 let v = self.read_csr(csr);
                 self.set_reg(rd, v);
             }
@@ -950,9 +804,6 @@ impl Cpu {
                     .cfu
                     .execute(op, self.reg(rs1), self.reg(rs2))
                     .map_err(|source| SimError::Cfu { pc, source })?;
-                if let Some(r) = self.recorder.as_mut() {
-                    r.cfu_payload(resp.latency);
-                }
                 self.charge(u64::from(resp.latency));
                 self.stats.cfu_stall_cycles += u64::from(resp.latency.saturating_sub(1));
                 self.set_reg(rd, resp.value);
@@ -966,9 +817,6 @@ impl Cpu {
                 let target = self.cfu1.as_mut().unwrap_or(&mut self.cfu);
                 let resp =
                     target.execute(op, a, b).map_err(|source| SimError::Cfu { pc, source })?;
-                if let Some(r) = self.recorder.as_mut() {
-                    r.cfu_payload(resp.latency);
-                }
                 self.charge(u64::from(resp.latency));
                 self.stats.cfu_stall_cycles += u64::from(resp.latency.saturating_sub(1));
                 self.set_reg(rd, resp.value);
@@ -988,126 +836,6 @@ impl Cpu {
             Csr::Minstreth => (self.stats.instructions >> 32) as u32,
             Csr::Other(_) => 0,
         }
-    }
-
-    /// A CSR read of a live cycle/instruction counter makes the committed
-    /// stream timing-dependent: the capture stays faithful but loses
-    /// retime-eligibility.
-    fn note_csr_observed(&mut self, csr: Csr) {
-        if let Some(r) = self.recorder.as_mut() {
-            if matches!(csr, Csr::Mcycle | Csr::Mcycleh | Csr::Minstret | Csr::Minstreth) {
-                r.counter_observed();
-            }
-        }
-    }
-}
-
-impl TimingModel for Cpu {
-    fn timing_config(&self) -> &CpuConfig {
-        &self.config
-    }
-
-    fn elapsed_cycles(&self) -> u64 {
-        self.stats.cycles
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.stats.instructions
-    }
-
-    fn charge_cycles(&mut self, n: u64) {
-        self.charge(n);
-    }
-
-    fn fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError> {
-        self.charge_fetch_timing(pc, ilen)?;
-        // The live fetch path ends in a data peek, whose net device-timing
-        // effect is a reset (it breaks the flash burst tracker between
-        // cache-line fills). RVC parcels always peek; 32-bit fetches peek
-        // only on the cached path.
-        if self.config.compressed {
-            self.bus.reset_device_timing(pc)?;
-            if ilen == 4 {
-                self.bus.reset_device_timing(pc.wrapping_add(2))?;
-            }
-        } else if pc < UNCACHED_BASE && self.icache.is_some() {
-            self.bus.reset_device_timing(pc)?;
-        }
-        self.stats.instructions += 1;
-        Ok(())
-    }
-
-    fn hazard_timing(&mut self, after_load: bool) {
-        let n = hazard_penalty(&self.config, after_load);
-        self.charge(n);
-    }
-
-    fn load_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.stats.loads += 1;
-        if addr >= UNCACHED_BASE || self.dcache.is_none() {
-            let cycles = self.bus.read_cost(addr, len)?;
-            self.charge(cycles);
-            return Ok(());
-        }
-        let cache = self.dcache.as_mut().expect("checked above");
-        if cache.access(addr) {
-            self.charge(1);
-        } else {
-            let line = cache.config().line_bytes;
-            let cycles = self.bus.read_cost(addr & !(line - 1), line)?;
-            self.charge(1 + cycles);
-        }
-        // The live path's data peek resets device timing; reproduce that.
-        self.bus.reset_device_timing(addr)?;
-        Ok(())
-    }
-
-    fn store_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.stats.stores += 1;
-        // Store timing is value-independent: write zeros through the same
-        // device and write-buffer model (the replay bus's contents are
-        // never read).
-        let zeros = [0u8; 4];
-        let device_cycles = self.bus.write(addr, &zeros[..len as usize])?;
-        if addr >= UNCACHED_BASE {
-            self.charge(device_cycles);
-            return Ok(());
-        }
-        self.drain_store(device_cycles);
-        Ok(())
-    }
-
-    fn branch_timing(&mut self, pc: u32, offset: i32, taken: bool) {
-        let prediction = self.bpred.predict(pc, offset);
-        let correct = self.bpred.update(pc, prediction, taken);
-        self.stats.branches += 1;
-        self.charge(1);
-        if !correct {
-            self.stats.mispredicts += 1;
-            self.charge(self.config.refill_penalty());
-        } else if taken && !prediction.target_known {
-            self.charge(1); // redirect bubble even when predicted
-        }
-    }
-
-    fn mul_timing(&mut self) {
-        self.stats.muls += 1;
-        self.charge(self.config.mul_cycles());
-    }
-
-    fn div_timing(&mut self) {
-        self.stats.divs += 1;
-        self.charge(self.config.div_cycles());
-    }
-
-    fn shift_timing(&mut self, shamt: u32) {
-        self.charge(self.config.shift_cycles(shamt));
-    }
-
-    fn cfu_timing(&mut self, latency: u32) {
-        self.stats.cfu_ops += 1;
-        self.charge(u64::from(latency));
-        self.stats.cfu_stall_cycles += u64::from(latency.saturating_sub(1));
     }
 }
 

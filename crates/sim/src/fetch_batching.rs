@@ -1,5 +1,8 @@
 //! Generated differential test for bulk instruction-fetch charging.
 //!
+//! It lives inside the crate because its per-fetch reference drives the
+//! crate-private single-fetch path (`TimedCore::fetch` and `charge`).
+//!
 //! `TimedCore::alu(n)` and `call(s)` charge their fetches one sequential
 //! stretch at a time, the warm rest of a fetch window as bulk hits, and
 //! `TraceReplayer` prices captured fetch runs through the same charger.
@@ -18,9 +21,10 @@
 use cfu_core::templates::SimdAddCfu;
 use cfu_core::CfuOp;
 use cfu_mem::{Bus, CacheConfig, Ddr3, SpiFlash, SpiWidth, Sram};
-use cfu_sim::{CpuConfig, TimedCore, TimingModel, TraceReplayer, UNCACHED_BASE};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+use crate::{CpuConfig, TimedCore, TraceReplayer, UNCACHED_BASE};
 
 const FLASH: (u32, u32) = (0x0000_0000, 64 << 10);
 const SRAM: (u32, u32) = (0x1000_0000, 64 << 10);
@@ -143,8 +147,8 @@ enum Mode {
 
 /// One single-cycle instruction through the single-fetch path.
 fn step(core: &mut TimedCore) -> bool {
-    let ok = core.fetch_timing(0, 4).is_ok();
-    core.charge_cycles(1);
+    let ok = core.fetch().is_ok();
+    core.charge(1);
     ok
 }
 
@@ -163,10 +167,10 @@ fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> (TimedCore, Vec
             (Op::Call(s), _) => {
                 // jal, jalr-ret, then two single-cycle instructions per
                 // saved register.
-                let jal = core.fetch_timing(0, 4).is_ok();
-                core.charge_cycles(2);
-                let ret = core.fetch_timing(0, 4).is_ok();
-                core.charge_cycles(1 + config.refill_penalty());
+                let jal = core.fetch().is_ok();
+                core.charge(2);
+                let ret = core.fetch().is_ok();
+                core.charge(1 + config.refill_penalty());
                 jal && ret && (0..2 * s).all(|_| step(&mut core))
             }
             (Op::Mul, _) => core.mul().is_ok(),

@@ -4,13 +4,13 @@
 //!
 //! * [`Cpu`] — an RV32IM instruction-set simulator that runs real encoded
 //!   programs (the Renode-equivalent path; §II-E of the paper). It is one
-//!   fetch → decode → execute interpreter, also when it records an
-//!   [`IssTrace`]. Custom-0 instructions dispatch to the attached
-//!   [`cfu_core::Cfu`].
+//!   fetch → decode → execute interpreter. Custom-0 instructions dispatch
+//!   to the attached [`cfu_core::Cfu`].
 //! * [`TimedCore`] — a transaction-level model that TFLite-Micro-style
 //!   kernels drive op by op, for whole-model inference cycle counts. The
-//!   paper's figures run on it (and on [`TraceReplayer`] replays of its
-//!   [`Trace`]s), never on [`Cpu`].
+//!   paper's figures run on it, never on [`Cpu`]. Figure 7 scores its
+//!   timing siblings by [`TraceReplayer`] replays of in-memory [`Trace`]s
+//!   captured from it.
 //!
 //! Both respect every [`CpuConfig`] knob: pipeline depth, bypassing,
 //! branch predictors ([`BranchPredictor`]), multiplier/divider/shifter
@@ -42,6 +42,8 @@ mod bpred;
 mod config;
 mod cpu;
 pub mod energy;
+#[cfg(test)]
+mod fetch_batching;
 mod retime;
 pub mod span;
 mod timed_core;
@@ -50,7 +52,6 @@ pub use bpred::{Prediction, PredictorState};
 pub use config::{BranchPredictor, CpuConfig, Divider, Multiplier, Shifter};
 pub use cpu::{syscall, Cpu, CpuStats, SimError, StopReason, UNCACHED_BASE};
 pub use retime::{
-    replay_iss, BranchProfile, CoreProfile, IssTrace, MemoryProfile, ReplayError, ReplaySummary,
-    TimingModel, Trace, TraceDecodeError, TraceReplayer,
+    BranchProfile, CoreProfile, MemoryProfile, ReplayError, ReplaySummary, Trace, TraceReplayer,
 };
 pub use timed_core::{TimedCore, TlmStats};

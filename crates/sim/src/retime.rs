@@ -11,8 +11,8 @@
 //! * **Capture** runs the workload once in execute mode with a
 //!   [`TraceRecorder`] attached ([`crate::TimedCore::start_recording`]).
 //!   Recording is passive — the capture run's own timing and statistics
-//!   are unchanged — and yields a compact, serializable [`Trace`] of the
-//!   committed operation stream.
+//!   are unchanged — and yields a compact in-memory [`Trace`] of the
+//!   committed operation stream. Traces are never written to disk.
 //! * **Replay** streams the trace through a [`TraceReplayer`]: only the
 //!   timing machinery runs (I/D caches, branch predictor, bus device
 //!   wait-state models, CFU latencies, the store write buffer). Fetch,
@@ -65,11 +65,6 @@
 //!    combine runs it at every store where it may still hold a write,
 //!    and a store that provably finds it drained costs one issue cycle
 //!    wherever it falls in its segment.
-//!
-//! The [`TimingModel`] trait is the factored timing surface: the live
-//! ISS `Cpu` and the abstract `TimedCore` implement it, and
-//! [`replay_iss`] drives either of them from a captured ISS instruction
-//! trace ([`IssTrace`]).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -99,42 +94,16 @@ const TAG_MARK: u64 = 12;
 /// Maximum fetches per packed run (31-bit count field).
 const RUN_COUNT_MAX: u64 = 0x7FFF_FFFF;
 
-/// Serialized-trace magic for TLM traces.
-const TLM_MAGIC: [u8; 4] = *b"CFTR";
-/// Serialized-trace magic for ISS instruction traces.
-const ISS_MAGIC: [u8; 4] = *b"CFIR";
-/// Serialized-trace format version. Bumped to 2 when branch records
-/// gained the static-direction bit (bit 5): version-1 traces synthesized
-/// the predictor offset from the outcome, which hid every Static-point
-/// mispredict, so they can no longer be replayed faithfully.
-const TRACE_VERSION: u32 = 2;
-
-/// ISS record kinds (bits 32..36 of each header word).
-pub(crate) const K_SIMPLE: u64 = 0;
-pub(crate) const K_SHIFT: u64 = 1;
-pub(crate) const K_MUL: u64 = 2;
-pub(crate) const K_DIV: u64 = 3;
-pub(crate) const K_JAL: u64 = 4;
-pub(crate) const K_JALR: u64 = 5;
-pub(crate) const K_BRANCH: u64 = 6;
-pub(crate) const K_LOAD: u64 = 7;
-pub(crate) const K_STORE: u64 = 8;
-pub(crate) const K_CFU: u64 = 9;
-
 /// A captured committed-operation trace from a [`TimedCore`] run.
 ///
 /// The trace stores the abstract operation stream (packed one-or-two
 /// `u64` words per op) plus a derived *fetch-run* index that lets the
-/// replayer charge instruction fetches in line-sized batches. Traces
-/// serialize with [`to_bytes`](Trace::to_bytes) / round-trip with
-/// [`from_bytes`](Trace::from_bytes); the fetch-run index is recomputed
-/// on decode rather than stored.
+/// replayer charge instruction fetches in line-sized batches. Every
+/// trace comes from a capture run ([`TimedCore::finish_recording`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     ops: Vec<u64>,
     compressed: bool,
-    retime_safe: bool,
-    marks: u32,
     fetch_runs: Vec<u64>,
 }
 
@@ -150,11 +119,11 @@ impl Trace {
     }
 
     /// Whether replaying this trace under a different *timing*
-    /// configuration is guaranteed to match an execute-mode run. TLM
-    /// captures are always retime-safe; ISS captures clear this when the
-    /// guest observed live counters or modified its own code.
+    /// configuration is guaranteed to match an execute-mode run. Always
+    /// `true`: a `TimedCore` capture records an operation stream that no
+    /// timing knob can change.
     pub fn retime_safe(&self) -> bool {
-        self.retime_safe
+        true
     }
 
     /// RVC setting the trace was captured under (the fetch stride is
@@ -162,41 +131,6 @@ impl Trace {
     /// `compressed` flag).
     pub fn compressed(&self) -> bool {
         self.compressed
-    }
-
-    /// Serializes the trace: magic, version, flags, mark count, op
-    /// count, little-endian op words, FNV-1a checksum.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.ops.len() * 8);
-        out.extend_from_slice(&TLM_MAGIC);
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        let flags = u32::from(self.compressed) | (u32::from(self.retime_safe) << 1);
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&self.marks.to_le_bytes());
-        out.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
-        for w in &self.ops {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decodes a trace serialized by [`to_bytes`](Trace::to_bytes),
-    /// recomputing the fetch-run index.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation,
-    /// checksum mismatch or a malformed op (see
-    /// [`TraceDecodeError::BadRecord`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let (ops, marks, flags) = decode_common(bytes, TLM_MAGIC)?;
-        validate_ops(&ops)?;
-        let compressed = flags & 1 != 0;
-        let retime_safe = flags & 2 != 0;
-        let fetch_runs = compute_fetch_runs(&ops, compressed);
-        Ok(Trace { ops, compressed, retime_safe, marks, fetch_runs })
     }
 
     pub(crate) fn fetch_runs(&self) -> &[u64] {
@@ -207,138 +141,6 @@ impl Trace {
         &self.ops
     }
 }
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Shared header/payload/checksum decoding for both trace formats.
-/// Returns `(op_words, marks, flags)`.
-fn decode_common(bytes: &[u8], magic: [u8; 4]) -> Result<(Vec<u64>, u32, u32), TraceDecodeError> {
-    if bytes.len() < 4 || bytes[..4] != magic {
-        return Err(TraceDecodeError::BadMagic);
-    }
-    if bytes.len() < 24 + 8 {
-        return Err(TraceDecodeError::Truncated);
-    }
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    let version = word(4);
-    if version != TRACE_VERSION {
-        return Err(TraceDecodeError::BadVersion(version));
-    }
-    let flags = word(8);
-    let marks = word(12);
-    let count = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let body_end = usize::try_from(count)
-        .ok()
-        .and_then(|c| c.checked_mul(8))
-        .and_then(|b| b.checked_add(24))
-        .unwrap_or(usize::MAX);
-    if body_end == usize::MAX || bytes.len() < body_end + 8 {
-        return Err(TraceDecodeError::Truncated);
-    }
-    let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_end]) != stored {
-        return Err(TraceDecodeError::BadChecksum);
-    }
-    let ops = bytes[24..body_end]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
-    Ok((ops, marks, flags))
-}
-
-/// Whether `len` is a data access width the timing paths accept.
-fn valid_access_len(len: u64) -> bool {
-    matches!(len, 1 | 2 | 4)
-}
-
-/// Checks a decoded TLM op stream for what a capture can never produce
-/// and replay would trip over: unknown tags, a `Region` op missing its
-/// length word or without address-space headroom for the fetch walk,
-/// and load/store widths other than 1, 2 or 4 bytes. Captured traces
-/// skip this — only bytes from outside need it.
-fn validate_ops(ops: &[u64]) -> Result<(), TraceDecodeError> {
-    let mut i = 0;
-    while i < ops.len() {
-        let w = ops[i];
-        let ok = match w & 0xF {
-            TAG_REGION => ops.get(i + 1).is_some_and(|&len| {
-                let mut walk = FetchWalk::default();
-                walk.set_region((w >> 8) as u32, len as u32);
-                walk.code_len == 4 || walk.has_headroom()
-            }),
-            TAG_LOAD | TAG_STORE => valid_access_len(w >> 4 & 0xF),
-            tag => tag <= TAG_MARK,
-        };
-        if !ok {
-            return Err(TraceDecodeError::BadRecord(i));
-        }
-        i += if w & 0xF == TAG_REGION { 2 } else { 1 };
-    }
-    Ok(())
-}
-
-/// [`validate_ops`] for ISS records: every header names a known kind,
-/// carries its payload word where the kind has one, and loads and
-/// stores are 1, 2 or 4 bytes wide.
-fn validate_iss_records(records: &[u64]) -> Result<(), TraceDecodeError> {
-    let mut i = 0;
-    while i < records.len() {
-        let kind = (records[i] >> 32) & 0xF;
-        let ok = match kind {
-            K_BRANCH | K_CFU => records.get(i + 1).is_some(),
-            K_LOAD | K_STORE => records.get(i + 1).is_some_and(|&p| valid_access_len(p >> 32)),
-            kind => kind <= K_JALR,
-        };
-        if !ok {
-            return Err(TraceDecodeError::BadRecord(i));
-        }
-        i += if matches!(kind, K_BRANCH | K_LOAD | K_STORE | K_CFU) { 2 } else { 1 };
-    }
-    Ok(())
-}
-
-/// Error decoding a serialized trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceDecodeError {
-    /// The byte stream does not start with the trace magic.
-    BadMagic,
-    /// The format version is not understood.
-    BadVersion(u32),
-    /// The byte stream is shorter than its header promises.
-    Truncated,
-    /// The checksum does not match the payload.
-    BadChecksum,
-    /// The record starting at this word index is malformed: an unknown
-    /// op tag or record kind, a missing payload word, a load or store
-    /// width other than 1, 2 or 4 bytes, or a code region the fetch walk
-    /// cannot address. The checksum is no authentication, so a
-    /// well-framed stream can still carry such records.
-    BadRecord(usize),
-}
-
-impl fmt::Display for TraceDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceDecodeError::BadMagic => write!(f, "not a serialized trace (bad magic)"),
-            TraceDecodeError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceDecodeError::Truncated => write!(f, "serialized trace is truncated"),
-            TraceDecodeError::BadChecksum => write!(f, "serialized trace failed its checksum"),
-            TraceDecodeError::BadRecord(i) => {
-                write!(f, "serialized trace has a malformed record at word {i}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceDecodeError {}
 
 /// Error during trace replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -375,7 +177,6 @@ impl std::error::Error for ReplayError {}
 pub(crate) struct TraceRecorder {
     ops: Vec<u64>,
     compressed: bool,
-    marks: u32,
     /// `ops.len()` just after the last ALU record was pushed; equal to
     /// the current length only while that record is still the last one.
     alu_end: usize,
@@ -383,7 +184,7 @@ pub(crate) struct TraceRecorder {
 
 impl TraceRecorder {
     pub(crate) fn new(compressed: bool) -> Self {
-        TraceRecorder { ops: Vec::new(), compressed, marks: 0, alu_end: 0 }
+        TraceRecorder { ops: Vec::new(), compressed, alu_end: 0 }
     }
 
     pub(crate) fn region(&mut self, base: u32, len: u32) {
@@ -457,18 +258,11 @@ impl TraceRecorder {
 
     pub(crate) fn mark(&mut self) {
         self.ops.push(TAG_MARK);
-        self.marks += 1;
     }
 
     pub(crate) fn finish(self) -> Trace {
         let fetch_runs = compute_fetch_runs(&self.ops, self.compressed);
-        Trace {
-            ops: self.ops,
-            compressed: self.compressed,
-            retime_safe: true,
-            marks: self.marks,
-            fetch_runs,
-        }
+        Trace { ops: self.ops, compressed: self.compressed, fetch_runs }
     }
 }
 
@@ -1696,361 +1490,6 @@ impl TraceReplayer {
     }
 }
 
-/// The factored per-event timing surface shared by the live ISS
-/// [`Cpu`](crate::Cpu) and the transaction-level [`TimedCore`].
-///
-/// Each method charges the *timing* of one committed event — cycles,
-/// cache traffic, predictor updates, statistics — with no functional
-/// side effects. [`replay_iss`] drives any implementation from a
-/// captured [`IssTrace`]; the `Cpu` implementation is exact (bit-equal
-/// statistics to a live run of the same instruction stream), while the
-/// `TimedCore` implementation maps ISS events onto the TLM's synthetic
-/// fetch walk.
-pub trait TimingModel {
-    /// The timing configuration being modelled.
-    fn timing_config(&self) -> &CpuConfig;
-    /// Cycles elapsed so far.
-    fn elapsed_cycles(&self) -> u64;
-    /// Instructions retired so far.
-    fn retired_instructions(&self) -> u64;
-    /// Charges `n` flat cycles.
-    fn charge_cycles(&mut self, n: u64);
-    /// Charges the fetch of one instruction at `pc` with encoded length
-    /// `ilen`, retiring it.
-    ///
-    /// # Errors
-    ///
-    /// Bus faults from the fetch path.
-    fn fetch_timing(&mut self, pc: u32, ilen: u32) -> Result<(), MemError>;
-    /// Charges a data-hazard stall against the previous instruction
-    /// (`after_load` distinguishes load-use from ALU-use dependencies;
-    /// the penalty depends on the model's bypassing configuration).
-    fn hazard_timing(&mut self, after_load: bool);
-    /// Charges a data load at `addr` of `len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Bus faults from the data path.
-    fn load_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError>;
-    /// Charges a data store at `addr` of `len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Bus faults from the data path.
-    fn store_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError>;
-    /// Charges a conditional branch at `pc` with target offset `offset`
-    /// and outcome `taken` through the predictor.
-    fn branch_timing(&mut self, pc: u32, offset: i32, taken: bool);
-    /// Charges one multiply.
-    fn mul_timing(&mut self);
-    /// Charges one divide.
-    fn div_timing(&mut self);
-    /// Charges one shift by `shamt`.
-    fn shift_timing(&mut self, shamt: u32);
-    /// Charges one CFU operation with the given response latency.
-    fn cfu_timing(&mut self, latency: u32);
-}
-
-/// Data-hazard stall penalty shared by every [`TimingModel`]: load-use
-/// hazards cost 2 (1 bypassed), ALU-use hazards cost 1 (0 bypassed).
-pub(crate) fn hazard_penalty(config: &CpuConfig, after_load: bool) -> u64 {
-    match (after_load, config.bypassing) {
-        (true, true) => 1,
-        (true, false) => 2,
-        (false, true) => 0,
-        (false, false) => 1,
-    }
-}
-
-impl TimingModel for TimedCore {
-    fn timing_config(&self) -> &CpuConfig {
-        &self.config
-    }
-
-    fn elapsed_cycles(&self) -> u64 {
-        self.stats.cycles
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.stats.instructions
-    }
-
-    fn charge_cycles(&mut self, n: u64) {
-        self.charge(n);
-    }
-
-    fn fetch_timing(&mut self, _pc: u32, _ilen: u32) -> Result<(), MemError> {
-        // The TLM fetches from its synthetic walk, not the guest PC.
-        self.fetch()
-    }
-
-    fn hazard_timing(&mut self, after_load: bool) {
-        let n = hazard_penalty(&self.config, after_load);
-        self.charge(n);
-    }
-
-    fn load_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.load_cost(addr, len)
-    }
-
-    fn store_timing(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.store_cost(addr, len)
-    }
-
-    fn branch_timing(&mut self, pc: u32, offset: i32, taken: bool) {
-        self.branch_cost(pc, offset, taken);
-    }
-
-    fn mul_timing(&mut self) {
-        self.mul_cost();
-    }
-
-    fn div_timing(&mut self) {
-        self.div_cost();
-    }
-
-    fn shift_timing(&mut self, shamt: u32) {
-        let cycles = self.config.shift_cycles(shamt);
-        self.charge(cycles);
-    }
-
-    fn cfu_timing(&mut self, latency: u32) {
-        self.stats.cfu_ops += 1;
-        self.charge(u64::from(latency));
-    }
-}
-
-/// A captured committed-instruction trace from an ISS [`Cpu`](crate::Cpu)
-/// run (one header word per retired instruction, plus a payload word for
-/// branches, loads, stores, and CFU ops).
-///
-/// Created by [`Cpu::start_recording`](crate::Cpu::start_recording) /
-/// [`Cpu::finish_recording`](crate::Cpu::finish_recording) and replayed
-/// through any [`TimingModel`] by [`replay_iss`]. Unlike the TLM
-/// [`Trace`], ISS captures can observe their own timing (cycle-counter
-/// CSR reads) or rewrite their own code; such traces still record the
-/// committed stream faithfully but clear
-/// [`retime_safe`](IssTrace::retime_safe), refusing replay under a
-/// *different* timing configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IssTrace {
-    records: Vec<u64>,
-    compressed: bool,
-    retime_safe: bool,
-}
-
-impl IssTrace {
-    /// Number of packed record words.
-    pub fn words(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Whether replaying under a different timing configuration is
-    /// guaranteed to match a fresh execute-mode run. Cleared when the
-    /// capture run read a live cycle/instruction counter CSR or stored
-    /// into the address range it fetched instructions from
-    /// (self-modifying code) — in both cases the committed stream could
-    /// depend on timing, so only same-configuration replay is exact.
-    pub fn retime_safe(&self) -> bool {
-        self.retime_safe
-    }
-
-    /// RVC setting the trace was captured under; replay requires a
-    /// matching `compressed` flag (fetch parcel charging differs).
-    pub fn compressed(&self) -> bool {
-        self.compressed
-    }
-
-    /// Serializes the trace in the same envelope as
-    /// [`Trace::to_bytes`], under the ISS magic.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.records.len() * 8);
-        out.extend_from_slice(&ISS_MAGIC);
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        let flags = u32::from(self.compressed) | (u32::from(self.retime_safe) << 1);
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for w in &self.records {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decodes a trace serialized by [`to_bytes`](IssTrace::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceDecodeError`] on wrong magic, unknown version, truncation,
-    /// checksum mismatch or a malformed record (see
-    /// [`TraceDecodeError::BadRecord`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<IssTrace, TraceDecodeError> {
-        let (records, _, flags) = decode_common(bytes, ISS_MAGIC)?;
-        validate_iss_records(&records)?;
-        Ok(IssTrace { records, compressed: flags & 1 != 0, retime_safe: flags & 2 != 0 })
-    }
-}
-
-/// Records the committed instruction stream of an ISS [`Cpu`](crate::Cpu)
-/// run. Header words carry `pc | kind << 32 | hazard << 36 |
-/// (ilen == 4) << 38 | shamt << 40`; branch/load/store/CFU records append
-/// one payload word each.
-#[derive(Debug)]
-pub(crate) struct IssRecorder {
-    records: Vec<u64>,
-    compressed: bool,
-    retime_safe: bool,
-    /// Byte extent of every fetched instruction, for the self-modifying
-    /// code check at finish time.
-    code_lo: u32,
-    code_hi: u32,
-    /// Byte extent of every store.
-    store_lo: u32,
-    store_hi: u32,
-}
-
-impl IssRecorder {
-    pub(crate) fn new(compressed: bool) -> Self {
-        IssRecorder {
-            records: Vec::new(),
-            compressed,
-            retime_safe: true,
-            code_lo: u32::MAX,
-            code_hi: 0,
-            store_lo: u32::MAX,
-            store_hi: 0,
-        }
-    }
-
-    /// Records one retired instruction's header. `haz` is the data-hazard
-    /// class (0 none, 1 ALU-use, 2 load-use); `extra` carries the shift
-    /// amount for `K_SHIFT`.
-    pub(crate) fn inst(&mut self, pc: u32, ilen: u32, haz: u8, kind: u64, extra: u64) {
-        self.code_lo = self.code_lo.min(pc);
-        self.code_hi = self.code_hi.max(pc.wrapping_add(ilen));
-        self.records.push(
-            u64::from(pc)
-                | (kind << 32)
-                | (u64::from(haz) << 36)
-                | (u64::from(ilen == 4) << 38)
-                | (extra << 40),
-        );
-    }
-
-    pub(crate) fn load_payload(&mut self, addr: u32, len: u32) {
-        self.records.push(u64::from(addr) | (u64::from(len) << 32));
-    }
-
-    pub(crate) fn store_payload(&mut self, addr: u32, len: u32) {
-        self.store_lo = self.store_lo.min(addr);
-        self.store_hi = self.store_hi.max(addr.wrapping_add(len));
-        self.records.push(u64::from(addr) | (u64::from(len) << 32));
-    }
-
-    pub(crate) fn branch_payload(&mut self, offset: i32, taken: bool) {
-        self.records.push(u64::from(offset as u32) | (u64::from(taken) << 32));
-    }
-
-    pub(crate) fn cfu_payload(&mut self, latency: u32) {
-        self.records.push(u64::from(latency));
-    }
-
-    /// The guest read a live cycle/instruction counter: the committed
-    /// stream may depend on timing.
-    pub(crate) fn counter_observed(&mut self) {
-        self.retime_safe = false;
-    }
-
-    pub(crate) fn finish(self) -> IssTrace {
-        // Conservative self-modifying-code check: any overlap between the
-        // total store extent and the total fetched-code extent clears
-        // retime-eligibility (the trace itself is still faithful — it
-        // records what actually committed).
-        let smc = self.store_hi > self.code_lo && self.store_lo < self.code_hi;
-        IssTrace {
-            records: self.records,
-            compressed: self.compressed,
-            retime_safe: self.retime_safe && !smc,
-        }
-    }
-}
-
-/// Streams a captured [`IssTrace`] through a [`TimingModel`]: per record
-/// one fetch charge, an optional hazard stall, and the kind-specific
-/// timing event. Replaying onto a fresh [`Cpu`](crate::Cpu) over the
-/// same board mapping reproduces the capture run's statistics exactly;
-/// replaying onto a differently-configured `Cpu` is exact whenever
-/// [`IssTrace::retime_safe`] holds.
-///
-/// # Errors
-///
-/// [`ReplayError::Mismatch`] when the trace's RVC setting disagrees with
-/// the model's configuration or a record is truncated;
-/// [`ReplayError::Mem`] on bus faults from the timing paths.
-pub fn replay_iss<T: TimingModel>(trace: &IssTrace, model: &mut T) -> Result<(), ReplayError> {
-    if trace.compressed() != model.timing_config().compressed {
-        return Err(ReplayError::Mismatch("trace captured under a different RVC setting"));
-    }
-    let recs = &trace.records;
-    let mut i = 0;
-    while i < recs.len() {
-        let w = recs[i];
-        i += 1;
-        let pc = w as u32;
-        let kind = (w >> 32) & 0xF;
-        let haz = (w >> 36) & 0x3;
-        let ilen = if (w >> 38) & 1 != 0 { 4 } else { 2 };
-        model.fetch_timing(pc, ilen)?;
-        if haz != 0 {
-            model.hazard_timing(haz == 2);
-        }
-        let payload = || -> Result<u64, ReplayError> {
-            let p = *recs.get(i).ok_or(ReplayError::Mismatch("truncated ISS record"))?;
-            Ok(p)
-        };
-        match kind {
-            K_SIMPLE => model.charge_cycles(1),
-            K_SHIFT => model.shift_timing(((w >> 40) & 0x1F) as u32),
-            K_MUL => model.mul_timing(),
-            K_DIV => model.div_timing(),
-            K_JAL => model.charge_cycles(2),
-            K_JALR => {
-                let refill = model.timing_config().refill_penalty();
-                model.charge_cycles(1 + refill);
-            }
-            K_BRANCH => {
-                let p = payload()?;
-                i += 1;
-                model.branch_timing(pc, p as u32 as i32, (p >> 32) & 1 != 0);
-            }
-            K_LOAD => {
-                let p = payload()?;
-                i += 1;
-                model.load_timing(p as u32, (p >> 32) as u32)?;
-            }
-            K_STORE => {
-                let p = payload()?;
-                i += 1;
-                model.store_timing(p as u32, (p >> 32) as u32)?;
-            }
-            K_CFU => {
-                let p = payload()?;
-                i += 1;
-                model.cfu_timing(p as u32);
-            }
-            _ => return Err(ReplayError::Mismatch("unknown ISS record kind")),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2166,95 +1605,6 @@ mod tests {
             );
         }
         assert_eq!(live.icache_stats(), rp.core().icache_stats());
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let (_, trace) = capture_workload(CpuConfig::arty_default());
-        let bytes = trace.to_bytes();
-        let back = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(back, trace, "fetch-run index must be recomputed identically");
-
-        // Replay of the round-tripped trace matches the original.
-        let config = CpuConfig::arty_default();
-        let a = TraceReplayer::new(config, build_bus()).replay(&trace).unwrap();
-        let b = TraceReplayer::new(config, build_bus()).replay(&back).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let (_, trace) = capture_workload(CpuConfig::arty_default());
-        let bytes = trace.to_bytes();
-        assert_eq!(Trace::from_bytes(b"nope"), Err(TraceDecodeError::BadMagic));
-        assert_eq!(Trace::from_bytes(&bytes[..bytes.len() - 4]), Err(TraceDecodeError::Truncated));
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert_eq!(Trace::from_bytes(&flipped), Err(TraceDecodeError::BadChecksum));
-        let mut vers = bytes;
-        vers[4] = 99;
-        assert_eq!(Trace::from_bytes(&vers), Err(TraceDecodeError::BadVersion(99)));
-    }
-
-    /// Frames `words` exactly as `to_bytes` does, with a correct
-    /// checksum, so only record validation stands between them and
-    /// replay.
-    fn framed(magic: [u8; 4], words: &[u64]) -> Vec<u8> {
-        let mut out = magic.to_vec();
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0; 8]);
-        out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn crafted_tlm_ops_fail_to_decode() {
-        // Each of these would panic replay, or for the regions the
-        // fetch-run index `from_bytes` builds, if it decoded.
-        for ops in [
-            vec![TAG_STORE | (8 << 4)],
-            vec![TAG_LOAD | (15 << 4)],
-            vec![TAG_REGION],
-            vec![TAG_REGION | (0xFFFF_FF00 << 8), 0x1000],
-            vec![TAG_MARK + 1],
-        ] {
-            assert_eq!(
-                Trace::from_bytes(&framed(TLM_MAGIC, &ops)),
-                Err(TraceDecodeError::BadRecord(0)),
-                "{ops:x?}"
-            );
-        }
-        let ok =
-            Trace::from_bytes(&framed(TLM_MAGIC, &[TAG_STORE | (4 << 4) | (0x1000_0100 << 8)]));
-        let mut replayer = TraceReplayer::new(CpuConfig::arty_default(), build_bus());
-        replayer.replay(&ok.expect("a 4-byte store decodes")).unwrap();
-    }
-
-    #[test]
-    fn crafted_iss_records_fail_to_decode() {
-        let store8 = framed(ISS_MAGIC, &[K_STORE << 32, 8 << 32]);
-        assert_eq!(store8.len(), 48);
-        assert_eq!(IssTrace::from_bytes(&store8), Err(TraceDecodeError::BadRecord(0)));
-        for records in [vec![K_LOAD << 32, 3 << 32], vec![K_CFU << 32], vec![(K_CFU + 1) << 32]] {
-            assert_eq!(
-                IssTrace::from_bytes(&framed(ISS_MAGIC, &records)),
-                Err(TraceDecodeError::BadRecord(0)),
-                "{records:x?}"
-            );
-        }
-        // The first record is fine; the error names the second.
-        let second = framed(ISS_MAGIC, &[K_SIMPLE << 32, K_STORE << 32, 0x100]);
-        assert_eq!(IssTrace::from_bytes(&second), Err(TraceDecodeError::BadRecord(1)));
-        let ok =
-            IssTrace::from_bytes(&framed(ISS_MAGIC, &[K_STORE << 32, 0x1000_0100 | (4 << 32)]));
-        let mut core = TimedCore::new(CpuConfig::arty_default(), build_bus());
-        replay_iss(&ok.expect("a 4-byte store decodes"), &mut core).unwrap();
     }
 
     #[test]

@@ -614,16 +614,10 @@ impl TimedCore {
         Ok(())
     }
 
-    /// Post-fetch multiply charge, shared with the `TimingModel` impl.
+    /// Post-fetch multiply charge.
     pub(crate) fn mul_cost(&mut self) {
         self.stats.muls += 1;
         self.charge(self.config.mul_cycles());
-    }
-
-    /// Post-fetch divide charge, shared with the `TimingModel` impl.
-    pub(crate) fn div_cost(&mut self) {
-        self.stats.divs += 1;
-        self.charge(self.config.div_cycles());
     }
 
     /// Charges one divide instruction.
@@ -636,7 +630,8 @@ impl TimedCore {
             r.div();
         }
         self.fetch()?;
-        self.div_cost();
+        self.stats.divs += 1;
+        self.charge(self.config.div_cycles());
         Ok(())
     }
 
@@ -669,17 +664,11 @@ impl TimedCore {
             r.branch(site, backward, taken);
         }
         self.fetch()?;
-        self.branch_cost(site.wrapping_mul(4), if backward { -4 } else { 4 }, taken);
-        Ok(())
-    }
-
-    /// Post-fetch branch charge through the predictor, shared with the
-    /// [`crate::TimingModel`] impl. `pc` and `offset` are the predictor's
-    /// view of the branch (the TLM derives them from the stable site id
-    /// and its static direction).
-    pub(crate) fn branch_cost(&mut self, pc: u32, offset: i32, taken: bool) {
         self.stats.branches += 1;
-        let (mispredicted, redirect) = self.bpred.resolve(pc, offset, taken);
+        // The predictor's view of the branch: a pc from the stable site
+        // id and an offset from its static direction.
+        let offset = if backward { -4 } else { 4 };
+        let (mispredicted, redirect) = self.bpred.resolve(site.wrapping_mul(4), offset, taken);
         self.stats.mispredicts += u64::from(mispredicted);
         // Arithmetic form of: mispredict → refill, correct taken branch
         // without a known target → 1-cycle redirect. The outcome is
@@ -687,6 +676,7 @@ impl TimedCore {
         self.charge(
             1 + u64::from(mispredicted) * self.config.refill_penalty() + u64::from(redirect),
         );
+        Ok(())
     }
 
     /// Charges a function call/return pair plus `saved_regs` stack
@@ -761,30 +751,15 @@ impl TimedCore {
         self.stats.stores += 1;
         let bytes = value.to_le_bytes();
         let device_cycles = self.bus.write(addr, &bytes[..len as usize])?;
-        self.drain_store(addr, device_cycles);
-        Ok(())
-    }
-
-    /// Post-fetch timing of [`timed_write`](Self::timed_write) with the
-    /// stored value replaced by zeros, for the `TimingModel` impl (no
-    /// device's write timing depends on the data).
-    pub(crate) fn store_cost(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
-        self.stats.stores += 1;
-        let device_cycles = self.bus.write(addr, &[0u8; 4][..len as usize])?;
-        self.drain_store(addr, device_cycles);
-        Ok(())
-    }
-
-    /// Store timing after the device write: uncached stores expose the
-    /// device latency; cached ones drain through the write buffer
-    /// ([`buffer_store`]) against the live cycle counter.
-    pub(crate) fn drain_store(&mut self, addr: u32, device_cycles: u64) {
+        // Uncached stores expose the device latency; cached ones drain
+        // through the write buffer against the live cycle counter.
         if addr >= UNCACHED_BASE {
             self.charge(device_cycles);
-            return;
+            return Ok(());
         }
         let charged = buffer_store(&mut self.write_buffer, self.stats.cycles, device_cycles);
         self.charge(charged);
+        Ok(())
     }
 
     /// Timed signed 8-bit load.
