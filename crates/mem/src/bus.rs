@@ -502,18 +502,6 @@ impl Bus {
         }
     }
 
-    /// [`timing_stateless_at`](Bus::timing_stateless_at) over a span:
-    /// `true` when every mapped region overlapping `[addr, addr+len)`
-    /// is timing-stateless. Unmapped holes don't disqualify the span —
-    /// an access landing in one faults identically either way.
-    pub fn timing_stateless_range(&self, addr: u32, len: u32) -> bool {
-        let end = u64::from(addr) + u64::from(len);
-        self.regions
-            .iter()
-            .filter(|m| u64::from(m.info.base) < end && m.info.end() > u64::from(addr))
-            .all(|m| m.timing_stateless)
-    }
-
     /// [`BusDevice::timing_partition_mask`] for the region `id`, whose
     /// containment of `addr` the caller has already established; `span`
     /// is clamped to the region end. Accesses whose partition masks are

@@ -1,18 +1,24 @@
-//! Generated differential test for bulk instruction-fetch charging.
+//! Generated differential test for bulk and deferred instruction-fetch
+//! charging.
 //!
 //! It lives inside the crate because its per-fetch reference drives the
-//! crate-private single-fetch path (`TimedCore::fetch` and `charge`).
+//! crate-private fetch walk and charger (`FetchWalk::next`,
+//! `TimedCore::fetch_run` and `charge`).
 //!
 //! `TimedCore::alu(n)` and `call(s)` charge their fetches one sequential
-//! stretch at a time, the warm rest of a fetch window as bulk hits, and
-//! `TraceReplayer` prices captured fetch runs through the same charger.
-//! Over random operation sequences and random configurations (I-cache
-//! none / 1-way / 2-way / 4-way of 256 B to 4 KiB with 16/32/64-byte
-//! lines, RVC on/off, single/quad SPI flash, SRAM, DDR3 and a region
-//! straddling the uncached window), this checks that
+//! stretch at a time, the warm rest of a fetch window as bulk hits; with
+//! fetch deferral on, every op's fetch joins a backlog that settles only
+//! where its timing can be observed; and `TraceReplayer` prices captured
+//! fetch runs through the same charger. Over random operation sequences
+//! and random configurations (I-cache none / 1-way / 2-way / 4-way of
+//! 256 B to 4 KiB with 16/32/64-byte lines, D-cache on/off, RVC on/off,
+//! single/quad SPI flash, SRAM, DDR3 and a region straddling the uncached
+//! window), this checks that
 //!
 //! * `alu(n)` equals `n` calls of `alu(1)` and `n` single-fetch steps,
-//! * `call(s)` equals its per-fetch expansion, and
+//! * `call(s)` equals its per-fetch expansion,
+//! * the ops inside one deferral scope, settled at each mark, equal the
+//!   same ops charged one at a time, at every mark, and
 //! * replaying the recorded trace equals the live run,
 //!
 //! on every `TlmStats` field, both caches' statistics and every device's
@@ -20,7 +26,7 @@
 
 use cfu_core::templates::SimdAddCfu;
 use cfu_core::CfuOp;
-use cfu_mem::{Bus, CacheConfig, Ddr3, SpiFlash, SpiWidth, Sram};
+use cfu_mem::{Bus, CacheConfig, CacheStats, Ddr3, DeviceStats, SpiFlash, SpiWidth, Sram};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -134,45 +140,86 @@ fn config() -> impl Strategy<Value = (CpuConfig, bool)> {
     })
 }
 
-/// How `alu` and `call` are charged.
-#[derive(Debug, Clone, Copy)]
+/// How the ops are charged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `alu(n)` and `call(s)`: bulk stretch charging.
+    /// Op by op: `alu(n)` and `call(s)` charge in bulk stretches.
     Batched,
     /// `alu(n)` as `n` calls of `alu(1)`.
     UnitAlu,
-    /// Every fetch charged alone through the single-fetch path.
+    /// Every fetch of `alu` and `call` charged alone by the oracle, with
+    /// the warm-window fast path off.
     PerFetch,
+    /// Every op inside one deferral scope, settled at each `Mark`.
+    Deferred,
 }
 
-/// One single-cycle instruction through the single-fetch path.
-fn step(core: &mut TimedCore) -> bool {
-    let ok = core.fetch().is_ok();
-    core.charge(1);
-    ok
+/// The per-fetch oracle: one fetch at the walk's next PC through the
+/// charger, never skipping an I-cache access.
+fn fetch_one(core: &mut TimedCore) {
+    let step = core.fetch_step();
+    let (pc, ideal) = core.walk.next(step);
+    if ideal {
+        core.stats.instructions += 1;
+        core.charge(1);
+    } else {
+        core.fetch_run(pc, 1, false).expect("accepted regions fetch without faults");
+    }
 }
 
-fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> (TimedCore, Vec<bool>) {
+/// `n` single-cycle instructions through the oracle fetch.
+fn steps(core: &mut TimedCore, n: u32) -> bool {
+    for _ in 0..n {
+        fetch_one(core);
+        core.charge(1);
+    }
+    true
+}
+
+/// What a mark observes: core, cache and per-device statistics.
+type Observed = (crate::TlmStats, Option<CacheStats>, Option<CacheStats>, Vec<DeviceStats>);
+
+fn observe(core: &TimedCore) -> Observed {
+    let bus = core.bus();
+    (
+        core.stats(),
+        core.icache_stats(),
+        core.dcache_stats(),
+        bus.regions().map(|(id, _)| bus.stats(id)).collect(),
+    )
+}
+
+/// Runs `ops` under `mode`: the core, each op's success, and what every
+/// `Mark` observed.
+fn run(
+    config: CpuConfig,
+    quad: bool,
+    ops: &[Op],
+    mode: Mode,
+) -> (TimedCore, Vec<bool>, Vec<Observed>) {
     let mut core = TimedCore::with_cfu(config, build_bus(quad), SimdAddCfu::new());
-    if matches!(mode, Mode::Batched) {
-        core.start_recording();
+    match mode {
+        Mode::Batched => core.start_recording(),
+        Mode::Deferred => core.defer_fetches(true),
+        Mode::UnitAlu | Mode::PerFetch => {}
     }
     let mut outcomes = Vec::with_capacity(ops.len());
+    let mut marks = Vec::new();
     for &op in ops {
         let ok = match (op, mode) {
-            (Op::Alu(n), Mode::Batched) => core.alu(n).is_ok(),
             (Op::Alu(n), Mode::UnitAlu) => (0..n).all(|_| core.alu(1).is_ok()),
-            (Op::Alu(n), Mode::PerFetch) => (0..n).all(|_| step(&mut core)),
-            (Op::Call(s), Mode::Batched) => core.call(s).is_ok(),
-            (Op::Call(s), _) => {
+            (Op::Alu(n), Mode::PerFetch) => steps(&mut core, n),
+            (Op::Alu(n), _) => core.alu(n).is_ok(),
+            (Op::Call(s), Mode::PerFetch) => {
                 // jal, jalr-ret, then two single-cycle instructions per
                 // saved register.
-                let jal = core.fetch().is_ok();
+                fetch_one(&mut core);
                 core.charge(2);
-                let ret = core.fetch().is_ok();
+                fetch_one(&mut core);
                 core.charge(1 + config.refill_penalty());
-                jal && ret && (0..2 * s).all(|_| step(&mut core))
+                steps(&mut core, 2 * s)
             }
+            (Op::Call(s), _) => core.call(s).is_ok(),
             (Op::Mul, _) => core.mul().is_ok(),
             (Op::Div, _) => core.div().is_ok(),
             (Op::Shift(s), _) => core.shift(s).is_ok(),
@@ -185,13 +232,25 @@ fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> (TimedCore, Vec
             (Op::Peek(addr), _) => core.peek_u32(addr).is_ok(),
             (Op::Mark, _) => {
                 core.mark_layer();
+                core.defer_fetches(false);
+                marks.push(observe(&core));
+                core.defer_fetches(mode == Mode::Deferred);
                 true
             }
-            (Op::Region { base, len }, _) => core.set_code_region(base, len).is_ok(),
+            (Op::Region { base, len }, _) => {
+                let ok = core.set_code_region(base, len).is_ok();
+                if mode == Mode::PerFetch {
+                    // The remaining single fetches (`mul`, loads, ...)
+                    // then take the one-fetch stretch, never bulk hits.
+                    core.warm_skip = false;
+                }
+                ok
+            }
         };
         outcomes.push(ok);
     }
-    (core, outcomes)
+    core.defer_fetches(false);
+    (core, outcomes, marks)
 }
 
 /// Asserts two cores charged identically: core, cache and per-device
@@ -208,12 +267,18 @@ fn assert_same(a: &TimedCore, b: &TimedCore, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
-    fn bulk_fetch_charging_is_exact((config, quad) in config(), ops in vec(op(), 1..200)) {
-        let (mut batched, outcomes) = run(config, quad, &ops, Mode::Batched);
-        for mode in [Mode::UnitAlu, Mode::PerFetch] {
-            let (reference, ref_outcomes) = run(config, quad, &ops, mode);
+    fn bulk_fetch_charging_is_exact(
+        (config, quad) in config(),
+        ops in vec(op(), 1..200),
+    ) {
+        let (mut batched, outcomes, marks) = run(config, quad, &ops, Mode::Batched);
+        for mode in [Mode::UnitAlu, Mode::PerFetch, Mode::Deferred] {
+            let (reference, ref_outcomes, ref_marks) = run(config, quad, &ops, mode);
             let what = format!("{mode:?} vs Batched, {config:?}, quad {quad}, ops {ops:?}");
             prop_assert_eq!(&ref_outcomes, &outcomes, "{}", what);
+            for (i, (r, b)) in ref_marks.iter().zip(&marks).enumerate() {
+                prop_assert_eq!(r, b, "mark {}: {}", i, what);
+            }
             assert_same(&reference, &batched, &what);
         }
         // Only region declarations may fail: data accesses target mapped

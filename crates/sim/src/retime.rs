@@ -724,14 +724,6 @@ impl RegionTable {
         Some(&mut self.entries[self.hot])
     }
 
-    /// Classifies the devices behind a new code region.
-    fn classify_code(&mut self, bus: &cfu_mem::Bus, base: u32, span: u32) -> CodeDevice {
-        match self.find(base, span) {
-            Some(e) => CodeDevice::Single { id: e.id, stateless: e.stateless },
-            None => CodeDevice::Split { all_stateless: bus.timing_stateless_range(base, span) },
-        }
-    }
-
     /// Settles deferred read statistics onto the bus's per-region
     /// counters.
     fn spill(&mut self, bus: &mut cfu_mem::Bus) {
@@ -748,35 +740,6 @@ impl RegionTable {
                 e.deferred_bytes = 0;
                 e.deferred_cycles = 0;
             }
-        }
-    }
-}
-
-/// The device(s) backing the replayed code region — what pending fetch
-/// charges can touch, and therefore what loads/peeks must synchronize
-/// with.
-#[derive(Clone, Copy)]
-enum CodeDevice {
-    /// No real region declared: fetches never reach the bus.
-    Ideal,
-    /// Code wholly inside one region.
-    Single { id: cfu_mem::RegionId, stateless: bool },
-    /// Code spans several regions (or unmapped space): conservative.
-    Split { all_stateless: bool },
-}
-
-impl CodeDevice {
-    /// Whether an access to `target` (`None` = unmapped) must settle the
-    /// deferred fetch backlog first: only when its timing state and the
-    /// fetch stream's can interact — same device, stateful.
-    fn must_flush_for(self, target: Option<&RegionEntry>) -> bool {
-        let Some(t) = target else {
-            return true;
-        };
-        match self {
-            CodeDevice::Ideal => false,
-            CodeDevice::Single { id, stateless } => id == t.id && !stateless,
-            CodeDevice::Split { all_stateless } => !(all_stateless && t.stateless),
         }
     }
 }
@@ -1235,15 +1198,13 @@ impl TraceReplayer {
             m_used: 0,
             memo: RunMemo::new(),
         };
-        // Per-region lookup table: pending fetches only ever touch the
-        // *code* device, so a load (or peek) commutes with the deferred
-        // backlog unless it lands on that same device with stateful
-        // timing — and loads on stateless uncached regions collapse to
-        // a memoized per-length charge with statistics settled in bulk.
+        // Per-region lookup table: loads on stateless uncached regions
+        // collapse to a memoized per-length charge with statistics
+        // settled in bulk. Pending fetches only ever touch the *code*
+        // device, so a load (or peek) commutes with the deferred backlog
+        // unless `core.code_device` says otherwise: the live backlog's
+        // rule.
         let mut memo = RegionTable::new(&core.bus);
-        // The device(s) behind the active code region. `Ideal` (no
-        // region declared) never touches the bus at all.
-        let mut code = CodeDevice::Ideal;
         let mut cycles = Vec::with_capacity(profile.segments());
         let mut store_cycles = Vec::with_capacity(profile.boundary_stores());
         let mut bounds = profile.store_words.iter().copied();
@@ -1262,7 +1223,6 @@ impl TraceReplayer {
                     let base = (w >> 8) as u32;
                     let span = (len as u32).max(4);
                     core.set_code_region(base, span)?;
-                    code = memo.classify_code(&core.bus, base, span);
                 }
                 TAG_ALU => cur.defer(w >> 8),
                 TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_CFU => cur.defer(1),
@@ -1296,9 +1256,8 @@ impl TraceReplayer {
                             // stateful timing must observe all earlier
                             // fetch charges (and vice versa); anything
                             // else commutes and the backlog rides
-                            // through. Unknown regions flush so the
-                            // fault order stays exact.
-                            let need_flush = match (code, entry) {
+                            // through.
+                            let need_flush = match entry {
                                 // Uncached load on the code device
                                 // itself: it still commutes when its
                                 // timing partition (DRAM bank) is one
@@ -1306,8 +1265,8 @@ impl TraceReplayer {
                                 // loads are excluded — their trailing
                                 // device-timing reset spans every
                                 // partition.
-                                (CodeDevice::Single { id, stateless: false }, Some(e))
-                                    if e.id == id
+                                Some(e)
+                                    if core.code_device.must_flush_for(addr)
                                         && (core.dcache.is_none() || addr >= UNCACHED_BASE) =>
                                 {
                                     // Memoized over the device's hold
@@ -1330,7 +1289,7 @@ impl TraceReplayer {
                                     };
                                     cur.pending_mask(core)? & lm != 0
                                 }
-                                (code, entry) => code.must_flush_for(entry.as_deref()),
+                                _ => core.code_device.must_flush_for(addr),
                             };
                             if need_flush {
                                 cur.flush(core)?;
@@ -1361,7 +1320,7 @@ impl TraceReplayer {
                 TAG_CFU_HIDDEN => {}
                 TAG_PEEK => {
                     let addr = (w >> 8) as u32;
-                    if code.must_flush_for(memo.find(addr, 0).as_deref()) {
+                    if core.code_device.must_flush_for(addr) {
                         cur.flush(core)?;
                     }
                     core.bus.reset_device_timing(addr)?;

@@ -32,11 +32,16 @@
 //! of the footprint is just as exact, only more likely to see a
 //! difference. Comparing all device states, rather than only those of
 //! the devices the span touches, is such a superset.
+//!
+//! Every checkpoint here first settles the core's deferred instruction
+//! fetches (see [`TimedCore::defer_fetches`]): the walk, the I-cache, the
+//! code device's timing and the counters it reads and installs are then
+//! those of a run that fetched op by op.
 
 use cfu_mem::{Cache, CacheStats, DeviceStats};
 
 use crate::config::CpuConfig;
-use crate::timed_core::{FetchWalk, TimedCore, TlmStats};
+use crate::timed_core::{CodeDevice, FetchWalk, TimedCore, TlmStats};
 
 /// Counters a fast-forward credits with the rest of the span's deltas.
 #[derive(Debug, Clone)]
@@ -67,6 +72,7 @@ impl Counters {
 struct CoreState {
     walk: FetchWalk,
     warm_skip: bool,
+    code_device: CodeDevice,
     /// Pending store-buffer drain times, relative to the cycle counter.
     /// Entries already drained are equivalent to absent ones.
     write_buffer: Vec<u64>,
@@ -81,6 +87,7 @@ impl CoreState {
         core.bus.save_timing(&mut devices).then(|| CoreState {
             walk: core.walk,
             warm_skip: core.warm_skip,
+            code_device: core.code_device,
             write_buffer: pending_drains(core),
             devices,
         })
@@ -187,7 +194,8 @@ struct Exit {
 ///
 /// Call [`boundary`](Self::boundary) at each point a later run may stop
 /// at, then [`finish`](Self::finish) at the end of the span. Recording
-/// only reads the core: the recorded run's charges are unchanged.
+/// only reads the core, after settling its fetch backlog: the recorded
+/// run's charges are unchanged.
 #[derive(Debug)]
 pub struct SpanRecorder {
     config: CpuConfig,
@@ -202,6 +210,7 @@ impl SpanRecorder {
     /// cannot be fast-forwarded: it is capturing a trace (which needs
     /// every op), or a bus device cannot save its timing state.
     pub fn start(core: &mut TimedCore) -> Option<Self> {
+        core.settle();
         if core.recorder.is_some() || CoreState::of(core).is_none() {
             return None;
         }
@@ -211,6 +220,7 @@ impl SpanRecorder {
 
     /// Marks a boundary: a later run may stop here.
     pub fn boundary(&mut self, core: &mut TimedCore) {
+        core.settle();
         let touched = core.bpred.take_touched();
         if !self.snapshots.is_empty() {
             self.masks.push(touched);
@@ -229,6 +239,7 @@ impl SpanRecorder {
     /// Returns `None` when the span issued CFU ops: a CFU's state is not
     /// part of the footprint, so such spans are never fast-forwarded.
     pub fn finish(mut self, core: &mut TimedCore) -> Option<SpanRecord> {
+        core.settle();
         let exit = Exit {
             counters: Counters::of(core),
             state: CoreState::of(core).expect("bus state saved at start"),
@@ -292,13 +303,16 @@ impl SpanRecord {
     /// Whether `core`, standing at boundary `b` of a run of this span,
     /// is in the recorded state on the footprint of the rest of the
     /// span. A core with another [`CpuConfig`] never is, nor is one
-    /// capturing a trace (capture needs every op).
-    pub fn converged(&self, core: &TimedCore, b: usize) -> bool {
+    /// capturing a trace (capture needs every op). Settles the core's
+    /// fetch backlog (see [`TimedCore::defer_fetches`]) first.
+    pub fn converged(&self, core: &mut TimedCore, b: usize) -> bool {
+        core.settle();
         let Some(cp) = self.checkpoints.get(b) else { return false };
         core.recorder.is_none()
             && core.config == self.config
             && core.walk == cp.state.walk
             && core.warm_skip == cp.state.warm_skip
+            && core.code_device == cp.state.code_device
             && pending_drains(core) == cp.state.write_buffer
             && core.bpred.entries_match(cp.predictor_mask, &cp.predictor)
             && cp.caches[0].matches(core.icache.as_ref())
@@ -315,6 +329,7 @@ impl SpanRecord {
     /// exit state on its footprint. Memory contents are not touched.
     /// Returns the guest instructions skipped.
     pub fn fast_forward(&self, core: &mut TimedCore, b: usize) -> u64 {
+        core.settle();
         let (cp, exit) = (&self.checkpoints[b], &self.exit);
         let (from, to) = (&cp.counters, &exit.counters);
         let stats = since(&to.stats, &from.stats);
@@ -342,6 +357,7 @@ impl SpanRecord {
         }
         core.walk = exit.state.walk;
         core.warm_skip = exit.state.warm_skip;
+        core.code_device = exit.state.code_device;
         let now = core.stats.cycles;
         core.write_buffer = exit.state.write_buffer.iter().map(|&t| now + t).collect();
         stats.instructions

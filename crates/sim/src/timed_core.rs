@@ -86,6 +86,15 @@ pub struct TimedCore {
     /// Whether the code region qualifies for the warm-window fast path
     /// (see [`set_code_region`](Self::set_code_region)).
     pub(crate) warm_skip: bool,
+    /// What the fetch backlog can interact with, classified by
+    /// [`set_code_region`](Self::set_code_region).
+    pub(crate) code_device: CodeDevice,
+    /// Instruction fetches issued but not yet charged (see
+    /// [`defer_fetches`](Self::defer_fetches)).
+    pending: u64,
+    /// Whether fetch charges may stay pending past the op that issued
+    /// them.
+    deferring: bool,
     pub(crate) write_buffer: VecDeque<u64>,
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
@@ -110,6 +119,38 @@ pub(crate) fn buffer_store(buffer: &mut VecDeque<u64>, now: u64, device_cycles: 
     let start = buffer.back().copied().unwrap_or(t);
     buffer.push_back(start.max(t) + device_cycles);
     t + 1 - now
+}
+
+/// The device behind the declared code region: what deferred fetch
+/// charges can touch, and so which loads, line fills and peeks must
+/// settle them first. [`TimedCore::set_code_region`] classifies it once;
+/// the live fetch backlog and trace replay's fetch cursor both settle by
+/// [`must_flush_for`](CodeDevice::must_flush_for), so the two paths
+/// cannot disagree on which accesses commute with pending fetches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CodeDevice {
+    /// Fetches commute with every load, fill and peek: the ideal fetch
+    /// (no region declared) or code on a timing-stateless device (SRAM).
+    Commuting,
+    /// Code on the timing-stateful device spanning `[base, end)`: SPI
+    /// flash (its sequential-burst tracker) or DDR3 (its open rows).
+    Stateful { base: u32, end: u64 },
+}
+
+impl CodeDevice {
+    /// Whether a load, line fill or peek at `addr` must settle the
+    /// deferred fetches first: only when it lands on the code device and
+    /// that device's timing is stateful. Any other access touches neither
+    /// the I-cache nor the code device's timing state, and cycle charges
+    /// add, so it commutes with the backlog. An accepted region's fetches
+    /// cannot fault, so a faulting access commutes too.
+    #[inline]
+    pub(crate) fn must_flush_for(self, addr: u32) -> bool {
+        match self {
+            CodeDevice::Commuting => false,
+            CodeDevice::Stateful { base, end } => addr >= base && u64::from(addr) < end,
+        }
+    }
 }
 
 /// Size of the active inner-loop window: kernels spend their time in
@@ -191,8 +232,9 @@ impl FetchWalk {
 
     /// Advances one fetch of `step` bytes, returning the fetched PC and
     /// whether this region uses the ideal 1-cycle fetch (`code_len == 4`,
-    /// i.e. no real region was declared).
-    #[inline]
+    /// i.e. no real region was declared). The tests' per-fetch oracle:
+    /// live charging goes through [`stretch`](Self::stretch).
+    #[cfg(test)]
     pub(crate) fn next(&mut self, step: u32) -> (u32, bool) {
         let pc = self.code_pc;
         self.code_pc += step;
@@ -223,7 +265,7 @@ impl FetchWalk {
 
     /// Consumes up to `n` fetches of a warm window without moving the
     /// PC, returning how many, and slides the window exactly as
-    /// [`next`](Self::next) does when they end the dwell. Only for the
+    /// `next` does when they end the dwell. Only for the
     /// warm-window fast path: the PC it leaves stale is never read
     /// before the slide resets it.
     #[inline]
@@ -257,7 +299,7 @@ impl FetchWalk {
     /// Advances the walk in closed form by its current maximal
     /// strictly-sequential stretch, capped at `max` (≥ 1) fetches, and
     /// returns the stretch as `(start_pc, count)`. Repeated calls emit a
-    /// PC stream byte-identical to calling [`next`](Self::next) once per
+    /// PC stream byte-identical to calling `next` once per
     /// fetch: `next` only redirects the PC *after* returning the fetch
     /// that trips a window wrap or a dwell slide, so every fetch up to
     /// and including that one extends the current stretch.
@@ -314,6 +356,9 @@ impl TimedCore {
             stats: TlmStats::default(),
             walk: FetchWalk::default(),
             warm_skip: false,
+            code_device: CodeDevice::Commuting,
+            pending: 0,
+            deferring: false,
             write_buffer: VecDeque::new(),
             recorder: None,
         }
@@ -340,8 +385,10 @@ impl TimedCore {
     }
 
     /// Mutable bus access (loading tensors, reading results — use the
-    /// timing-free [`Bus::load_image`]/[`Bus::peek`] for that).
+    /// timing-free [`Bus::load_image`]/[`Bus::peek`] for that). Settles
+    /// the fetch backlog first: a peek resets device timing.
     pub fn bus_mut(&mut self) -> &mut Bus {
+        self.settle();
         &mut self.bus
     }
 
@@ -350,7 +397,8 @@ impl TimedCore {
     /// (the next measurement's [`reset_stats`](Self::reset_stats)
     /// clears statistics and device timing, making a reused bus
     /// timing-equivalent to a fresh one).
-    pub fn into_bus(self) -> Bus {
+    pub fn into_bus(mut self) -> Bus {
+        self.settle();
         self.bus
     }
 
@@ -374,6 +422,31 @@ impl TimedCore {
         self.dcache.as_ref().map(|c| c.stats())
     }
 
+    /// Turns fetch deferral on or off; turning it off settles the backlog.
+    ///
+    /// Every charged instruction pays a fetch. While deferral is on, a
+    /// fetch only counts towards a backlog, and the backlog is charged in
+    /// bulk where its timing can be observed or perturbed: before a
+    /// store (the write buffer reads the cycle counter), before a load,
+    /// line fill or [`peek_u32`](Self::peek_u32) on a timing-stateful
+    /// code device, in [`set_code_region`](Self::set_code_region),
+    /// [`reset_stats`](Self::reset_stats), [`bus_mut`](Self::bus_mut) and
+    /// [`into_bus`](Self::into_bus), and at every [`crate::span`]
+    /// checkpoint. Every other operation commutes with the pending
+    /// fetches, so the charges are exactly those of fetching op by op.
+    /// While deferral is off (the default), every operation settles
+    /// before it returns.
+    ///
+    /// [`cycles`](Self::cycles), [`stats`](Self::stats), the cache
+    /// statistics and [`bus`](Self::bus) take `&self` and cannot settle:
+    /// they lag the backlog until deferral is turned off.
+    pub fn defer_fetches(&mut self, on: bool) {
+        self.deferring = on;
+        if !on {
+            self.settle();
+        }
+    }
+
     /// Declares the code region the currently-running kernel occupies:
     /// every charged instruction fetches from a synthetic PC walking
     /// `[base, base + len)`. Moving this region between flash and SRAM is
@@ -392,10 +465,12 @@ impl TimedCore {
     /// distinct sets. Then, once the walk wraps back to its window's
     /// base, the rest of the dwell is charged as bulk I-cache hits.
     pub fn set_code_region(&mut self, base: u32, len: u32) -> Result<(), MemError> {
+        self.settle();
         let (_, info) = self.bus.region_of(base).ok_or(MemError::Unmapped { addr: base })?;
         let mut walk = FetchWalk::default();
         walk.set_region(base, len);
         let mut warm_skip = false;
+        let mut code_device = CodeDevice::Commuting;
         // Regions of at most 4 bytes use the ideal fetch and never touch
         // the bus.
         if walk.code_len != 4 {
@@ -421,12 +496,17 @@ impl TimedCore {
             if lo < u64::from(info.base) || hi > info.end() || !walk.has_headroom() {
                 return Err(MemError::OutOfBounds { addr: lo as u32, len: (hi - lo) as usize });
             }
+            // Every fetch and fill reads the device holding `base`.
+            if !self.bus.timing_stateless_at(base) {
+                code_device = CodeDevice::Stateful { base: info.base, end: info.end() };
+            }
         }
         if let Some(r) = &mut self.recorder {
             r.region(base, len);
         }
         self.walk = walk;
         self.warm_skip = warm_skip;
+        self.code_device = code_device;
         Ok(())
     }
 
@@ -465,33 +545,39 @@ impl TimedCore {
         self.stats.cycles += cycles;
     }
 
-    /// Charges one instruction fetch at the synthetic PC.
+    /// Issues `n` instruction fetches at the synthetic PC: the one entry
+    /// point of every live fetch charge. They join the backlog, which
+    /// settles at once unless deferral is on (see
+    /// [`defer_fetches`](Self::defer_fetches)).
     ///
     /// The PC loops inside a [`CODE_WINDOW`]-byte inner-loop window and
     /// the window slides through the kernel's footprint every
     /// [`WINDOW_DWELL`] fetches — matching real kernels, which re-execute
     /// small loops rather than sweeping their whole `.text` linearly.
-    pub(crate) fn fetch(&mut self) -> Result<(), MemError> {
-        if self.warm_skip && self.walk.warm {
-            let k = self.walk.skip_warm(1);
-            self.note_warm_hits(k);
-            return Ok(());
+    #[inline]
+    fn fetch(&mut self, n: u64) {
+        self.pending += n;
+        if !self.deferring {
+            self.settle();
         }
-        let (pc, ideal) = self.walk.next(self.fetch_step());
-        if ideal {
-            // No code region declared: assume an ideal 1-cycle fetch.
-            self.stats.instructions += 1;
-            self.charge(1);
-            return Ok(());
+    }
+
+    /// Charges the fetch backlog.
+    #[inline]
+    pub(crate) fn settle(&mut self) {
+        if self.pending > 0 {
+            let n = std::mem::take(&mut self.pending);
+            // set_code_region accepted only regions whose every fetch and
+            // line fill lies inside one device, and Bus cannot unmap it.
+            self.fetch_batch(n).expect("code region validated at set_code_region");
         }
-        self.fetch_run(pc, 1, false).map(drop)
     }
 
     /// Charges the next `n` instruction fetches of the walk in bulk, one
     /// [`fetch_run`](Self::fetch_run) per maximal sequential stretch and
-    /// the warm rest of a dwell as bulk hits. Exact against `n` calls of
-    /// [`fetch`](Self::fetch) because nothing else touches the bus, the
-    /// caches or the cycle counter in between.
+    /// the warm rest of a dwell as bulk hits. Exact against charging them
+    /// one at a time, each a one-fetch stretch, because nothing else
+    /// touches the I-cache or the code device's timing in between.
     fn fetch_batch(&mut self, n: u64) -> Result<(), MemError> {
         if self.walk.code_len == 4 {
             // Ideal fetch ignores the PC, and the next region resets the
@@ -590,12 +676,13 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn alu(&mut self, n: u32) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.alu(n);
         }
-        self.fetch_batch(u64::from(n))?;
+        self.fetch(u64::from(n));
         self.charge(u64::from(n));
         Ok(())
     }
@@ -604,12 +691,13 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn mul(&mut self) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.mul();
         }
-        self.fetch()?;
+        self.fetch(1);
         self.mul_cost();
         Ok(())
     }
@@ -624,12 +712,13 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn div(&mut self) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.div();
         }
-        self.fetch()?;
+        self.fetch(1);
         self.stats.divs += 1;
         self.charge(self.config.div_cycles());
         Ok(())
@@ -639,12 +728,13 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn shift(&mut self, shamt: u32) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.shift(shamt);
         }
-        self.fetch()?;
+        self.fetch(1);
         self.charge(self.config.shift_cycles(shamt));
         Ok(())
     }
@@ -658,12 +748,13 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn branch(&mut self, site: u32, backward: bool, taken: bool) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.branch(site, backward, taken);
         }
-        self.fetch()?;
+        self.fetch(1);
         self.stats.branches += 1;
         // The predictor's view of the branch: a pc from the stable site
         // id and an offset from its static direction.
@@ -684,14 +775,15 @@ impl TimedCore {
     ///
     /// # Errors
     ///
-    /// Bus faults from instruction fetch.
+    /// None: an accepted code region's fetches cannot fault (see
+    /// [`set_code_region`](Self::set_code_region)).
     pub fn call(&mut self, saved_regs: u32) -> Result<(), MemError> {
         if let Some(r) = &mut self.recorder {
             r.call(saved_regs);
         }
         // jal + jalr-ret redirects, then the stack traffic: SRAM/stack-
         // cached, approximated as 2 single-cycle instructions per reg.
-        self.fetch_batch(2 + 2 * u64::from(saved_regs))?;
+        self.fetch(2 + 2 * u64::from(saved_regs));
         self.charge(2 + 1 + self.config.refill_penalty() + 2 * u64::from(saved_regs));
         Ok(())
     }
@@ -700,7 +792,10 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.load(addr, len);
         }
-        self.fetch()?;
+        self.fetch(1);
+        if self.code_device.must_flush_for(addr) {
+            self.settle();
+        }
         self.stats.loads += 1;
         if addr >= UNCACHED_BASE || self.dcache.is_none() {
             let mut buf = [0u8; 4];
@@ -747,7 +842,9 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.store(addr, len);
         }
-        self.fetch()?;
+        // The write buffer reads the cycle counter.
+        self.fetch(1);
+        self.settle();
         self.stats.stores += 1;
         let bytes = value.to_le_bytes();
         let device_cycles = self.bus.write(addr, &bytes[..len as usize])?;
@@ -823,9 +920,7 @@ impl TimedCore {
     /// [`CfuError`] from the CFU itself (bus faults cannot occur — the
     /// fetch is charged against the code region, which was validated).
     pub fn cfu(&mut self, op: CfuOp, rs1: u32, rs2: u32) -> Result<u32, CfuError> {
-        // set_code_region accepted only regions whose every fetch and
-        // line fill lies inside one device, and Bus cannot unmap it.
-        self.fetch().expect("code region validated at set_code_region");
+        self.fetch(1);
         self.stats.cfu_ops += 1;
         match self.cfu.execute(op, rs1, rs2) {
             Ok(resp) => {
@@ -873,6 +968,9 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.peek(addr);
         }
+        if self.code_device.must_flush_for(addr) {
+            self.settle();
+        }
         let mut b = [0u8; 4];
         self.bus.peek(addr, &mut b)?;
         Ok(u32::from_le_bytes(b))
@@ -881,6 +979,8 @@ impl TimedCore {
     /// Resets cycle counters, cache stats, predictor state and bus stats
     /// (not memory contents) — fresh measurement, warm data.
     pub fn reset_stats(&mut self) {
+        // The backlog's cache and device-timing effects outlive the reset.
+        self.settle();
         self.stats = TlmStats::default();
         self.bus.reset_stats();
         if let Some(c) = &mut self.icache {

@@ -478,7 +478,12 @@ impl Deployment {
             if capture {
                 self.core.mark_layer();
             }
-            self.dispatch(li)?;
+            // Fetch charges settle only where a kernel's timing can
+            // observe them, and all of them before `cycles()` is read.
+            self.core.defer_fetches(true);
+            let dispatched = self.dispatch(li);
+            self.core.defer_fetches(false);
+            dispatched?;
             if capture {
                 self.core.mark_layer();
             }
