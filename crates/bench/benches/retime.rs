@@ -37,10 +37,9 @@ use cfu_tflm::models;
 /// An Arty-class board whose main memory is on-chip SRAM instead of
 /// DDR3. MobileNetV2's weights (~400 kB) exceed every bundled board's
 /// SRAM, so the SRAM-main point is expressed as its own board; its
-/// deterministic single-partition timing makes the pair a clean measure
-/// of the capture/replay machinery rather than of the DRAM open-row
-/// model (the DDR3 fig7 points replay through the same code path via
-/// the bank-partition commutation fast paths).
+/// timing-stateless memory makes the pair a clean measure of the
+/// capture/replay machinery rather than of the DRAM open-row model (the
+/// DDR3 fig7 points replay through the same code path).
 fn sram_board() -> Board {
     Board {
         name: "SRAM-main",

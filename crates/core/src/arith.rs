@@ -260,7 +260,8 @@ mod tests {
         let a = pack_i8x4([-128, 0, 1, 127]);
         let f = pack_i8x4([3, -3, 5, -5]);
         let off = 128;
-        let expected = (-128 + 128) * 3 + (0 + 128) * (-3) + (1 + 128) * 5 + (127 + 128) * (-5);
+        let expected: i32 =
+            [(-128, 3), (0, -3), (1, 5), (127, -5)].iter().map(|(x, w)| (x + off) * w).sum();
         assert_eq!(dot4_offset(a, f, off), expected);
     }
 

@@ -222,16 +222,18 @@ impl Cfu1 {
         }
     }
 
-    fn rebuild_post_table(&mut self) {
-        self.post.clear();
+    /// Appends the channels whose bias, multiplier and shift have all
+    /// been staged since the last push, and rewinds the channel cursor.
+    fn extend_post_table(&mut self) {
         let n = self.staged_bias.len().min(self.staged_mult.len()).min(self.staged_shift.len());
-        for i in 0..n {
+        for i in self.post.channels()..n {
             self.post.push_channel(ChannelParams {
                 bias: self.staged_bias[i],
                 multiplier: self.staged_mult[i],
                 shift: self.staged_shift[i],
             });
         }
+        self.post.rewind();
     }
 
     /// One full dot product of the input buffer against filter row
@@ -287,17 +289,17 @@ impl Cfu for Cfu1 {
             }
             OP_PUSH_BIAS => {
                 self.staged_bias.push(rs1 as i32);
-                self.rebuild_post_table();
+                self.extend_post_table();
                 Ok(CfuResponse::single(0))
             }
             OP_PUSH_MULTIPLIER => {
                 self.staged_mult.push(rs1 as i32);
-                self.rebuild_post_table();
+                self.extend_post_table();
                 Ok(CfuResponse::single(0))
             }
             OP_PUSH_SHIFT => {
                 self.staged_shift.push(rs1 as i32);
-                self.rebuild_post_table();
+                self.extend_post_table();
                 Ok(CfuResponse::single(0))
             }
             OP_SET_OUTPUT_OFFSET => {
@@ -492,6 +494,60 @@ mod tests {
         exec(cfu, ops::SET_OUTPUT_OFFSET, 0, 0);
         exec(cfu, ops::SET_ACTIVATION, (-128i32) as u32, 127);
         exec(cfu, ops::SET_INPUT_OFFSET, 0, 0);
+    }
+
+    #[test]
+    fn post_table_matches_a_rebuild_from_scratch() {
+        // The reference rebuilds the table from every staged channel on
+        // each push, as the CFU once did.
+        #[derive(Default)]
+        struct Rebuilt {
+            staged: [Vec<i32>; 3],
+            post: PostProcessor,
+        }
+        impl Rebuilt {
+            fn push(&mut self, which: usize, v: i32) {
+                self.staged[which].push(v);
+                self.post.clear();
+                let [b, m, s] = &self.staged;
+                for ((&bias, &multiplier), &shift) in b.iter().zip(m).zip(s) {
+                    self.post.push_channel(ChannelParams { bias, multiplier, shift });
+                }
+            }
+        }
+        let push = [ops::PUSH_BIAS, ops::PUSH_MULTIPLIER, ops::PUSH_SHIFT];
+        let mut seed = 0x2545_f491_u32;
+        for _ in 0..20 {
+            let mut cfu = Cfu1::full();
+            let mut reference = Rebuilt::default();
+            for _ in 0..400 {
+                seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let v = seed.rotate_left(13) as i32 >> (seed & 15);
+                let (op, expected) = match seed >> 28 {
+                    0..=8 => {
+                        let which = (seed >> 28) as usize % 3;
+                        reference.push(which, v);
+                        (push[which], Some(0))
+                    }
+                    9..=12 => {
+                        let expected = (reference.post.channels() > 0)
+                            .then(|| reference.post.process(v) as u32);
+                        (ops::POSTPROC, expected)
+                    }
+                    13 | 14 => {
+                        reference.post.rewind();
+                        (ops::REWIND, Some(0))
+                    }
+                    _ => {
+                        reference = Rebuilt::default();
+                        (ops::RESET, Some(0))
+                    }
+                };
+                let got = cfu.execute(op, v as u32, 0).ok().map(|r| r.value);
+                assert_eq!(got, expected, "{op:?} {v}");
+                assert_eq!(cfu.post.channels(), reference.post.channels());
+            }
+        }
     }
 
     #[test]

@@ -354,7 +354,9 @@ impl Bus {
         self.regions[id.0].slot.dev_ref().as_any()?.downcast_ref::<T>()
     }
 
-    /// Timing-free read for debuggers and golden-test checks.
+    /// Timing-free read for debuggers and golden-test checks: a
+    /// content-only [`BusDevice::peek`], then
+    /// [`BusDevice::reset_timing`] on a timing-stateful device.
     ///
     /// # Errors
     ///
@@ -369,7 +371,7 @@ impl Bus {
             // fetch).
             Slot::Sram(s) => s.read(offset, buf).map(drop),
             Slot::Other(d) => {
-                let r = d.read(offset, buf).map(drop);
+                let r = d.peek(offset, buf);
                 if r.is_ok() && !m.timing_stateless {
                     d.reset_timing();
                 }
@@ -456,11 +458,6 @@ impl Bus {
         m.slot.dev_ref().write_latency_bound(len)
     }
 
-    /// The region containing `addr`, if any.
-    pub fn region_at(&self, addr: u32) -> Option<RegionId> {
-        self.regions.iter().position(|m| m.info.contains(addr)).map(RegionId)
-    }
-
     /// Adds `delta` to a region's statistics: traffic charged out of
     /// band, by bulk replay paths that memoize a stateless device's
     /// access cost, or skipped by a fast-forward.
@@ -499,41 +496,6 @@ impl Bus {
             let len = saved[at] as usize;
             m.slot.dev().restore_timing(&saved[at + 1..at + 1 + len]);
             at += 1 + len;
-        }
-    }
-
-    /// [`BusDevice::timing_partition_mask`] for the region `id`, whose
-    /// containment of `addr` the caller has already established; `span`
-    /// is clamped to the region end. Accesses whose partition masks are
-    /// disjoint commute — see the device-trait method for the contract.
-    pub fn timing_partition_mask(&self, id: RegionId, addr: u32, span: u64) -> u64 {
-        let m = &self.regions[id.0];
-        let off = addr - m.info.base;
-        let span = span.min(m.info.end() - u64::from(addr)) as u32;
-        m.slot.dev_ref().timing_partition_mask(off, span.max(1))
-    }
-
-    /// [`BusDevice::timing_partition_hold`] for the region `id`: the
-    /// partition mask of `[addr, addr + span)` plus the *absolute*
-    /// address up to which that mask stays a superset for any contained
-    /// access — lets a caller memoize the mask across a streaming
-    /// pattern (e.g. once per DRAM row).
-    pub fn timing_partition_hold(&self, id: RegionId, addr: u32, span: u64) -> (u64, u32) {
-        let m = &self.regions[id.0];
-        let off = addr - m.info.base;
-        let span = span.min(m.info.end() - u64::from(addr)) as u32;
-        let (mask, hold_end) = m.slot.dev_ref().timing_partition_hold(off, span.max(1));
-        (mask, m.info.base.saturating_add(hold_end))
-    }
-
-    /// [`timing_partition_mask`](Bus::timing_partition_mask) with the
-    /// region resolved by address. Unmapped addresses return the
-    /// all-partitions mask (conservative: never claims commutativity
-    /// for an access that will fault).
-    pub fn timing_partition_mask_at(&self, addr: u32, span: u64) -> u64 {
-        match self.region_at(addr) {
-            Some(id) => self.timing_partition_mask(id, addr, span),
-            None => !0,
         }
     }
 

@@ -33,6 +33,20 @@ pub trait BusDevice: fmt::Debug {
     /// [`size`](Self::size).
     fn read(&mut self, offset: u32, buf: &mut [u8]) -> Result<u64, MemError>;
 
+    /// Copies `buf.len()` bytes starting at `offset` into `buf`, for a
+    /// reader that wants only the contents. Whether the device's timing
+    /// state moves is unspecified: [`crate::Bus::peek`] resets it
+    /// afterwards. The default is a [`read`](Self::read) whose cycles
+    /// are dropped; devices whose read does more than copy bytes
+    /// override it with a plain copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    fn peek(&mut self, offset: u32, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read(offset, buf).map(drop)
+    }
+
     /// Writes `data` starting at `offset` and returns the access latency.
     ///
     /// # Errors
@@ -91,34 +105,6 @@ pub trait BusDevice: fmt::Debug {
     /// observable cycle count.
     fn timing_stateless(&self) -> bool {
         false
-    }
-
-    /// Folds the independent timing-state partitions touched by accesses
-    /// in `[offset, offset + span)` into a bitmask (partition `p` sets
-    /// bit `p % 64`). Devices whose timing state splits into pieces with
-    /// mutually independent histories (DRAM banks) override this;
-    /// accesses whose partition masks are disjoint commute — charging
-    /// them in either order yields identical cycle counts and identical
-    /// final timing state. The default puts the whole device in one
-    /// partition (bit 0), which is always correct: masks then always
-    /// intersect and callers never reorder. Irrelevant for
-    /// [`timing_stateless`](Self::timing_stateless) devices.
-    fn timing_partition_mask(&self, _offset: u32, _span: u32) -> u64 {
-        1
-    }
-
-    /// [`timing_partition_mask`](Self::timing_partition_mask) plus a
-    /// *hold range*: returns `(mask, hold_end)` such that any access
-    /// `[offset2, offset2 + span2)` with `offset <= offset2` and
-    /// `offset2 + span2 <= hold_end` has a partition mask that is a
-    /// subset of `mask`. Callers use this to memoize the mask across a
-    /// streaming access pattern (one recomputation per DRAM row instead
-    /// of one per access). The default returns a degenerate hold range
-    /// (`offset + span`), which is trivially valid; devices with real
-    /// partitions override this alongside
-    /// [`timing_partition_mask`](Self::timing_partition_mask).
-    fn timing_partition_hold(&self, offset: u32, span: u32) -> (u64, u32) {
-        (self.timing_partition_mask(offset, span), offset.saturating_add(span))
     }
 
     /// An upper bound on the cycles [`write`](Self::write) returns for

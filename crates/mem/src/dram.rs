@@ -111,6 +111,12 @@ impl BusDevice for Ddr3 {
         Ok(cycles)
     }
 
+    fn peek(&mut self, offset: u32, buf: &mut [u8]) -> Result<(), MemError> {
+        check_bounds(self.size(), offset, buf.len())?;
+        buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+        Ok(())
+    }
+
     fn write(&mut self, offset: u32, data: &[u8]) -> Result<u64, MemError> {
         check_bounds(self.size(), offset, data.len())?;
         let cycles = self.access_cycles(offset, data.len());
@@ -156,31 +162,6 @@ impl BusDevice for Ddr3 {
         check_bounds(self.size(), offset, data.len())?;
         self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         Ok(())
-    }
-
-    fn timing_partition_mask(&self, offset: u32, span: u32) -> u64 {
-        // Each bank's open row evolves independently: the partition of an
-        // access is its row's bank.
-        let t = &self.timing;
-        let first = offset >> self.row_shift;
-        let last = ((u64::from(offset) + u64::from(span.max(1)) - 1) >> self.row_shift) as u32;
-        if u64::from(last - first) + 1 >= u64::from(t.banks) {
-            return if t.banks >= 64 { !0 } else { (1u64 << t.banks) - 1 };
-        }
-        let mut mask = 0u64;
-        for row in first..=last {
-            mask |= 1u64 << (self.bank_of(row) as u32 % 64);
-        }
-        mask
-    }
-
-    fn timing_partition_hold(&self, offset: u32, span: u32) -> (u64, u32) {
-        // The mask of rows [first, last] stays a superset for any access
-        // contained in them: hold until the end of the last covered row.
-        let mask = self.timing_partition_mask(offset, span);
-        let last = (u64::from(offset) + u64::from(span.max(1)) - 1) >> self.row_shift;
-        let hold_end = ((last + 1) << self.row_shift).min(u64::from(self.size())) as u32;
-        (mask, hold_end)
     }
 
     fn write_latency_bound(&self, len: u32) -> Option<u64> {
@@ -270,6 +251,19 @@ mod tests {
         d.reset_timing();
         d.restore_timing(&saved);
         assert_eq!(d.read(t.row_bytes + 4, &mut b).unwrap(), t.row_hit);
+    }
+
+    #[test]
+    fn peek_copies_without_opening_a_row() {
+        let mut d = Ddr3::new(4096);
+        d.poke(100, &[9, 8, 7]).unwrap();
+        let mut b = [0u8; 3];
+        d.peek(100, &mut b).unwrap();
+        assert_eq!(b, [9, 8, 7]);
+        let mut saved = Vec::new();
+        assert!(d.save_timing(&mut saved));
+        assert!(saved.iter().all(|&row| row == 0), "{saved:?}");
+        assert!(d.peek(4094, &mut b).is_err());
     }
 
     #[test]

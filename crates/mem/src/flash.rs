@@ -147,6 +147,12 @@ impl BusDevice for SpiFlash {
         true
     }
 
+    fn peek(&mut self, offset: u32, buf: &mut [u8]) -> Result<(), MemError> {
+        check_bounds(self.size(), offset, buf.len())?;
+        buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+        Ok(())
+    }
+
     fn poke(&mut self, offset: u32, data: &[u8]) -> Result<(), MemError> {
         check_bounds(self.size(), offset, data.len())?;
         self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
@@ -221,6 +227,19 @@ mod tests {
         let mut b = [0u8; 4];
         f.read(0, &mut b).unwrap();
         assert_eq!(b, [1, 2, 3, 0xFF]);
+    }
+
+    #[test]
+    fn peek_copies_without_touching_the_burst() {
+        let mut f = SpiFlash::new(4096, SpiWidth::Quad);
+        f.poke(8, &[1, 2, 3, 4]).unwrap();
+        let mut b = [0u8; 4];
+        let first = f.read(0, &mut b).unwrap();
+        f.peek(8, &mut b).unwrap();
+        assert_eq!(b, [1, 2, 3, 4]);
+        // The burst from the read at 0 continues at 4.
+        assert!(f.read(4, &mut b).unwrap() < first);
+        assert!(f.peek(4093, &mut b).is_err());
     }
 
     #[test]

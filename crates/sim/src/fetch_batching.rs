@@ -6,10 +6,11 @@
 //! `TimedCore::fetch_run` and `charge`).
 //!
 //! `TimedCore::alu(n)` and `call(s)` charge their fetches one sequential
-//! stretch at a time, the warm rest of a fetch window as bulk hits; with
-//! fetch deferral on, every op's fetch joins a backlog that settles only
-//! where its timing can be observed; and `TraceReplayer` prices captured
-//! fetch runs through the same charger. Over random operation sequences
+//! stretch at a time, the warm rest of a fetch window as bulk hits, and
+//! every fetch of a swept resident region as bulk hits; with fetch
+//! deferral on, every op's fetch joins a backlog that settles only where
+//! its timing can be observed; and `TraceReplayer` replays a captured
+//! trace's fetches through the same backlog. Over random operation sequences
 //! and random configurations (I-cache none / 1-way / 2-way / 4-way of
 //! 256 B to 4 KiB with 16/32/64-byte lines, D-cache on/off, RVC on/off,
 //! single/quad SPI flash, SRAM, DDR3 and a region straddling the uncached
@@ -23,6 +24,8 @@
 //!
 //! on every `TlmStats` field, both caches' statistics and every device's
 //! traffic statistics.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use cfu_core::templates::SimdAddCfu;
 use cfu_core::CfuOp;
@@ -148,7 +151,7 @@ enum Mode {
     /// `alu(n)` as `n` calls of `alu(1)`.
     UnitAlu,
     /// Every fetch of `alu` and `call` charged alone by the oracle, with
-    /// the warm-window fast path off.
+    /// the warm-window and whole-region residency fast paths off.
     PerFetch,
     /// Every op inside one deferral scope, settled at each `Mark`.
     Deferred,
@@ -163,7 +166,7 @@ fn fetch_one(core: &mut TimedCore) {
         core.stats.instructions += 1;
         core.charge(1);
     } else {
-        core.fetch_run(pc, 1, false).expect("accepted regions fetch without faults");
+        core.fetch_run(pc, 1).expect("accepted regions fetch without faults");
     }
 }
 
@@ -189,14 +192,12 @@ fn observe(core: &TimedCore) -> Observed {
     )
 }
 
-/// Runs `ops` under `mode`: the core, each op's success, and what every
-/// `Mark` observed.
-fn run(
-    config: CpuConfig,
-    quad: bool,
-    ops: &[Op],
-    mode: Mode,
-) -> (TimedCore, Vec<bool>, Vec<Observed>) {
+/// What [`run`] returns: the core, each op's success, what every `Mark`
+/// observed, and whether some op found a swept resident region.
+type Run = (TimedCore, Vec<bool>, Vec<Observed>, bool);
+
+/// Runs `ops` under `mode`.
+fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> Run {
     let mut core = TimedCore::with_cfu(config, build_bus(quad), SimdAddCfu::new());
     match mode {
         Mode::Batched => core.start_recording(),
@@ -205,7 +206,9 @@ fn run(
     }
     let mut outcomes = Vec::with_capacity(ops.len());
     let mut marks = Vec::new();
+    let mut resident = false;
     for &op in ops {
+        resident |= core.resident_skip && core.walk.swept;
         let ok = match (op, mode) {
             (Op::Alu(n), Mode::UnitAlu) => (0..n).all(|_| core.alu(1).is_ok()),
             (Op::Alu(n), Mode::PerFetch) => steps(&mut core, n),
@@ -243,6 +246,7 @@ fn run(
                     // The remaining single fetches (`mul`, loads, ...)
                     // then take the one-fetch stretch, never bulk hits.
                     core.warm_skip = false;
+                    core.resident_skip = false;
                 }
                 ok
             }
@@ -250,7 +254,7 @@ fn run(
         outcomes.push(ok);
     }
     core.defer_fetches(false);
-    (core, outcomes, marks)
+    (core, outcomes, marks, resident)
 }
 
 /// Asserts two cores charged identically: core, cache and per-device
@@ -264,16 +268,23 @@ fn assert_same(a: &TimedCore, b: &TimedCore, what: &str) {
     }
 }
 
+const CASES: u32 = 256;
+/// Cases run so far, and those in which some op found a swept resident
+/// region: the last case asserts the generator reaches that fast path.
+static RAN: AtomicU32 = AtomicU32::new(0);
+static RESIDENT: AtomicU32 = AtomicU32::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
     #[test]
     fn bulk_fetch_charging_is_exact(
         (config, quad) in config(),
         ops in vec(op(), 1..200),
     ) {
-        let (mut batched, outcomes, marks) = run(config, quad, &ops, Mode::Batched);
+        let (mut batched, outcomes, marks, resident) = run(config, quad, &ops, Mode::Batched);
+        RESIDENT.fetch_add(u32::from(resident), Ordering::Relaxed);
         for mode in [Mode::UnitAlu, Mode::PerFetch, Mode::Deferred] {
-            let (reference, ref_outcomes, ref_marks) = run(config, quad, &ops, mode);
+            let (reference, ref_outcomes, ref_marks, _) = run(config, quad, &ops, mode);
             let what = format!("{mode:?} vs Batched, {config:?}, quad {quad}, ops {ops:?}");
             prop_assert_eq!(&ref_outcomes, &outcomes, "{}", what);
             for (i, (r, b)) in ref_marks.iter().zip(&marks).enumerate() {
@@ -293,5 +304,9 @@ proptest! {
         let what = format!("replay vs live, {config:?}, quad {quad}, ops {ops:?}");
         prop_assert_eq!(summary.stats, batched.stats(), "{}", what);
         assert_same(replayer.core(), &batched, &what);
+        if RAN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            let resident = RESIDENT.load(Ordering::Relaxed);
+            prop_assert!(resident > 0, "no case reached a swept resident region");
+        }
     }
 }

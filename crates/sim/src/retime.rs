@@ -28,31 +28,15 @@
 //!    timing exactly like a data-carrying read, and
 //!    [`cfu_mem::Bus::reset_device_timing`] reproduces the net timing
 //!    effect of a `peek` for every device in the crate.
-//! 2. The synthetic fetch walk is one shared type
-//!    (`timed_core::FetchWalk`), so the finalize pre-pass regenerates
-//!    byte-for-byte the fetch-address stream the live run charged — in
-//!    closed form, one packed record per maximal strictly-sequential
-//!    stretch. Replay prices each stretch with the charger live
-//!    execution uses for its own `alu`/`call` batches
-//!    (`TimedCore::fetch_run`): with an I-cache, per
-//!    *replay-configuration* cache line — the first fetch touching a
-//!    line performs the real access (and miss fill); the rest of the
-//!    stretch inside that line are proven hits (strictly ascending
-//!    addresses keep the line most-recently-used, so skipping them is
-//!    LRU-exact, and a TLM hit charges nothing), recorded via
-//!    [`cfu_mem::Cache::note_hits`]. Without an I-cache the whole
-//!    stretch is priced by one [`cfu_mem::Bus::read_cost_run`] burst.
-//!    A run record identical to the one just replayed is the walk
-//!    re-running a window: when its lines land in distinct sets it is
-//!    charged as bulk hits, the same warm-window rule the live path
-//!    applies once its walk wraps (`TimedCore::note_warm_hits`).
-//!    Fetch charges are additionally *deferred* — accumulated in a
-//!    counter and flushed only at points whose timing reads or perturbs
-//!    shared state (stores, marks, region switches, loads or peeks
-//!    touching a timing-stateful device): cycle and statistic additions
-//!    commute, and [`cfu_mem::BusDevice::timing_stateless`] devices
-//!    commute with accesses to every other region, so the reordering
-//!    is bit-exact.
+//! 2. Replay charges instruction fetches through the live engine: the
+//!    memory pass drives its own [`TimedCore`] with fetch deferral on,
+//!    issuing each op's fetches (`TimedCore::fetch`) and settling the
+//!    backlog (`TimedCore::settle`) wherever live execution settles it —
+//!    at stores, marks, region switches, and loads or peeks on a
+//!    timing-stateful code device. The synthetic fetch walk, its
+//!    warm-window and whole-region residency rules and the fetch charger
+//!    are therefore the live ones, and the fetch-address stream is
+//!    regenerated from the trace's region records and op counts alone.
 //! 3. Store timing is value-independent (device write latency does not
 //!    depend on the data), so replay writes zeros through the same
 //!    write-buffer model and nobody ever reads the replay bus's contents.
@@ -69,12 +53,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use cfu_mem::{Cache, CacheConfig, CacheStats, MemError};
+use cfu_mem::{CacheConfig, CacheStats, MemError};
 
 use crate::bpred::PredictorState;
 use crate::config::{BranchPredictor, CpuConfig};
 use crate::cpu::UNCACHED_BASE;
-use crate::timed_core::{buffer_store, lines_in_distinct_sets, FetchWalk, TimedCore, TlmStats};
+use crate::timed_core::{buffer_store, TimedCore, TlmStats};
 
 /// Op-word tags (low 4 bits of each packed `u64`).
 const TAG_REGION: u64 = 0;
@@ -91,20 +75,16 @@ const TAG_CFU_HIDDEN: u64 = 10;
 const TAG_PEEK: u64 = 11;
 const TAG_MARK: u64 = 12;
 
-/// Maximum fetches per packed run (31-bit count field).
-const RUN_COUNT_MAX: u64 = 0x7FFF_FFFF;
-
 /// A captured committed-operation trace from a [`TimedCore`] run.
 ///
-/// The trace stores the abstract operation stream (packed one-or-two
-/// `u64` words per op) plus a derived *fetch-run* index that lets the
-/// replayer charge instruction fetches in line-sized batches. Every
-/// trace comes from a capture run ([`TimedCore::finish_recording`]).
+/// The trace stores the abstract operation stream, packed one or two
+/// `u64` words per op; replay regenerates the fetch-address stream from
+/// it. Every trace comes from a capture run
+/// ([`TimedCore::finish_recording`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     ops: Vec<u64>,
     compressed: bool,
-    fetch_runs: Vec<u64>,
 }
 
 impl Trace {
@@ -126,15 +106,10 @@ impl Trace {
         true
     }
 
-    /// RVC setting the trace was captured under (the fetch stride is
-    /// baked into the fetch-run index, so replay requires a matching
-    /// `compressed` flag).
+    /// RVC setting the trace was captured under (replay requires a
+    /// matching `compressed` flag).
     pub fn compressed(&self) -> bool {
         self.compressed
-    }
-
-    pub(crate) fn fetch_runs(&self) -> &[u64] {
-        &self.fetch_runs
     }
 
     pub(crate) fn ops(&self) -> &[u64] {
@@ -146,7 +121,7 @@ impl Trace {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// The trace and the replay target disagree structurally (wrong RVC
-    /// setting, fetch stream out of sync, truncated record).
+    /// setting, truncated record, profiles of another trace).
     Mismatch(&'static str),
     /// A bus fault while replaying memory timing (e.g. the replay bus
     /// lacks a region the capture bus had).
@@ -261,410 +236,12 @@ impl TraceRecorder {
     }
 
     pub(crate) fn finish(self) -> Trace {
-        let fetch_runs = compute_fetch_runs(&self.ops, self.compressed);
-        Trace { ops: self.ops, compressed: self.compressed, fetch_runs }
+        Trace { ops: self.ops, compressed: self.compressed }
     }
 }
 
-/// How many instruction fetches an op word implies. `Region` is handled
-/// by the caller (it re-targets the walk and fetches nothing).
-fn fetches_of(word: u64) -> u64 {
-    match word & 0xF {
-        TAG_ALU => word >> 8,
-        TAG_CALL => 2 + 2 * (word >> 8),
-        TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_LOAD | TAG_STORE | TAG_CFU => 1,
-        _ => 0,
-    }
-}
-
-/// Accumulates fetch PCs into packed runs:
-/// `pc | count << 32 | ideal << 63`.
-struct RunBuilder {
-    runs: Vec<u64>,
-    start_pc: u32,
-    last_pc: u32,
-    count: u64,
-    ideal: bool,
-    active: bool,
-}
-
-impl RunBuilder {
-    fn new() -> Self {
-        RunBuilder {
-            runs: Vec::new(),
-            start_pc: 0,
-            last_pc: 0,
-            count: 0,
-            ideal: false,
-            active: false,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.active {
-            self.runs.push(
-                u64::from(self.start_pc) | (self.count << 32) | (u64::from(self.ideal) << 63),
-            );
-            self.active = false;
-        }
-    }
-
-    /// Ideal fetches (no code region): PC-independent, merged freely.
-    fn push_ideal(&mut self, n: u64) {
-        let mut left = n;
-        while left > 0 {
-            if self.active && self.ideal && self.count < RUN_COUNT_MAX {
-                let take = left.min(RUN_COUNT_MAX - self.count);
-                self.count += take;
-                left -= take;
-            } else {
-                self.flush();
-                self.active = true;
-                self.ideal = true;
-                self.start_pc = 0;
-                self.count = 0;
-            }
-        }
-    }
-
-    /// `k` real fetches starting at `pc`, `step` bytes apart; merged
-    /// into the current run when they continue it strictly
-    /// sequentially.
-    fn push_seq(&mut self, pc: u32, step: u32, k: u64) {
-        if k == 0 {
-            return;
-        }
-        if self.active
-            && !self.ideal
-            && pc == self.last_pc.wrapping_add(step)
-            && self.count + k <= RUN_COUNT_MAX
-        {
-            self.count += k;
-            self.last_pc = pc.wrapping_add((k - 1) as u32 * step);
-            return;
-        }
-        self.flush();
-        self.active = true;
-        self.ideal = false;
-        self.start_pc = pc;
-        self.last_pc = pc.wrapping_add((k - 1) as u32 * step);
-        self.count = k;
-    }
-}
-
-/// Regenerates the fetch-address stream an op stream charged (via the
-/// shared [`FetchWalk`]) and compacts it into sequential runs.
-///
-/// In the ideal regime (`code_len == 4`, no real code region) fetch PCs
-/// never reach the cache or bus and the walk state is fully reset by the
-/// next `Region` record, so whole ALU batches collapse to a count
-/// without stepping the walk; real regions use the walk's closed-form
-/// batch advance — either way finalize cost is proportional to the
-/// number of *records*, not instructions.
-fn compute_fetch_runs(ops: &[u64], compressed: bool) -> Vec<u64> {
-    let step: u32 = if compressed { 3 } else { 4 };
-    let mut walk = FetchWalk::default();
-    let mut rb = RunBuilder::new();
-    let mut i = 0;
-    while i < ops.len() {
-        let w = ops[i];
-        if w & 0xF == TAG_REGION {
-            walk.set_region((w >> 8) as u32, ops[i + 1] as u32);
-            i += 2;
-            continue;
-        }
-        let n = fetches_of(w);
-        if walk.code_len == 4 {
-            rb.push_ideal(n);
-        } else {
-            let mut left = n;
-            while left > 0 {
-                let (pc, k) = walk.stretch(step, left);
-                rb.push_seq(pc, step, k);
-                left -= k;
-            }
-        }
-        i += 1;
-    }
-    rb.flush();
-    rb.runs
-}
-
-/// Number of slots in each [`RunMemo`] table (power of two).
-const RUN_MEMO_SLOTS: usize = 1 << 13;
-
-/// Fixed-size direct-mapped memo tables keyed by packed run records (a
-/// real record is never 0: its count field is nonzero). A hash
-/// collision simply overwrites the slot — a false negative only costs
-/// the exact slow walk, never correctness.
-///
-/// Real (non-synthetic) traces break a fetch run at every taken
-/// branch, so loop iterations re-emit the same handful of records over
-/// and over, usually interleaved (`A,B,A,B,…`) rather than
-/// back-to-back. These tables let the flush walk recognise such
-/// repeats in O(1) instead of re-walking the run line by line.
-struct RunMemo {
-    /// record → "every line of this run is resident in the
-    /// (direct-mapped) I-cache". Epoch-tagged: a miss fill can evict an
-    /// arbitrary proven line, so it advances `epoch`, invalidating the
-    /// whole table in O(1). Exactness: with one way per set there is no
-    /// LRU choice, so replaying a proven run as bulk hits (skipping the
-    /// per-line lookup and LRU re-touch) cannot change any future
-    /// hit/miss/eviction decision.
-    proven: Box<[(u64, u64)]>,
-    epoch: u64,
-    /// record → timing-partition mask of the *whole* run's fetch span.
-    /// A pure function of the record (the bus topology is fixed for the
-    /// lifetime of a replay), so it never needs invalidation.
-    masks: Box<[(u64, u64)]>,
-}
-
-impl RunMemo {
-    fn new() -> Self {
-        RunMemo {
-            proven: vec![(0, 0); RUN_MEMO_SLOTS].into_boxed_slice(),
-            epoch: 1,
-            masks: vec![(0, 0); RUN_MEMO_SLOTS].into_boxed_slice(),
-        }
-    }
-
-    /// Fibonacci-hash slot index for `record`.
-    #[inline]
-    fn slot(record: u64) -> usize {
-        (record.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RUN_MEMO_SLOTS.trailing_zeros()))
-            as usize
-    }
-
-    /// Whether `record` was proven all-resident and no icache miss has
-    /// occurred since.
-    #[inline]
-    fn proven_resident(&self, record: u64) -> bool {
-        self.proven[Self::slot(record)] == (record, self.epoch)
-    }
-
-    /// Marks `record`'s lines as resident (valid until the next miss).
-    #[inline]
-    fn prove(&mut self, record: u64) {
-        self.proven[Self::slot(record)] = (record, self.epoch);
-    }
-
-    /// Drops every proven record: some line may have been evicted.
-    #[inline]
-    fn invalidate_proven(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Memoized partition mask of `record`'s full span, if present.
-    #[inline]
-    fn mask(&self, record: u64) -> Option<u64> {
-        let (r, m) = self.masks[Self::slot(record)];
-        (r == record).then_some(m)
-    }
-
-    /// Memoizes the partition mask of `record`'s full span.
-    #[inline]
-    fn set_mask(&mut self, record: u64, mask: u64) {
-        self.masks[Self::slot(record)] = (record, mask);
-    }
-}
-
-/// Replay-side cursor over a trace's packed fetch runs.
-///
-/// Fetch charges are deferred: [`defer`](FetchCursor::defer) only bumps
-/// a counter, and [`flush`](FetchCursor::flush) settles the backlog in
-/// bulk, one `TimedCore::fetch_run` stretch at a time (the live path's
-/// charger), short-circuiting runs the memo proves resident. The replay
-/// loop flushes at every point whose timing reads or perturbs shared
-/// state, which keeps the reordering bit-exact.
-struct FetchCursor<'a> {
-    runs: &'a [u64],
-    idx: usize,
-    /// Fetches already consumed from the current run.
-    used: u32,
-    /// Fetches deferred but not yet charged.
-    pending: u64,
-    /// Timing-partition bitmask (DRAM banks) of the first `masked`
-    /// pending fetches — see [`pending_mask`](Self::pending_mask).
-    bank_mask: u64,
-    /// Pending fetches already folded into `bank_mask`.
-    masked: u64,
-    /// Run-stream position just past the `masked` fetches.
-    m_idx: usize,
-    m_used: u32,
-    /// Per-record memo tables (proven-resident runs, partition masks).
-    memo: RunMemo,
-}
-
-impl FetchCursor<'_> {
-    /// Defers `n` fetches; charged at the next [`flush`](Self::flush).
-    #[inline]
-    fn defer(&mut self, n: u64) {
-        self.pending += n;
-    }
-
-    /// The timing-partition bitmask of every pending fetch, extended
-    /// lazily (each run record is walked at most once between flushes).
-    /// A load on the code device whose own partition mask is disjoint
-    /// from this one touches only timing state the backlog cannot reach,
-    /// so it commutes with the deferred charges.
-    #[inline]
-    fn pending_mask(&mut self, core: &TimedCore) -> Result<u64, ReplayError> {
-        if self.masked == self.pending {
-            return Ok(self.bank_mask);
-        }
-        self.pending_mask_slow(core)
-    }
-
-    fn pending_mask_slow(&mut self, core: &TimedCore) -> Result<u64, ReplayError> {
-        let step = core.fetch_step();
-        let line = core.icache.as_ref().map(|c| c.config().line_bytes);
-        while self.masked < self.pending {
-            let run = *self
-                .runs
-                .get(self.m_idx)
-                .ok_or(ReplayError::Mismatch("trace fetch stream exhausted"))?;
-            let ideal = run >> 63 != 0;
-            let count = ((run >> 32) & RUN_COUNT_MAX) as u32;
-            let base = run as u32;
-            let take = u64::from(count - self.m_used).min(self.pending - self.masked);
-            if !ideal {
-                // Memoized per record: the mask of the run's *full* span,
-                // a superset of any partial stretch's mask. A superset
-                // can only trigger a spurious (exact) flush, never skip a
-                // required one.
-                let mask = match self.memo.mask(run) {
-                    Some(m) => m,
-                    None => {
-                        let mut lo = base;
-                        let mut span = u64::from(count) * u64::from(step);
-                        // A cached stretch can touch the bus anywhere in
-                        // the lines it fills: round out to line bounds.
-                        if let Some(line) = line.filter(|_| base < UNCACHED_BASE) {
-                            lo = base & !(line - 1);
-                            let end = u64::from(base) + span;
-                            span = end.div_ceil(u64::from(line)) * u64::from(line) - u64::from(lo);
-                        }
-                        let m = core.bus.timing_partition_mask_at(lo, span);
-                        self.memo.set_mask(run, m);
-                        m
-                    }
-                };
-                self.bank_mask |= mask;
-            }
-            self.masked += take;
-            self.m_used += take as u32;
-            if self.m_used == count {
-                self.m_idx += 1;
-                self.m_used = 0;
-            }
-        }
-        Ok(self.bank_mask)
-    }
-
-    /// Charges every deferred fetch against `core`.
-    fn flush(&mut self, core: &mut TimedCore) -> Result<(), ReplayError> {
-        let step = core.fetch_step();
-        while self.pending > 0 {
-            let run = *self
-                .runs
-                .get(self.idx)
-                .ok_or(ReplayError::Mismatch("trace fetch stream exhausted"))?;
-            let ideal = run >> 63 != 0;
-            let count = ((run >> 32) & RUN_COUNT_MAX) as u32;
-            let base = run as u32;
-            // Repeated-pass shortcut — the live path's warm-window rule
-            // (`TimedCore::note_warm_hits`) at run granularity: the
-            // synthetic walk re-runs each inner-loop window
-            // WINDOW_DWELL/window-length times, so bit-identical
-            // back-to-back run records are the common case. The previous
-            // pass left every line of the run resident and
-            // most-recently-used in its set (guaranteed when the run's
-            // lines land in distinct sets), so re-running it is all hits
-            // with no LRU reordering — O(1) per pass.
-            if !ideal
-                && self.used == 0
-                && u64::from(count) <= self.pending
-                && self.idx > 0
-                && self.runs[self.idx - 1] == run
-            {
-                if let Some(cache) = core.icache.as_mut() {
-                    let last = base.wrapping_add((count - 1) * step);
-                    if lines_in_distinct_sets(cache.config(), base, last) {
-                        cache.note_hits(u64::from(count));
-                        core.stats.instructions += u64::from(count);
-                        self.pending -= u64::from(count);
-                        self.idx += 1;
-                        continue;
-                    }
-                }
-            }
-            // Proven-resident memo: this exact record completed a full
-            // walk earlier with no intervening I-cache miss, so every
-            // line it touches is still resident. Direct-mapped caches
-            // only (no LRU state to re-touch); the geometry gates
-            // (cacheable, lines in distinct sets) were checked when the
-            // record was proven.
-            if !ideal {
-                if let Some(cache) = core.icache.as_mut() {
-                    if cache.config().ways == 1 && self.memo.proven_resident(run) {
-                        let m = u64::from(count - self.used).min(self.pending);
-                        cache.note_hits(m);
-                        core.stats.instructions += m;
-                        self.used += m as u32;
-                        self.pending -= m;
-                        if self.used == count {
-                            self.idx += 1;
-                            self.used = 0;
-                        }
-                        continue;
-                    }
-                }
-            }
-            let m = u64::from(count - self.used).min(self.pending);
-            if ideal {
-                core.stats.cycles += m;
-                core.stats.instructions += m;
-            } else {
-                let first_pc = base.wrapping_add(self.used * step);
-                if core.fetch_run(first_pc, m, self.used > 0)? {
-                    // A fill may evict a line some proven record relies on.
-                    self.memo.invalidate_proven();
-                }
-                // When the charger just touched every line of the run and
-                // the geometry is safe (direct-mapped, cacheable, lines in
-                // distinct sets), remember the run as proven-resident.
-                match core.icache.as_ref().map(Cache::config) {
-                    Some(cfg) if self.used == 0 && m == u64::from(count) && cfg.ways == 1 => {
-                        let last = base.wrapping_add((count - 1) * step);
-                        if lines_in_distinct_sets(cfg, base, last) {
-                            self.memo.prove(run);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.used += m as u32;
-            self.pending -= m;
-            if self.used == count {
-                self.idx += 1;
-                self.used = 0;
-            }
-        }
-        // The backlog is empty: restart partition tracking from here.
-        self.bank_mask = 0;
-        self.masked = 0;
-        self.m_idx = self.idx;
-        self.m_used = self.used;
-        Ok(())
-    }
-
-    fn finished(&self) -> bool {
-        self.pending == 0 && self.idx == self.runs.len() && self.used == 0
-    }
-}
-
-/// One bus region's replay-side metadata: identity for commutation
-/// checks, memoized per-length uncached read cost (valid because
+/// One bus region's replay-side metadata: its address range, memoized
+/// per-length uncached read cost (valid because
 /// [`cfu_mem::BusDevice::timing_stateless`] promises cost is a pure
 /// function of length), and deferred traffic statistics settled in bulk
 /// by [`RegionTable::spill`].
@@ -675,12 +252,6 @@ struct RegionEntry {
     stateless: bool,
     /// Memoized uncached read cost per access length (1/2/4 bytes).
     cost: [Option<u64>; 5],
-    /// Memoized timing-partition mask, valid for accesses contained in
-    /// `[pmask_lo, pmask_hi)` — see [`cfu_mem::Bus::timing_partition_hold`].
-    /// Starts empty (`lo > hi`).
-    pmask: u64,
-    pmask_lo: u32,
-    pmask_hi: u32,
     deferred_reads: u64,
     deferred_bytes: u64,
     deferred_cycles: u64,
@@ -703,9 +274,6 @@ impl RegionTable {
                 id,
                 stateless: bus.timing_stateless_at(info.base),
                 cost: [None; 5],
-                pmask: 0,
-                pmask_lo: 1,
-                pmask_hi: 0,
                 deferred_reads: 0,
                 deferred_bytes: 0,
                 deferred_cycles: 0,
@@ -1185,164 +753,14 @@ impl TraceReplayer {
         if trace.compressed() != self.core.config.compressed {
             return Err(ReplayError::Mismatch("trace captured under a different RVC setting"));
         }
-        self.core.reset_stats();
         let core = &mut self.core;
-        let mut cur = FetchCursor {
-            runs: trace.fetch_runs(),
-            idx: 0,
-            used: 0,
-            pending: 0,
-            bank_mask: 0,
-            masked: 0,
-            m_idx: 0,
-            m_used: 0,
-            memo: RunMemo::new(),
-        };
-        // Per-region lookup table: loads on stateless uncached regions
-        // collapse to a memoized per-length charge with statistics
-        // settled in bulk. Pending fetches only ever touch the *code*
-        // device, so a load (or peek) commutes with the deferred backlog
-        // unless `core.code_device` says otherwise: the live backlog's
-        // rule.
-        let mut memo = RegionTable::new(&core.bus);
-        let mut cycles = Vec::with_capacity(profile.segments());
-        let mut store_cycles = Vec::with_capacity(profile.boundary_stores());
-        let mut bounds = profile.store_words.iter().copied();
-        let mut next_bound = bounds.next();
-        let mut seg_start = 0;
-        let ops = trace.ops();
-        let mut i = 0;
-        while i < ops.len() {
-            let w = ops[i];
-            match w & 0xF {
-                TAG_REGION => {
-                    let len =
-                        *ops.get(i + 1).ok_or(ReplayError::Mismatch("truncated region record"))?;
-                    i += 1;
-                    cur.flush(core)?;
-                    let base = (w >> 8) as u32;
-                    let span = (len as u32).max(4);
-                    core.set_code_region(base, span)?;
-                }
-                TAG_ALU => cur.defer(w >> 8),
-                TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_CFU => cur.defer(1),
-                TAG_CALL => cur.defer(2 + 2 * (w >> 8)),
-                TAG_LOAD => {
-                    let addr = (w >> 8) as u32;
-                    let len = (w >> 4 & 0xF) as u32;
-                    cur.defer(1);
-                    match memo.find(addr, len) {
-                        Some(e)
-                            if e.stateless && (core.dcache.is_none() || addr >= UNCACHED_BASE) =>
-                        {
-                            // Stateless uncached load: per-length cost
-                            // is a constant of the region — charge the
-                            // memoized value, settle traffic stats at
-                            // the end of the replay.
-                            core.stats.loads += 1;
-                            if let Some(c) = e.cost[len as usize] {
-                                core.stats.cycles += c;
-                                e.deferred_reads += 1;
-                                e.deferred_bytes += u64::from(len);
-                                e.deferred_cycles += c;
-                            } else {
-                                let c = core.bus.read_cost(addr, len)?;
-                                core.stats.cycles += c;
-                                e.cost[len as usize] = Some(c);
-                            }
-                        }
-                        entry => {
-                            // A load interacting with the code device's
-                            // stateful timing must observe all earlier
-                            // fetch charges (and vice versa); anything
-                            // else commutes and the backlog rides
-                            // through.
-                            let need_flush = match entry {
-                                // Uncached load on the code device
-                                // itself: it still commutes when its
-                                // timing partition (DRAM bank) is one
-                                // the backlog never touches. Cached
-                                // loads are excluded — their trailing
-                                // device-timing reset spans every
-                                // partition.
-                                Some(e)
-                                    if core.code_device.must_flush_for(addr)
-                                        && (core.dcache.is_none() || addr >= UNCACHED_BASE) =>
-                                {
-                                    // Memoized over the device's hold
-                                    // range (one recomputation per DRAM
-                                    // row); the held mask is a superset,
-                                    // so at worst it forces a spurious —
-                                    // still exact — flush.
-                                    let span = u64::from(len.max(1));
-                                    let lm = if addr >= e.pmask_lo
-                                        && u64::from(addr) + span <= u64::from(e.pmask_hi)
-                                    {
-                                        e.pmask
-                                    } else {
-                                        let (m, hold) =
-                                            core.bus.timing_partition_hold(e.id, addr, span);
-                                        e.pmask = m;
-                                        e.pmask_lo = addr;
-                                        e.pmask_hi = hold;
-                                        m
-                                    };
-                                    cur.pending_mask(core)? & lm != 0
-                                }
-                                _ => core.code_device.must_flush_for(addr),
-                            };
-                            if need_flush {
-                                cur.flush(core)?;
-                            }
-                            core.load_cost(addr, len)?;
-                        }
-                    }
-                }
-                TAG_STORE => {
-                    // Stores keep the order of every earlier fetch
-                    // charge, so each settles the backlog first.
-                    cur.defer(1);
-                    cur.flush(core)?;
-                    let addr = (w >> 8) as u32;
-                    let len = (w >> 4 & 0xF) as usize;
-                    core.stats.stores += 1;
-                    // Write timing is value-independent: write zeros.
-                    let device_cycles = core.bus.write(addr, &[0; 4][..len])?;
-                    if addr >= UNCACHED_BASE {
-                        core.stats.cycles += device_cycles;
-                    } else if next_bound == Some(i) {
-                        cycles.push(core.stats.cycles - seg_start);
-                        seg_start = core.stats.cycles;
-                        store_cycles.push(device_cycles);
-                        next_bound = bounds.next();
-                    }
-                }
-                TAG_CFU_HIDDEN => {}
-                TAG_PEEK => {
-                    let addr = (w >> 8) as u32;
-                    if core.code_device.must_flush_for(addr) {
-                        cur.flush(core)?;
-                    }
-                    core.bus.reset_device_timing(addr)?;
-                }
-                TAG_MARK => {
-                    cur.flush(core)?;
-                    cycles.push(core.stats.cycles - seg_start);
-                    seg_start = core.stats.cycles;
-                }
-                _ => return Err(ReplayError::Mismatch("unknown op tag")),
-            }
-            i += 1;
-        }
-        cur.flush(core)?;
-        if !cur.finished() {
-            return Err(ReplayError::Mismatch("fetch stream not fully consumed"));
-        }
-        cycles.push(core.stats.cycles - seg_start);
-        if cycles.len() != profile.segments() || store_cycles.len() != profile.boundary_stores() {
-            return Err(ReplayError::Mismatch("core profile scanned from another trace"));
-        }
-        memo.spill(&mut core.bus);
+        core.reset_stats();
+        // Fetches defer exactly as in a live layer; turning deferral off
+        // again settles whatever a failed pass left pending.
+        core.defer_fetches(true);
+        let walked = memory_walk(core, trace, profile);
+        core.defer_fetches(false);
+        let (cycles, store_cycles) = walked?;
         Ok(MemoryProfile {
             icache: core.config.icache,
             dcache: core.config.dcache,
@@ -1447,6 +865,115 @@ impl TraceReplayer {
         c.stats = stats;
         Ok(ReplaySummary { stats, mark_cycles })
     }
+}
+
+/// The body of [`TraceReplayer::memory_pass`] on a core with fetch
+/// deferral on: charges every op's memory side, settling the fetch
+/// backlog by the live rule, and returns each segment's memory cycles
+/// and the device cycles of every segment-ending store.
+fn memory_walk(
+    core: &mut TimedCore,
+    trace: &Trace,
+    profile: &CoreProfile,
+) -> Result<(Vec<u64>, Vec<u64>), ReplayError> {
+    // Per-region lookup table: loads on stateless uncached regions
+    // collapse to a memoized per-length charge with statistics settled in
+    // bulk. Pending fetches only ever touch the *code* device, so a load
+    // or peek settles the backlog only when `core.code_device` says so,
+    // as a live one does.
+    let mut memo = RegionTable::new(&core.bus);
+    let mut cycles = Vec::with_capacity(profile.segments());
+    let mut store_cycles = Vec::with_capacity(profile.boundary_stores());
+    let mut bounds = profile.store_words.iter().copied();
+    let mut next_bound = bounds.next();
+    let mut seg_start = 0;
+    let ops = trace.ops();
+    let mut i = 0;
+    while i < ops.len() {
+        let w = ops[i];
+        match w & 0xF {
+            TAG_REGION => {
+                let len =
+                    *ops.get(i + 1).ok_or(ReplayError::Mismatch("truncated region record"))?;
+                i += 1;
+                core.set_code_region((w >> 8) as u32, (len as u32).max(4))?;
+            }
+            TAG_ALU => core.fetch(w >> 8),
+            TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_CFU => core.fetch(1),
+            TAG_CALL => core.fetch(2 + 2 * (w >> 8)),
+            TAG_LOAD => {
+                let addr = (w >> 8) as u32;
+                let len = (w >> 4 & 0xF) as u32;
+                core.fetch(1);
+                match memo.find(addr, len) {
+                    Some(e) if e.stateless && (core.dcache.is_none() || addr >= UNCACHED_BASE) => {
+                        // Stateless uncached load: per-length cost is a
+                        // constant of the region — charge the memoized
+                        // value, settle traffic stats at the end of the
+                        // replay.
+                        core.stats.loads += 1;
+                        if let Some(c) = e.cost[len as usize] {
+                            core.stats.cycles += c;
+                            e.deferred_reads += 1;
+                            e.deferred_bytes += u64::from(len);
+                            e.deferred_cycles += c;
+                        } else {
+                            let c = core.bus.read_cost(addr, len)?;
+                            core.stats.cycles += c;
+                            e.cost[len as usize] = Some(c);
+                        }
+                    }
+                    _ => {
+                        if core.code_device.must_flush_for(addr) {
+                            core.settle();
+                        }
+                        core.load_cost(addr, len)?;
+                    }
+                }
+            }
+            TAG_STORE => {
+                // The write buffer reads the cycle counter, so a store
+                // settles the backlog first, as a live one does.
+                core.fetch(1);
+                core.settle();
+                let addr = (w >> 8) as u32;
+                let len = (w >> 4 & 0xF) as usize;
+                core.stats.stores += 1;
+                // Write timing is value-independent: write zeros.
+                let device_cycles = core.bus.write(addr, &[0; 4][..len])?;
+                if addr >= UNCACHED_BASE {
+                    core.stats.cycles += device_cycles;
+                } else if next_bound == Some(i) {
+                    cycles.push(core.stats.cycles - seg_start);
+                    seg_start = core.stats.cycles;
+                    store_cycles.push(device_cycles);
+                    next_bound = bounds.next();
+                }
+            }
+            TAG_CFU_HIDDEN => {}
+            TAG_PEEK => {
+                let addr = (w >> 8) as u32;
+                if core.code_device.must_flush_for(addr) {
+                    core.settle();
+                }
+                core.bus.reset_device_timing(addr)?;
+            }
+            TAG_MARK => {
+                core.settle();
+                cycles.push(core.stats.cycles - seg_start);
+                seg_start = core.stats.cycles;
+            }
+            _ => return Err(ReplayError::Mismatch("unknown op tag")),
+        }
+        i += 1;
+    }
+    core.settle();
+    cycles.push(core.stats.cycles - seg_start);
+    if cycles.len() != profile.segments() || store_cycles.len() != profile.boundary_stores() {
+        return Err(ReplayError::Mismatch("core profile scanned from another trace"));
+    }
+    memo.spill(&mut core.bus);
+    Ok((cycles, store_cycles))
 }
 
 #[cfg(test)]

@@ -72,6 +72,7 @@ impl Counters {
 struct CoreState {
     walk: FetchWalk,
     warm_skip: bool,
+    resident_skip: bool,
     code_device: CodeDevice,
     /// Pending store-buffer drain times, relative to the cycle counter.
     /// Entries already drained are equivalent to absent ones.
@@ -87,6 +88,7 @@ impl CoreState {
         core.bus.save_timing(&mut devices).then(|| CoreState {
             walk: core.walk,
             warm_skip: core.warm_skip,
+            resident_skip: core.resident_skip,
             code_device: core.code_device,
             write_buffer: pending_drains(core),
             devices,
@@ -312,6 +314,7 @@ impl SpanRecord {
             && core.config == self.config
             && core.walk == cp.state.walk
             && core.warm_skip == cp.state.warm_skip
+            && core.resident_skip == cp.state.resident_skip
             && core.code_device == cp.state.code_device
             && pending_drains(core) == cp.state.write_buffer
             && core.bpred.entries_match(cp.predictor_mask, &cp.predictor)
@@ -357,6 +360,7 @@ impl SpanRecord {
         }
         core.walk = exit.state.walk;
         core.warm_skip = exit.state.warm_skip;
+        core.resident_skip = exit.state.resident_skip;
         core.code_device = exit.state.code_device;
         let now = core.stats.cycles;
         core.write_buffer = exit.state.write_buffer.iter().map(|&t| now + t).collect();

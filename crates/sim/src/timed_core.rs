@@ -86,6 +86,9 @@ pub struct TimedCore {
     /// Whether the code region qualifies for the warm-window fast path
     /// (see [`set_code_region`](Self::set_code_region)).
     pub(crate) warm_skip: bool,
+    /// Whether the code region qualifies for whole-region residency (see
+    /// [`set_code_region`](Self::set_code_region)).
+    pub(crate) resident_skip: bool,
     /// What the fetch backlog can interact with, classified by
     /// [`set_code_region`](Self::set_code_region).
     pub(crate) code_device: CodeDevice,
@@ -124,9 +127,8 @@ pub(crate) fn buffer_store(buffer: &mut VecDeque<u64>, now: u64, device_cycles: 
 /// The device behind the declared code region: what deferred fetch
 /// charges can touch, and so which loads, line fills and peeks must
 /// settle them first. [`TimedCore::set_code_region`] classifies it once;
-/// the live fetch backlog and trace replay's fetch cursor both settle by
-/// [`must_flush_for`](CodeDevice::must_flush_for), so the two paths
-/// cannot disagree on which accesses commute with pending fetches.
+/// the fetch backlog, which live execution and trace replay share,
+/// settles by [`must_flush_for`](CodeDevice::must_flush_for).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CodeDevice {
     /// Fetches commute with every load, fill and peek: the ideal fetch
@@ -160,11 +162,9 @@ const CODE_WINDOW: u32 = 256;
 /// window: inner loops re-execute, then control moves on).
 const WINDOW_DWELL: u32 = 8 * (CODE_WINDOW / 4);
 
-/// The synthetic program-counter walk shared by the live [`TimedCore`]
-/// fetch path and the trace machinery (`retime.rs` regenerates the exact
-/// same fetch-address stream when compacting a captured trace into
-/// line runs). Factoring it into one type is what guarantees capture,
-/// replay and live execution agree on every fetch address.
+/// The synthetic program-counter walk of the [`TimedCore`] fetch path.
+/// Trace replay drives the same core, so capture, replay and live
+/// execution agree on every fetch address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FetchWalk {
     pub(crate) code_base: u32,
@@ -177,6 +177,10 @@ pub(crate) struct FetchWalk {
     /// The PC has wrapped back to `window_base` since the window last
     /// moved, so every fetch PC of the window was charged in this dwell.
     pub(crate) warm: bool,
+    /// The window has wrapped back to `code_base` since the region was
+    /// declared, so every fetch PC of the region was charged in this
+    /// visit.
+    pub(crate) swept: bool,
 }
 
 /// Whether the I-cache lines holding `first` through `last` are all
@@ -212,6 +216,7 @@ impl Default for FetchWalk {
             window_base: 0,
             window_fetches: 0,
             warm: false,
+            swept: false,
         }
     }
 }
@@ -227,6 +232,7 @@ impl FetchWalk {
             window_base: base,
             window_fetches: 0,
             warm: false,
+            swept: false,
         };
     }
 
@@ -251,13 +257,14 @@ impl FetchWalk {
     }
 
     /// Ends the dwell: the window moves on to the next `CODE_WINDOW`
-    /// bytes of the region (wrapping to its start) and the PC restarts
-    /// at the new window's base.
+    /// bytes of the region (wrapping to its start, which completes a
+    /// sweep) and the PC restarts at the new window's base.
     fn slide(&mut self) {
         self.window_fetches = 0;
         self.window_base += CODE_WINDOW.min(self.code_len);
         if self.window_base >= self.code_base + self.code_len {
             self.window_base = self.code_base;
+            self.swept = true;
         }
         self.code_pc = self.window_base;
         self.warm = false;
@@ -356,6 +363,7 @@ impl TimedCore {
             stats: TlmStats::default(),
             walk: FetchWalk::default(),
             warm_skip: false,
+            resident_skip: false,
             code_device: CodeDevice::Commuting,
             pending: 0,
             deferring: false,
@@ -464,12 +472,17 @@ impl TimedCore {
     /// [`UNCACHED_BASE`], and the lines of any one window land in
     /// distinct sets. Then, once the walk wraps back to its window's
     /// base, the rest of the dwell is charged as bulk I-cache hits.
+    /// When the lines of the whole region land in distinct sets, it
+    /// qualifies for whole-region residency too: once the window wraps
+    /// back to the region's base, every later fetch of this visit is a
+    /// bulk I-cache hit that touches no device.
     pub fn set_code_region(&mut self, base: u32, len: u32) -> Result<(), MemError> {
         self.settle();
         let (_, info) = self.bus.region_of(base).ok_or(MemError::Unmapped { addr: base })?;
         let mut walk = FetchWalk::default();
         walk.set_region(base, len);
         let mut warm_skip = false;
+        let mut resident_skip = false;
         let mut code_device = CodeDevice::Commuting;
         // Regions of at most 4 bytes use the ideal fetch and never touch
         // the bus.
@@ -491,6 +504,7 @@ impl TimedCore {
                     let line = line as u32;
                     let window = CODE_WINDOW.min(walk.code_len);
                     warm_skip = lines_in_distinct_sets(cache.config(), line - 1, line + window - 2);
+                    resident_skip = lines_in_distinct_sets(cache.config(), base, max_pc as u32);
                 }
             }
             if lo < u64::from(info.base) || hi > info.end() || !walk.has_headroom() {
@@ -506,6 +520,7 @@ impl TimedCore {
         }
         self.walk = walk;
         self.warm_skip = warm_skip;
+        self.resident_skip = resident_skip;
         self.code_device = code_device;
         Ok(())
     }
@@ -546,8 +561,8 @@ impl TimedCore {
     }
 
     /// Issues `n` instruction fetches at the synthetic PC: the one entry
-    /// point of every live fetch charge. They join the backlog, which
-    /// settles at once unless deferral is on (see
+    /// point of every fetch charge, live or replayed. They join the
+    /// backlog, which settles at once unless deferral is on (see
     /// [`defer_fetches`](Self::defer_fetches)).
     ///
     /// The PC loops inside a [`CODE_WINDOW`]-byte inner-loop window and
@@ -555,7 +570,7 @@ impl TimedCore {
     /// [`WINDOW_DWELL`] fetches — matching real kernels, which re-execute
     /// small loops rather than sweeping their whole `.text` linearly.
     #[inline]
-    fn fetch(&mut self, n: u64) {
+    pub(crate) fn fetch(&mut self, n: u64) {
         self.pending += n;
         if !self.deferring {
             self.settle();
@@ -563,10 +578,24 @@ impl TimedCore {
     }
 
     /// Charges the fetch backlog.
+    ///
+    /// Once a region that qualifies for whole-region residency (see
+    /// [`set_code_region`](Self::set_code_region)) has been swept, the
+    /// backlog is bulk I-cache hits. This is the warm-window rule of
+    /// [`note_warm_hits`](Self::note_warm_hits) widened to the whole
+    /// region: every line of the region was fetched in this visit, and
+    /// its lines land in distinct sets, so each is still resident and
+    /// most-recently-used in its set. The hits touch no device and
+    /// commute with every other operation, so settling them anywhere is
+    /// exact. The walk stops; the next region resets it.
     #[inline]
     pub(crate) fn settle(&mut self) {
         if self.pending > 0 {
             let n = std::mem::take(&mut self.pending);
+            if self.resident_skip && self.walk.swept {
+                self.note_warm_hits(n);
+                return;
+            }
             // set_code_region accepted only regions whose every fetch and
             // line fill lies inside one device, and Bus cannot unmap it.
             self.fetch_batch(n).expect("code region validated at set_code_region");
@@ -589,13 +618,17 @@ impl TimedCore {
         let step = self.fetch_step();
         let mut left = n;
         while left > 0 {
+            if self.resident_skip && self.walk.swept {
+                self.note_warm_hits(left);
+                break;
+            }
             if self.warm_skip && self.walk.warm {
                 let k = self.walk.skip_warm(left);
                 self.note_warm_hits(k);
                 left -= k;
             } else {
                 let (pc, k) = self.walk.stretch(step, left);
-                self.fetch_run(pc, k, false)?;
+                self.fetch_run(pc, k)?;
                 left -= k;
             }
         }
@@ -613,8 +646,7 @@ impl TimedCore {
     /// touched after every other line of its set: all are resident and
     /// most-recently-used, and skipping the re-touches leaves every
     /// future LRU victim unchanged. A hit charges no cycles and no bus
-    /// access. The PC is not advanced; the dwell's slide resets it, and
-    /// trace capture regenerates PCs from the op stream.
+    /// access. The PC is not advanced; the dwell's slide resets it.
     fn note_warm_hits(&mut self, k: u64) {
         self.stats.instructions += k;
         if let Some(cache) = &mut self.icache {
@@ -624,8 +656,7 @@ impl TimedCore {
 
     /// Charges `k` strictly sequential instruction fetches, the first at
     /// `pc` and each [`fetch_step`](Self::fetch_step) bytes after the
-    /// last — the one fetch charger shared by live execution and trace
-    /// replay. Returns whether any I-cache line missed.
+    /// last — the one fetch charger of every backlog settle.
     ///
     /// With an I-cache, each line below [`UNCACHED_BASE`] costs one real
     /// access (plus the fill read on a miss) and the rest of the
@@ -634,34 +665,22 @@ impl TimedCore {
     /// [`Cache::note_hits`] is LRU-exact, and a hit charges nothing (it
     /// overlaps execute). Uncached fetches expose the full device
     /// latency; one [`Bus::read_cost_run`] burst prices them all.
-    ///
-    /// `continues` states that the last fetch this core charged was the
-    /// one at `pc - step`. When that fetch shared `pc`'s line, the line
-    /// is resident and most-recently-used, so the stretch's fetches in it
-    /// are all counted as hits without an access.
-    pub(crate) fn fetch_run(&mut self, pc: u32, k: u64, continues: bool) -> Result<bool, MemError> {
+    pub(crate) fn fetch_run(&mut self, pc: u32, k: u64) -> Result<(), MemError> {
         let step = self.fetch_step();
         self.stats.instructions += k;
-        let (mut pc, mut left, mut missed) = (pc, k, false);
+        let (mut pc, mut left) = (pc, k);
         if let Some(cache) = &mut self.icache {
             let line = cache.config().line_bytes;
-            let mut warm = continues && (pc.wrapping_sub(step) ^ pc) < line;
             while left > 0 && pc < UNCACHED_BASE {
                 let line_start = pc & !(line - 1);
                 // Fetches of this stretch inside `line_start`'s line.
                 let chunk = u64::from(div_ceil_step(line_start + line - pc, step)).min(left);
-                let hits = if std::mem::take(&mut warm) {
-                    chunk
-                } else {
-                    if !cache.access(pc) {
-                        missed = true;
-                        // The fill's bytes are never read (contents live
-                        // in the backing device): cost-only read.
-                        self.stats.cycles += self.bus.read_cost(line_start, line)?;
-                    }
-                    chunk - 1
-                };
-                cache.note_hits(hits);
+                if !cache.access(pc) {
+                    // The fill's bytes are never read (contents live in
+                    // the backing device): cost-only read.
+                    self.stats.cycles += self.bus.read_cost(line_start, line)?;
+                }
+                cache.note_hits(chunk - 1);
                 pc += chunk as u32 * step;
                 left -= chunk;
             }
@@ -669,7 +688,7 @@ impl TimedCore {
         if left > 0 {
             self.stats.cycles += self.bus.read_cost_run(pc, step, left as u32)?;
         }
-        Ok(missed)
+        Ok(())
     }
 
     /// Charges `n` plain single-cycle ALU instructions.
@@ -1179,7 +1198,7 @@ mod tests {
         let step = core.fetch_step();
         for _ in 0..n {
             let (pc, _) = walk.next(step);
-            core.fetch_run(pc, 1, false).unwrap();
+            core.fetch_run(pc, 1).unwrap();
         }
     }
 
@@ -1258,6 +1277,54 @@ mod tests {
         }
         // Both sides of the distinct-sets gate are exercised.
         assert!(qualified[0] > 0 && qualified[1] > 0, "{qualified:?}");
+    }
+
+    /// Runs a sweep of a 3 KiB flash region and then more `alu`/`mul`
+    /// work under `icache`, against the per-fetch oracle. Returns
+    /// whether the region qualified for whole-region residency.
+    fn check_region_sweep_against_oracle(icache: CacheConfig) -> bool {
+        let (base, len) = (0x400, 3 << 10);
+        let config = CpuConfig { icache: Some(icache), ..CpuConfig::arty_default() };
+        let mut fast = TimedCore::new(config, bus_with_flash(SpiWidth::Quad));
+        let mut oracle = TimedCore::new(config, bus_with_flash(SpiWidth::Quad));
+        let mut walk = FetchWalk::default();
+        fast.set_code_region(base, len).unwrap();
+        oracle.set_code_region(base, len).unwrap();
+        walk.set_region(base, len);
+        let flash = fast.bus().region_by_name("flash").unwrap().0;
+        // One dwell per 256-byte window sweeps the region.
+        let sweep = 12 * WINDOW_DWELL;
+        fast.alu(sweep).unwrap();
+        fetch_each(&mut oracle, &mut walk, u64::from(sweep));
+        oracle.charge(u64::from(sweep));
+        assert!(fast.walk.swept);
+        let (reads, misses) = (fast.bus().stats(flash).reads, fast.icache_stats().unwrap().misses);
+        for n in [1, 37, 700, 5000] {
+            fast.alu(n).unwrap();
+            fast.mul().unwrap();
+            fetch_each(&mut oracle, &mut walk, u64::from(n) + 1);
+            oracle.charge(u64::from(n));
+            oracle.mul_cost();
+        }
+        if fast.resident_skip {
+            assert_eq!(fast.bus().stats(flash).reads, reads, "{icache:?}");
+            assert_eq!(fast.icache_stats().unwrap().misses, misses, "{icache:?}");
+        }
+        assert_eq!(fast.stats(), oracle.stats(), "{icache:?}");
+        assert_eq!(fast.icache_stats(), oracle.icache_stats(), "{icache:?}");
+        assert_eq!(fast.bus().stats(flash), oracle.bus().stats(flash), "{icache:?}");
+        fast.resident_skip
+    }
+
+    #[test]
+    fn swept_resident_region_fetches_as_free_hits() {
+        // Arty's 4 KiB direct-mapped I-cache holds the region's 96 lines
+        // in distinct sets: after the sweep, no fetch reaches the flash.
+        let arty = CpuConfig::arty_default().icache.unwrap();
+        assert!(check_region_sweep_against_oracle(arty));
+        // 1 KiB 2-way has 16 sets: gated off, charged line by line.
+        let small = CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 32 };
+        assert!(!check_region_sweep_against_oracle(small));
     }
 
     #[test]
