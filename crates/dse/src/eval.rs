@@ -37,7 +37,7 @@ pub struct EvalResult {
     /// into the DSE loop as an extension.
     pub energy_uj: f64,
     /// Free-form auxiliary metric carried through the engine untouched
-    /// (0 when unused). Optimizers, archives and surrogates ignore it;
+    /// (0 when unused). Optimizers and archives ignore it;
     /// domain evaluators use it to smuggle a second per-point
     /// measurement out of the worker pool — the Figure-4 ladder harness
     /// stores the hot-operator (1x1 CONV_2D) cycle count here while

@@ -277,9 +277,9 @@ fn recover<'a, T>(
 /// Shared fault-handling state of one study: the retry policy, the
 /// quarantine set, and the counters a [`StudyReport`] snapshots.
 ///
-/// Held by `ParallelStudy`/`SurrogateStudy` and consulted by the worker
-/// pool for every evaluation. All decisions key off the point, so the
-/// observable outcome is schedule-independent.
+/// Held by `ParallelStudy` and consulted by the worker pool for every
+/// evaluation. All decisions key off the point, so the observable
+/// outcome is schedule-independent.
 #[derive(Debug, Default)]
 pub(crate) struct FaultDomain<P> {
     policy: RetryPolicy,

@@ -13,20 +13,19 @@
 //! * [`Evaluator`] — maps a [`DesignPoint`] to `(latency, resources)`:
 //!   resources via the yosys-stand-in model, latency via simulated
 //!   inference (the Verilator-in-the-cloud stand-in),
-//! * [`Study`] — a Vizier-style suggest/observe loop over pluggable
-//!   [`Optimizer`] strategies (random, grid, regularized evolution),
-//! * [`ParallelStudy`] — the same loop with each suggestion batch fanned
-//!   out over a worker pool behind a sharded [`MemoCache`]; fronts are
-//!   bit-identical to the serial driver at any thread count,
-//! * [`SurrogateStudy`] — the parallel loop with a learned screen in
-//!   front of it: a [`Surrogate`] model (ridge regression over one-hot
-//!   [`Features`], pure Rust) ranks an oversampled candidate batch and
-//!   only the predicted-best go to the simulator,
+//! * [`ParallelStudy`] — the Vizier-style suggest/observe loop that
+//!   every figure runs: pluggable [`Optimizer`] strategies (random,
+//!   grid, regularized evolution), each suggestion batch fanned out over
+//!   a worker pool behind one [`MemoCache`], with per-point fault
+//!   domains; fronts are bit-identical at any thread count,
+//! * [`Study`] — the same loop, serial, with no memo, fault domain or
+//!   worker pool: the reference the thread-invariance tests compare
+//!   [`ParallelStudy`] against,
 //! * [`ParetoArchive`] — non-dominated (resources, latency) front
 //!   extraction for the Figure 7 curves,
 //! * [`ResultStore`] — an on-disk, append-only, content-addressed
 //!   corpus of evaluated points keyed by `(point, workload,
-//!   sim-version)`; attach a [`StudyStore`] to either study driver to
+//!   sim-version)`; attach a [`StudyStore`] to a [`ParallelStudy`] to
 //!   persist fresh evaluations and resume interrupted sweeps with zero
 //!   re-simulation.
 //!
@@ -38,14 +37,12 @@
 //! # Example
 //!
 //! ```
-//! use cfu_dse::{DesignSpace, ResourceEvaluator, RandomSearch, Study};
+//! use cfu_dse::{DesignSpace, ParallelStudy, RegularizedEvolution, ResourceEvaluator};
 //!
-//! let space = DesignSpace::small();
-//! // Latency here is a toy stand-in; see `InferenceEvaluator` for the
-//! // real workload-driven evaluator.
-//! let mut study = Study::new(space.clone(), RandomSearch::new(7));
-//! let mut eval = ResourceEvaluator::new(5280);
-//! study.run(&mut eval, 50);
+//! // Latency here is a toy stand-in; see `InferenceEvaluatorFactory` for
+//! // the real workload-driven evaluator that `fig7_dse_pareto` pools.
+//! let mut study = ParallelStudy::new(DesignSpace::small(), RegularizedEvolution::new(7, 8, 3), 2);
+//! study.run(&|| ResourceEvaluator::new(5280), 50);
 //! assert!(!study.archive().front().is_empty());
 //! ```
 
@@ -64,7 +61,6 @@ mod parallel;
 mod pareto;
 mod space;
 mod store;
-mod surrogate;
 
 pub use eval::{EvalResult, Evaluator, InferenceEvaluator, ResourceEvaluator, TraceStore};
 pub use fault::{
@@ -72,11 +68,9 @@ pub use fault::{
     GuestFaultKind, RetryPolicy, StudyReport,
 };
 pub use optimizer::{
-    GridSearch, Optimizer, RandomSearch, RegularizedEvolution, SimulatedAnnealing, Study,
-    SUGGEST_BATCH,
+    GridSearch, Optimizer, RandomSearch, RegularizedEvolution, Study, SUGGEST_BATCH,
 };
 pub use parallel::{EvaluatorFactory, InferenceEvaluatorFactory, MemoCache, ParallelStudy};
 pub use pareto::{ParetoArchive, ParetoPoint};
 pub use space::{CfuChoice, DesignPoint, DesignSpace, Fig7CurveSpace, SearchSpace};
 pub use store::{key_fingerprint, ResultStore, StoreContext, StoreKey, StudyStore, SIM_VERSION};
-pub use surrogate::{Features, RidgeSurrogate, Surrogate, SurrogateStudy};

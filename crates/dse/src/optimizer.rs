@@ -63,8 +63,7 @@ pub trait Optimizer<S: SearchSpace = DesignSpace> {
 }
 
 /// Offers a feasible evaluation to both archives (latency/resources and
-/// latency/energy) — shared by the serial, parallel and
-/// surrogate-guided study drivers.
+/// latency/energy) — shared by the serial and parallel study drivers.
 pub(crate) fn record_result<P: Copy>(
     archive: &mut ParetoArchive<P>,
     energy_archive: &mut ParetoArchive<P>,
@@ -234,82 +233,14 @@ impl<S: SearchSpace> Optimizer<S> for RegularizedEvolution {
     }
 }
 
-/// Simulated annealing over the design space: a random walk of
-/// single-parameter mutations with a geometric temperature schedule.
-/// Accepts worse points early (exploration) and becomes greedy late
-/// (exploitation).
-#[derive(Debug, Clone)]
-pub struct SimulatedAnnealing {
-    state: u64,
-    current: Option<(u64, u128)>,
-    pending: u64,
-    temperature: f64,
-    cooling: f64,
-}
-
-impl SimulatedAnnealing {
-    /// Creates the annealer with an initial temperature (in units of the
-    /// latency·resources score) and per-observation cooling factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < cooling < 1` and `temperature > 0`.
-    pub fn new(seed: u64, temperature: f64, cooling: f64) -> Self {
-        assert!(temperature > 0.0, "temperature must be positive");
-        assert!((0.0..1.0).contains(&cooling) && cooling > 0.0, "cooling must be in (0,1)");
-        SimulatedAnnealing { state: seed | 1, current: None, pending: 0, temperature, cooling }
-    }
-
-    /// Current temperature (for reports).
-    pub fn temperature(&self) -> f64 {
-        self.temperature
-    }
-}
-
-impl<S: SearchSpace> Optimizer<S> for SimulatedAnnealing {
-    fn suggest(&mut self, space: &S) -> u64 {
-        self.pending = match self.current {
-            None => space.random_index(xorshift(&mut self.state)),
-            Some((idx, _)) => space.mutate_index(idx, xorshift(&mut self.state)),
-        };
-        self.pending
-    }
-
-    fn observe(&mut self, index: u64, result: &EvalResult) {
-        let score = if result.fits {
-            u128::from(result.latency) * u128::from(result.resources.logic_cells().max(1))
-        } else {
-            u128::MAX
-        };
-        let accept = match self.current {
-            None => true,
-            Some((_, cur)) if score <= cur => true,
-            Some((_, cur)) => {
-                // Metropolis criterion on the score gap.
-                let delta = (score - cur) as f64;
-                let p = (-delta / self.temperature.max(1.0)).exp();
-                let coin = (xorshift(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64;
-                coin < p
-            }
-        };
-        if accept {
-            self.current = Some((index, score));
-        }
-        self.temperature *= self.cooling;
-    }
-
-    fn name(&self) -> &'static str {
-        "simulated-annealing"
-    }
-}
-
 /// A Vizier-style study: drives an optimizer against an evaluator and
 /// maintains the Pareto archive of feasible designs.
 ///
-/// This is the *serial* driver; [`crate::ParallelStudy`] fans the same
-/// batch schedule out over a worker pool, and
-/// [`crate::SurrogateStudy`] screens candidates with a learned model
-/// first. All three produce archives through identical bookkeeping.
+/// This is the *serial* driver: no memo cache, no fault domain, no
+/// worker pool. The figures run [`crate::ParallelStudy`], which fans the
+/// same batch schedule out over workers; this driver stays as the
+/// independent reference the thread-invariance tests compare it with.
+/// Both produce archives through identical bookkeeping.
 ///
 /// # Example
 ///
@@ -466,34 +397,6 @@ mod tests {
         let best_rnd = rnd.archive().fastest().unwrap().latency;
         // Evolution should at least roughly match random search.
         assert!(best_evo <= best_rnd.saturating_mul(2), "evo {best_evo} rnd {best_rnd}");
-    }
-
-    #[test]
-    fn annealing_converges_like_the_others() {
-        let space = DesignSpace::paper_scale();
-        let mut sa = Study::new(space.clone(), SimulatedAnnealing::new(5, 1e13, 0.97));
-        let mut rnd = Study::new(space, RandomSearch::new(5));
-        let mut eval = ResourceEvaluator::new(1_000_000);
-        sa.run(&mut eval, 400);
-        rnd.run(&mut eval, 400);
-        let best_sa = sa.archive().fastest().unwrap().latency;
-        let best_rnd = rnd.archive().fastest().unwrap().latency;
-        assert!(best_sa <= best_rnd.saturating_mul(3), "sa {best_sa} rnd {best_rnd}");
-        // Temperature cooled.
-        assert!(SimulatedAnnealing::new(1, 100.0, 0.5).temperature() > 0.0);
-    }
-
-    #[test]
-    fn annealing_accepts_only_reachable_indices() {
-        let space = DesignSpace::small();
-        let mut sa = SimulatedAnnealing::new(9, 1e9, 0.9);
-        let mut eval = ResourceEvaluator::new(1_000_000);
-        for _ in 0..100 {
-            let idx = sa.suggest(&space);
-            assert!(idx < space.size());
-            let r = eval.evaluate(&space.point(idx));
-            Optimizer::<DesignSpace>::observe(&mut sa, idx, &r);
-        }
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //!    bit-identical at 1, 2 or 8 threads.
 //! 3. **One evaluator per worker.** Evaluators stay single-threaded;
 //!    an [`EvaluatorFactory`] mints a private instance per worker, and a
-//!    sharded [`MemoCache`] shared across workers (and batches) makes
-//!    revisits free without serializing the simulators.
+//!    [`MemoCache`] shared across workers (and batches) makes revisits
+//!    free; its lock is held only for a map probe, never during a
+//!    simulation.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cfu_soc::Board;
 use cfu_tflm::model::Model;
@@ -129,21 +130,16 @@ impl EvaluatorFactory for InferenceEvaluatorFactory {
     }
 }
 
-/// Number of independently locked shards. A power of two, sized so that
-/// even a 16-thread pool rarely contends on the same shard.
-const MEMO_SHARDS: usize = 16;
-
-/// A sharded concurrent memoization cache for design-point evaluations.
+/// A concurrent memoization cache for design-point evaluations.
 ///
 /// Keyed by the full point (not its hash), so two points can never
-/// alias each other's results; the hash only picks the shard. Reads
-/// take one shard lock for the duration of a `HashMap` probe — workers
-/// evaluating different points proceed without contention. Generic
-/// over the candidate type `P` (default [`DesignPoint`]).
+/// alias each other's results. One lock guards the map; it is held for a
+/// probe or an insert, never while a point simulates. Generic over the
+/// candidate type `P` (default [`DesignPoint`]).
 ///
 /// The cache is in-memory and per-study; to persist results across
 /// processes, attach a [`StudyStore`](crate::StudyStore), which
-/// hydrates these shards from disk at study startup.
+/// hydrates this cache from disk at study startup.
 ///
 /// # Example
 ///
@@ -152,23 +148,22 @@ const MEMO_SHARDS: usize = 16;
 ///
 /// let space = DesignSpace::small();
 /// let cache = MemoCache::new();
-/// let mut evaluator = ResourceEvaluator::new(1_000_000);
 /// let point = space.point(7);
-/// // First probe computes and stores; the revisit is a pure lookup.
-/// let first = cache.get_or_compute(&point, || evaluator.evaluate(&point));
-/// assert_eq!(cache.get(&point), Some(first));
+/// assert_eq!(cache.get(&point), None);
+/// let result = ResourceEvaluator::new(1_000_000).evaluate(&point);
+/// cache.insert(point, result);
+/// // The revisit is a pure lookup.
+/// assert_eq!(cache.get(&point), Some(result));
 /// assert_eq!(cache.len(), 1);
-/// let again = cache.get_or_compute(&point, || unreachable!("memo hit"));
-/// assert_eq!(again, first);
 /// ```
 #[derive(Debug)]
 pub struct MemoCache<P = DesignPoint> {
-    shards: [Mutex<HashMap<P, EvalResult>>; MEMO_SHARDS],
+    map: Mutex<HashMap<P, EvalResult>>,
 }
 
 impl<P> Default for MemoCache<P> {
     fn default() -> Self {
-        MemoCache { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
+        MemoCache { map: Mutex::new(HashMap::new()) }
     }
 }
 
@@ -178,41 +173,26 @@ impl<P: Copy + Eq + Hash> MemoCache<P> {
         MemoCache::default()
     }
 
-    fn shard(&self, point: &P) -> &Mutex<HashMap<P, EvalResult>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        point.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % MEMO_SHARDS]
+    // Poison recovery: a `HashMap` is never left mid-mutation by a panic
+    // in the caller (inserts are single calls), so a panicked worker must
+    // not take the whole cache down with it.
+    fn map(&self) -> MutexGuard<'_, HashMap<P, EvalResult>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    // Poison recovery on every shard: a `HashMap` is never left
-    // mid-mutation by a panic in the caller (inserts are single calls),
-    // so a panicked worker must not take the whole cache down with it.
     /// Looks up a previously inserted result.
     pub fn get(&self, point: &P) -> Option<EvalResult> {
-        self.shard(point).lock().unwrap_or_else(PoisonError::into_inner).get(point).copied()
+        self.map().get(point).copied()
     }
 
     /// Inserts (or overwrites) a result.
     pub fn insert(&self, point: P, result: EvalResult) {
-        self.shard(&point).lock().unwrap_or_else(PoisonError::into_inner).insert(point, result);
-    }
-
-    /// Returns the cached result or computes, stores and returns it. The
-    /// shard lock is **not** held during `compute`, so a slow simulation
-    /// never blocks other workers; racing computations of the same point
-    /// are benign because evaluation is deterministic.
-    pub fn get_or_compute(&self, point: &P, compute: impl FnOnce() -> EvalResult) -> EvalResult {
-        if let Some(hit) = self.get(point) {
-            return hit;
-        }
-        let result = compute();
-        self.insert(*point, result);
-        result
+        self.map().insert(point, result);
     }
 
     /// Number of distinct points cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
+        self.map().len()
     }
 
     /// `true` when nothing is cached.
@@ -409,9 +389,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `progress` (when supplied) is bumped once per completed point (memo
 /// hits and duplicates included); `store` (when supplied) records each
 /// *freshly computed* result or quarantine tombstone — memo hits,
-/// including store-hydrated ones, are never re-recorded. Shared by
-/// [`ParallelStudy`] and [`crate::SurrogateStudy`].
-pub(crate) fn evaluate_batch<P, F>(
+/// including store-hydrated ones, are never re-recorded.
+fn evaluate_batch<P, F>(
     points: &[P],
     factory: &F,
     cache: &MemoCache<P>,
@@ -562,20 +541,7 @@ where
 mod tests {
     use super::*;
     use crate::eval::ResourceEvaluator;
-    use crate::optimizer::{RandomSearch, RegularizedEvolution, Study};
-
-    #[test]
-    fn parallel_matches_serial_for_random_search() {
-        let space = DesignSpace::small();
-        let mut serial = Study::new(space.clone(), RandomSearch::new(3));
-        let mut eval = ResourceEvaluator::new(1_000_000);
-        serial.run(&mut eval, 100);
-        for threads in [1, 2, 8] {
-            let mut parallel = ParallelStudy::new(space.clone(), RandomSearch::new(3), threads);
-            parallel.run(&|| ResourceEvaluator::new(1_000_000), 100);
-            assert_eq!(parallel.archive().front(), serial.archive().front());
-        }
-    }
+    use crate::optimizer::{RandomSearch, RegularizedEvolution};
 
     #[test]
     fn memo_cache_counts_distinct_points_only() {
@@ -605,26 +571,5 @@ mod tests {
             // Every trial ticks the counter, memo hits included.
             assert_eq!(counter.load(Ordering::Relaxed), 100, "at {threads} threads");
         }
-    }
-
-    #[test]
-    fn memo_cache_shards_do_not_alias() {
-        let space = DesignSpace::paper_scale();
-        let cache = MemoCache::new();
-        let mut eval = ResourceEvaluator::new(1_000_000);
-        // Stamp each point's result with a value derived from its index;
-        // a cross-point mixup would surface as a wrong latency.
-        let step = space.size() / 512;
-        for k in 0..512u64 {
-            let point = space.point(k * step);
-            let mut result = eval.evaluate(&point);
-            result.latency = k;
-            cache.insert(point, result);
-        }
-        for k in 0..512u64 {
-            let point = space.point(k * step);
-            assert_eq!(cache.get(&point).expect("cached").latency, k);
-        }
-        assert_eq!(cache.len(), 512);
     }
 }

@@ -6,8 +6,7 @@ use cfu_sim::{BranchPredictor, CpuConfig, Divider, Multiplier, Shifter};
 /// An enumerable, index-addressable space of candidate configurations.
 ///
 /// The whole DSE engine — [`Study`](crate::Study),
-/// [`ParallelStudy`](crate::ParallelStudy),
-/// [`SurrogateStudy`](crate::SurrogateStudy) and every
+/// [`ParallelStudy`](crate::ParallelStudy) and every
 /// [`Optimizer`](crate::Optimizer) — is generic over this trait:
 /// anything that can number its candidates `0..size()` and decode an
 /// index into a concrete point can be explored. The ~86 000-point
@@ -67,7 +66,7 @@ pub trait SearchSpace {
     }
 
     /// Returns a neighbour of `index` for local-search optimizers
-    /// (evolution, annealing). `raw` supplies randomness.
+    /// (regularized evolution). `raw` supplies randomness.
     ///
     /// The default resamples uniformly — correct for any space, but
     /// structured spaces should override it with a single-parameter

@@ -1,12 +1,12 @@
 //! Persistent, content-addressed result store — the corpus of evaluated
 //! design points, outliving the process that computed them.
 //!
-//! The 16-shard [`MemoCache`] makes revisits free *within* one study;
+//! The in-memory [`MemoCache`] makes revisits free *within* one study;
 //! this module makes them free *across* studies, processes and CI runs.
 //! A [`ResultStore`] is an append-only log on disk mapping
 //! `hash(point, workload, sim-version)` → [`EvalResult`]. Studies open
 //! it at startup, stream every record whose context matches into their
-//! memo shards ([`StudyStore::hydrate_into`]), and append each freshly
+//! memo cache ([`StudyStore::hydrate_into`]), and append each freshly
 //! simulated point back — so an interrupted sweep resumes where it
 //! stopped and a repeated sweep performs **zero** guest simulations.
 //!
@@ -938,15 +938,13 @@ impl Drop for ResultStore {
 /// A store handle bound to one study: one shared [`ResultStore`], one
 /// [`StoreContext`], a resume policy, and observability counters.
 ///
-/// Attach it with [`ParallelStudy::attach_store`] /
-/// [`SurrogateStudy::attach_store`]: when `resume` is set, every
-/// matching record hydrates the study's [`MemoCache`] up front (so the
+/// Attach it with [`ParallelStudy::attach_store`]: when `resume` is set,
+/// every matching record hydrates the study's [`MemoCache`] up front (so the
 /// evaluator is never invoked for known points); either way, every
 /// freshly computed point is appended back, and the engine flushes
 /// after each batch merge.
 ///
 /// [`ParallelStudy::attach_store`]: crate::ParallelStudy::attach_store
-/// [`SurrogateStudy::attach_store`]: crate::SurrogateStudy::attach_store
 #[derive(Debug)]
 pub struct StudyStore<P = DesignPoint> {
     store: Arc<ResultStore>,

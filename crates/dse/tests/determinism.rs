@@ -2,99 +2,80 @@
 //!
 //! The contract under test: `ParallelStudy` at any worker count produces
 //! exactly the Pareto fronts the serial `Study` produces, for every
-//! optimizer strategy — including the stateful ones (evolution,
-//! annealing) whose suggestions depend on previously observed results.
+//! optimizer strategy — including the stateful one (regularized
+//! evolution) whose suggestions depend on previously observed results.
 //! Both drivers share the same `SUGGEST_BATCH` schedule, so the only
-//! thing threads may change is wall-clock time.
+//! thing threads may change is wall-clock time. `Study` has no memo,
+//! fault domain or worker pool, which is what makes it an independent
+//! reference.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use cfu_dse::{
-    DesignSpace, Evaluator, MemoCache, ParallelStudy, RandomSearch, RegularizedEvolution,
-    ResourceEvaluator, RidgeSurrogate, SimulatedAnnealing, Study, SurrogateStudy,
+    DesignSpace, Evaluator, GridSearch, MemoCache, Optimizer, ParallelStudy, RandomSearch,
+    RegularizedEvolution, ResourceEvaluator, Study,
 };
 
-const TRIALS: u64 = 200;
 const BUDGET: u32 = 1_000_000;
 
-/// Runs serial and parallel studies with identically seeded optimizers
+/// Runs a serial and a parallel study with identically built optimizers
 /// and asserts both archives (feasible and energy) match bit-for-bit.
-fn assert_thread_invariant<O, M>(make: M)
-where
-    O: cfu_dse::Optimizer,
-    M: Fn() -> O,
-{
-    let space = DesignSpace::small();
+fn assert_thread_invariant<O: Optimizer>(
+    space: &DesignSpace,
+    make: impl Fn() -> O,
+    threads: usize,
+    trials: u64,
+) {
     let mut serial = Study::new(space.clone(), make());
-    let mut eval = ResourceEvaluator::new(BUDGET);
-    serial.run(&mut eval, TRIALS);
+    serial.run(&mut ResourceEvaluator::new(BUDGET), trials);
     assert!(
         !serial.archive().front().is_empty(),
         "serial baseline found no feasible points — test is vacuous"
     );
-    for threads in [1, 2, 8] {
-        let mut parallel = ParallelStudy::new(space.clone(), make(), threads);
-        parallel.run(&|| ResourceEvaluator::new(BUDGET), TRIALS);
-        assert_eq!(
-            parallel.archive().front(),
-            serial.archive().front(),
-            "feasible front diverged at {threads} threads"
-        );
-        assert_eq!(
-            parallel.energy_archive().front(),
-            serial.energy_archive().front(),
-            "energy front diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn random_search_is_thread_invariant() {
-    assert_thread_invariant(|| RandomSearch::new(11));
-}
-
-#[test]
-fn regularized_evolution_is_thread_invariant() {
-    assert_thread_invariant(|| RegularizedEvolution::new(11, 16, 4));
-}
-
-#[test]
-fn simulated_annealing_is_thread_invariant() {
-    assert_thread_invariant(|| SimulatedAnnealing::new(11, 4.0, 0.95));
-}
-
-/// The surrogate screen picks candidates *before* evaluation, from model
-/// state that depends only on previously observed (deterministic)
-/// results — so guided fronts must also be bit-identical at any worker
-/// count. Pinned for every stateful optimizer the screen can wrap.
-#[test]
-fn surrogate_study_is_thread_invariant() {
-    let space = DesignSpace::small();
-    let run_at = |threads: usize| {
-        let mut study = SurrogateStudy::new(
-            space.clone(),
-            RegularizedEvolution::new(11, 16, 4),
-            RidgeSurrogate::default_lambda(),
-            4,
-            threads,
-        );
-        study.run(&|| ResourceEvaluator::new(BUDGET), TRIALS);
-        (study.archive().front(), study.energy_archive().front(), study.proposed())
-    };
-    let baseline = run_at(1);
-    assert!(!baseline.0.is_empty(), "guided baseline found no feasible points");
-    for threads in [2, 8] {
-        let got = run_at(threads);
-        assert_eq!(got.0, baseline.0, "guided feasible front diverged at {threads} threads");
-        assert_eq!(got.1, baseline.1, "guided energy front diverged at {threads} threads");
-        assert_eq!(got.2, baseline.2, "proposal count diverged at {threads} threads");
-    }
+    let mut parallel = ParallelStudy::new(space.clone(), make(), threads);
+    parallel.run(&|| ResourceEvaluator::new(BUDGET), trials);
+    assert_eq!(
+        parallel.archive().front(),
+        serial.archive().front(),
+        "feasible front diverged at {threads} threads"
+    );
+    assert_eq!(
+        parallel.energy_archive().front(),
+        serial.energy_archive().front(),
+        "energy front diverged at {threads} threads"
+    );
 }
 
 proptest! {
-    /// The sharded memo cache must never hand back a result stored for a
+    /// 1 ≡ N threads over seeds × thread counts × optimizers × trial
+    /// counts. Threads stay ≤ 4 so a case never starts more than four
+    /// workers; trial counts reach past several `SUGGEST_BATCH` rounds
+    /// and include short tail batches.
+    #[test]
+    fn parallel_study_matches_serial_study(
+        seed in 0u64..1_000_000,
+        threads in 1usize..=4,
+        optimizer in 0u8..3,
+        trials in 1u64..=160,
+    ) {
+        let space = &DesignSpace::paper_scale();
+        match optimizer {
+            0 => assert_thread_invariant(space, || RandomSearch::new(seed), threads, trials),
+            1 => assert_thread_invariant(space, || GridSearch::new(space, trials), threads, trials),
+            _ => assert_thread_invariant(
+                space,
+                || RegularizedEvolution::new(seed, 16, 4),
+                threads,
+                trials,
+            ),
+        }
+    }
+
+    /// The memo cache must never hand back a result stored for a
     /// different design point: insert results stamped with each point's
-    /// own index, then read every one back through the shard router.
+    /// own index, then read every one back and count the distinct ones.
     #[test]
     fn memo_cache_never_aliases_design_points(
         seed in 0u64..1_000_000,
@@ -122,5 +103,7 @@ proptest! {
             let hit = cache.get(&point).expect("inserted point must be cached");
             prop_assert_eq!(hit.latency, index);
         }
+        let distinct: HashSet<u64> = picked.iter().copied().collect();
+        prop_assert_eq!(cache.len(), distinct.len());
     }
 }

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use cfu_dse::{
         CfuChoice, DesignSpace, Evaluator, EvaluatorFactory, Fig7CurveSpace, InferenceEvaluator,
         InferenceEvaluatorFactory, ParallelStudy, ParetoArchive, RandomSearch,
-        RegularizedEvolution, RidgeSurrogate, SearchSpace, Study, SurrogateStudy,
+        RegularizedEvolution, SearchSpace, Study,
     };
     pub use cfu_isa::{cfu_op_word, Assembler, Inst, Reg};
     pub use cfu_mem::{Bus, Cache, CacheConfig, Ddr3, SpiFlash, SpiWidth, Sram};
