@@ -4,13 +4,15 @@
 //! [--svg PATH] [--threads N] [--store PATH] [--resume]` (default input
 //! 96, the paper's resolution; any positive multiple of 8, e.g. 32 or 48
 //! for a quick look). The ladder runs through the DSE engine on
-//! `--threads` workers (default 1; rows are byte-identical for every
-//! value); under `--threads` a live step counter prints to stderr.
+//! `--threads` workers (default: one per available core; rows are
+//! byte-identical for every value); under `--threads` a live step
+//! counter prints to stderr.
 //!
-//! The rungs share their generic layers through a layer memo; stderr
-//! ends with a `layer memo:` line counting the fast-forwarded layer runs
-//! and the guest instructions they skipped (exactly repeatable at
-//! `--threads 1`).
+//! The rungs share their generic layers through a layer memo: the
+//! baseline rung runs alone first and records them, then the other
+//! rungs fan out. Stderr ends with a `layer memo:` line counting the
+//! fast-forwarded layer runs and the guest instructions they skipped,
+//! identical at every `--threads` value.
 //!
 //! `--store PATH` persists every freshly simulated ladder step to an
 //! append-only result store at PATH; `--resume` additionally hydrates

@@ -2,8 +2,9 @@
 //!
 //! Usage: `fig6_kws_ladder [--csv PATH] [--svg PATH] [--threads N]
 //! [--store PATH] [--resume]`. The ladder runs through the DSE engine on
-//! `--threads` workers (default 1; rows are byte-identical for every
-//! value); under `--threads` a live step counter prints to stderr.
+//! `--threads` workers (default: one per available core; rows and store
+//! files are byte-identical for every value); under `--threads` a live
+//! step counter prints to stderr.
 //! Every step executes the
 //! guest: this is the no-replay counterpart of `table_energy_ladder`.
 //! `--store PATH` persists every freshly simulated step to an

@@ -73,7 +73,7 @@ fn main() {
         space.size() * 3 / space.cfus.len() as u64,
         cfg.trials,
         if cfg.evolutionary { "regularized evolution" } else { "random search" },
-        args.spec.threads.max(1)
+        args.spec.threads.unwrap_or(1).max(1)
     );
     let run = cfu_bench::fig7::run(&args.spec, &cfg);
     eprintln!(

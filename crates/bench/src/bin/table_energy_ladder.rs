@@ -3,8 +3,9 @@
 //!
 //! Usage: `table_energy_ladder [--threads N] [--csv PATH] [--store PATH]
 //! [--resume]`. The ladder runs through the DSE engine on `--threads`
-//! workers (default 1; the table is byte-identical for every value;
-//! under `--threads` a live step counter prints to stderr), and each
+//! workers (default: one per available core; the table is
+//! byte-identical for every value; under `--threads` a live step
+//! counter prints to stderr), and each
 //! step is executed exactly once, as `fig6_kws_ladder` executes it.
 //!
 //! The paper stops at performance; this regenerates the KWS ladder with

@@ -162,7 +162,7 @@ pub fn parse(
             "--csv" => out.csv = Some(value.string()?),
             "--svg" if cmd.svg => out.svg = Some(value.string()?),
             "--threads" => {
-                out.spec.threads = value.int()?;
+                out.spec.threads = Some(value.int()?);
                 out.spec.progress = true;
             }
             "--store" => out.store_path = Some(value.string()?),
@@ -252,9 +252,11 @@ mod tests {
         .unwrap();
         assert_eq!(args.csv.as_deref(), Some("a.csv"));
         assert_eq!(args.svg.as_deref(), Some("a.svg"));
-        assert_eq!(args.spec.threads, 3);
+        assert_eq!(args.spec.threads, Some(3));
         assert!(args.spec.progress, "--threads turns the progress readout on");
-        assert!(!run(&LADDER, &[]).unwrap().spec.progress);
+        let default = run(&LADDER, &[]).unwrap().spec;
+        assert_eq!(default.threads, None, "no --threads: the figure's default workers");
+        assert!(!default.progress);
     }
 
     #[test]

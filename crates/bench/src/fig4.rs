@@ -3,9 +3,10 @@
 //!
 //! [`run`] expresses the ladder as a degenerate one-axis
 //! [`SearchSpace`] ([`Fig4Space`]) and runs it through the shared DSE
-//! engine (`GridSearch` + `ParallelStudy`), so steps evaluate on a
-//! worker pool. Rows are byte-identical at any thread count (pinned in
-//! `tests/ladder_parallel.rs` against `tests/golden/`).
+//! engine (`GridSearch` + `ParallelStudy`): the baseline rung first,
+//! then the other steps on a worker pool. Rows and layer-memo counts are
+//! identical at any thread count (pinned in `tests/ladder_parallel.rs`
+//! against `tests/golden/`).
 
 use std::sync::Arc;
 
@@ -154,15 +155,17 @@ pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Store
 /// The rungs share one [`LayerMemo`]: they differ only in the 1x1
 /// CONV_2D kernel, so every other generic CONV_2D/DEPTHWISE_CONV_2D
 /// layer is recorded once and fast-forwarded in later rungs once its
-/// timing state converges. The run's `fast_forwards` and
-/// `skipped_instructions` count that; at `--threads 1` they repeat
-/// exactly.
+/// timing state converges. The generic-kernel baseline rung runs alone
+/// first and records every such layer; the other rungs then fan out
+/// over the spec's workers and only fast-forward against that
+/// recording. The run's `fast_forwards` and `skipped_instructions`
+/// count that, and repeat exactly at any thread count.
 pub fn run(spec: &RunSpec, input_hw: usize, full_width: bool) -> Run<Vec<Fig4Row>, Conv1x1Variant> {
     let cpu = CpuConfig::arty_default();
     let memo = Arc::new(LayerMemo::new());
     let evaluator = Fig4Evaluator::new(cpu, input_hw, full_width, Arc::clone(&memo));
     let ctx = store_context(cpu, input_hw, full_width);
-    let mut run = crate::run_ladder(spec, Fig4Space, ctx, &|| evaluator.clone());
+    let mut run = crate::run_ladder(spec, Fig4Space, true, ctx, &|| evaluator.clone());
     run.fast_forwards = memo.fast_forwards();
     run.skipped_instructions = memo.skipped_instructions();
     run.map(|results| {

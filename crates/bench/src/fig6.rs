@@ -284,9 +284,10 @@ impl Evaluator<Fig6Step> for Fig6Evaluator {
 }
 
 /// Runs the ladder's steps through the engine per `spec` under the
-/// store workload `ctx`.
+/// store workload `ctx`. The steps share nothing, so all of them fan out
+/// at once.
 fn run_steps(spec: &RunSpec, ctx: StoreContext) -> Run<Vec<EvalResult>, Fig6Step> {
-    crate::run_ladder(spec, Fig6Space, ctx, &|| Fig6Evaluator)
+    crate::run_ladder(spec, Fig6Space, false, ctx, &|| Fig6Evaluator)
 }
 
 /// Runs the whole Figure 6 ladder.

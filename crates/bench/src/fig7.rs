@@ -164,7 +164,7 @@ fn drive_curve<O: Optimizer<Fig7CurveSpace>, F: EvaluatorFactory<DesignPoint>>(
     progress: Arc<AtomicU64>,
     store: Option<Arc<StudyStore<DesignPoint>>>,
 ) -> (Vec<ParetoPoint>, u64, StudyReport<DesignPoint>) {
-    let mut study = ParallelStudy::new(space_for(choice), optimizer, spec.threads);
+    let mut study = ParallelStudy::new(space_for(choice), optimizer, spec.threads.unwrap_or(1));
     study.set_retry_policy(RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast });
     study.attach_progress(progress);
     if let Some(handle) = store {
@@ -176,8 +176,9 @@ fn drive_curve<O: Optimizer<Fig7CurveSpace>, F: EvaluatorFactory<DesignPoint>>(
 
 /// Explores all three curves as three concurrently-running studies (one
 /// OS thread per curve, each fanning its batches out over
-/// `spec.threads` workers). Curves are independent studies, so results
-/// are byte-identical to running them one after another. With a result
+/// `spec.threads` workers, default one). Curves are independent
+/// studies, so results are byte-identical to running them one after
+/// another. With a result
 /// store, each curve gets its own workload tag —
 /// `fig7-mnv2-hw{N}-cfu{i}` — so hydration and the counters stay exact
 /// per curve even though all three append to one file.

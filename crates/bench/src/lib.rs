@@ -49,8 +49,11 @@ use cfu_dse::{
 /// wall-clock time, memory and what gets persisted.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
-    /// Worker threads per study (clamped to at least 1).
-    pub threads: usize,
+    /// Worker threads per study (clamped to at least 1). `None`, the
+    /// binaries' default without `--threads`: the ladders run one worker
+    /// per available core, and Figure 7, whose three curves already run
+    /// concurrently, one worker per curve.
+    pub threads: Option<usize>,
     /// Persistent result store: every freshly simulated point is
     /// appended to it, under a workload tag the figure chooses.
     pub store: Option<Arc<ResultStore>>,
@@ -67,9 +70,9 @@ pub struct RunSpec {
 }
 
 impl Default for RunSpec {
-    /// One worker, no store, no faults, silent.
+    /// Default workers, no store, no faults, silent.
     fn default() -> Self {
-        RunSpec { threads: 1, store: None, resume: false, fault_plan: None, progress: false }
+        RunSpec { threads: None, store: None, resume: false, fault_plan: None, progress: false }
     }
 }
 
@@ -223,9 +226,12 @@ impl<R, P> Run<R, P> {
 /// Evaluates every rung of a ladder space once through the engine
 /// (`GridSearch` at full budget walks the rungs in order; each batch fans
 /// out over the spec's workers) and returns the results in ladder order.
+/// With `baseline_first`, the first rung runs alone before the rest fan
+/// out, so later rungs can reuse what it records.
 fn run_ladder<S, F>(
     spec: &RunSpec,
     space: S,
+    baseline_first: bool,
     ctx: StoreContext,
     factory: &F,
 ) -> Run<Vec<EvalResult>, S::Point>
@@ -237,7 +243,7 @@ where
     let total = space.size();
     let store = spec.study_store(ctx);
     let optimizer = GridSearch::new(&space, total);
-    let mut study = ParallelStudy::new(space, optimizer, spec.threads);
+    let mut study = ParallelStudy::with_workers(space, optimizer, spec.threads);
     let progress = Arc::new(AtomicU64::new(0));
     study.attach_progress(Arc::clone(&progress));
     if let Some(handle) = &store {
@@ -246,7 +252,11 @@ where
     spec.observe(
         || progress.load(Ordering::Relaxed),
         |done| format!("{done}/{total} ladder steps"),
-        || spec.run_study(&mut study, factory, total),
+        || {
+            let lead = u64::from(baseline_first).min(total);
+            spec.run_study(&mut study, factory, lead);
+            spec.run_study(&mut study, factory, total - lead);
+        },
     );
     let results = (0..total)
         .map(|i| study.cache().get(&study.space().point(i)).expect("engine evaluated every rung"))

@@ -21,13 +21,13 @@ fn temp_store(tag: &str) -> PathBuf {
 /// A two-worker spec over the store file at `path`.
 fn stored(path: &Path, resume: bool) -> RunSpec {
     let store = Arc::new(ResultStore::open(path).unwrap());
-    RunSpec { threads: 2, store: Some(store), resume, ..RunSpec::default() }
+    RunSpec { threads: Some(2), store: Some(store), resume, ..RunSpec::default() }
 }
 
 #[test]
 fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
     let cfg = fig7::Fig7Config { input_hw: 8, trials: 24, ..fig7::Fig7Config::default() };
-    let plain = RunSpec { threads: 2, ..RunSpec::default() };
+    let plain = RunSpec { threads: Some(2), ..RunSpec::default() };
     let baseline = fig7::to_csv(&fig7::run(&plain, &cfg).rows);
     let path = temp_store("fig7");
     let cold = fig7::run(&stored(&path, false), &cfg);

@@ -9,19 +9,21 @@
 //!    both drivers, so the optimizer sees an identical call sequence and
 //!    reaches identical state regardless of thread count.
 //! 2. **Merge in suggestion order.** Worker completion order never leaks
-//!    into `observe_batch` or the Pareto archives, so fronts are
-//!    bit-identical at 1, 2 or 8 threads.
+//!    into `observe_batch`, the Pareto archives or an attached result
+//!    store, so fronts and store bytes are identical at 1, 2 or 8
+//!    threads.
 //! 3. **One evaluator per worker.** Evaluators stay single-threaded;
 //!    an [`EvaluatorFactory`] mints a private instance per worker, and a
 //!    [`MemoCache`] shared across workers (and batches) makes revisits
 //!    free; its lock is held only for a map probe, never during a
-//!    simulation.
+//!    simulation. Workers are only started for points the cache cannot
+//!    answer, so a fully memoized batch starts none.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use cfu_soc::Board;
 use cfu_tflm::model::Model;
@@ -230,7 +232,8 @@ pub struct ParallelStudy<O, S: SearchSpace = DesignSpace> {
     archive: ParetoArchive<S::Point>,
     energy_archive: ParetoArchive<S::Point>,
     cache: MemoCache<S::Point>,
-    threads: usize,
+    /// Workers per batch; `None` runs one per available core.
+    threads: Option<usize>,
     progress: Option<Arc<AtomicU64>>,
     store: Option<Arc<dyn StoreSink<S::Point>>>,
     faults: FaultDomain<S::Point>,
@@ -240,13 +243,21 @@ impl<S: SearchSpace, O: Optimizer<S>> ParallelStudy<O, S> {
     /// Creates a study over `space` using `optimizer`, evaluating on
     /// `threads` workers (clamped to at least 1).
     pub fn new(space: S, optimizer: O, threads: usize) -> Self {
+        Self::with_workers(space, optimizer, Some(threads.max(1)))
+    }
+
+    /// As [`new`](Self::new) for `Some(threads)`; `None` evaluates on
+    /// one worker per available core. The core count is looked up only
+    /// for a batch with two or more points to simulate, so a fully
+    /// memoized run spawns nothing.
+    pub fn with_workers(space: S, optimizer: O, threads: Option<usize>) -> Self {
         ParallelStudy {
             space,
             optimizer,
             archive: ParetoArchive::new(),
             energy_archive: ParetoArchive::new(),
             cache: MemoCache::new(),
-            threads: threads.max(1),
+            threads: threads.map(|n| n.max(1)),
             progress: None,
             store: None,
             faults: FaultDomain::new(RetryPolicy::default()),
@@ -281,7 +292,8 @@ impl<S: SearchSpace, O: Optimizer<S>> ParallelStudy<O, S> {
     /// infeasible points are skipped, while transient failures like a
     /// panicked worker are re-evaluated); in every mode each freshly
     /// simulated point — and each freshly quarantined one — is appended
-    /// back to the store, flushed after each batch merge. Purely
+    /// back to the store at each batch merge, in suggestion order, and
+    /// flushed once per batch. Purely
     /// observational for the search itself: fronts are byte-identical
     /// with or without a store.
     pub fn attach_store(&mut self, store: Arc<StudyStore<S::Point>>)
@@ -300,8 +312,8 @@ impl<S: SearchSpace, O: Optimizer<S>> ParallelStudy<O, S> {
         &self.space
     }
 
-    /// Worker count used by `run`.
-    pub fn threads(&self) -> usize {
+    /// Worker count used by `run`; `None` is one per available core.
+    pub fn threads(&self) -> Option<usize> {
         self.threads
     }
 
@@ -372,9 +384,39 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluates one batch of points on `threads` workers, returning results
-/// in input order. Workers pull work items off a shared atomic cursor so
-/// an expensive point never stalls the rest of the batch behind it.
+/// What one batch slot came to.
+enum Outcome {
+    /// A memo hit or an already-quarantined point: nothing to record.
+    Known(EvalResult),
+    /// A freshly simulated result.
+    Fresh(EvalResult),
+    /// A point quarantined by this batch.
+    Quarantined(EvalFailure),
+}
+
+impl Outcome {
+    fn result(&self) -> EvalResult {
+        match self {
+            Outcome::Known(result) | Outcome::Fresh(result) => *result,
+            Outcome::Quarantined(_) => EvalFailure::sentinel(),
+        }
+    }
+}
+
+/// One worker per core the process may use (1 when that is unknown).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Evaluates one batch of points, returning results in input order.
+/// Memo hits and already-quarantined points are answered up front; the
+/// rest are simulated on `threads` workers (`None`: one per available
+/// core), never more workers than points to simulate. A batch with
+/// nothing to simulate builds no evaluator and spawns no thread, and
+/// the core count is looked up only when two or more points need
+/// simulating. Workers pull work items off a shared atomic cursor so
+/// an expensive point never stalls the rest of the batch behind it, and
+/// each builds its evaluator when it first needs one.
 ///
 /// Each evaluation is its own fault domain: `try_evaluate` runs under
 /// [`catch_unwind`], a panicked evaluator is rebuilt from the factory,
@@ -388,13 +430,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// `progress` (when supplied) is bumped once per completed point (memo
 /// hits and duplicates included); `store` (when supplied) records each
-/// *freshly computed* result or quarantine tombstone — memo hits,
-/// including store-hydrated ones, are never re-recorded.
+/// *freshly computed* result or quarantine tombstone at merge time, in
+/// suggestion order, so the store's bytes do not depend on the schedule
+/// either — memo hits, including store-hydrated ones, are never
+/// re-recorded.
 fn evaluate_batch<P, F>(
     points: &[P],
     factory: &F,
     cache: &MemoCache<P>,
-    threads: usize,
+    threads: Option<usize>,
     progress: Option<&AtomicU64>,
     store: Option<&dyn StoreSink<P>>,
     faults: &FaultDomain<P>,
@@ -421,31 +465,39 @@ where
             idx
         })
         .collect();
-    let tick = |n: u64| {
+    let tick = |idx: usize| {
         if let Some(counter) = progress {
-            counter.fetch_add(n, Ordering::Relaxed);
+            counter.fetch_add(multiplicity[idx], Ordering::Relaxed);
         }
     };
-    // One point's full evaluate→classify→retry→quarantine lifecycle.
-    let eval_one = |evaluator: &mut F::Eval, point: &P| -> EvalResult {
-        if let Some(hit) = cache.get(point) {
-            return hit;
-        }
-        if faults.quarantined(point).is_some() {
-            return EvalFailure::sentinel();
-        }
+    let outcomes: Vec<OnceLock<Outcome>> = unique.iter().map(|_| OnceLock::new()).collect();
+    let mut pending: Vec<usize> = Vec::new();
+    for (idx, point) in unique.iter().enumerate() {
+        let known = match cache.get(point) {
+            Some(hit) => hit,
+            None if faults.quarantined(point).is_some() => EvalFailure::sentinel(),
+            None => {
+                pending.push(idx);
+                continue;
+            }
+        };
+        let _ = outcomes[idx].set(Outcome::Known(known));
+        tick(idx);
+    }
+    // One point's full evaluate→classify→retry→quarantine lifecycle, on
+    // the worker's evaluator (built on first use).
+    let eval_one = |evaluator: &mut Option<F::Eval>, idx: usize| -> Outcome {
+        let point = &unique[idx];
         let mut attempt = 0u32;
-        loop {
+        let outcome = loop {
+            let live = evaluator.get_or_insert_with(|| factory.make_evaluator());
             faults.note_attempt();
-            let outcome = catch_unwind(AssertUnwindSafe(|| evaluator.try_evaluate(point)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| live.try_evaluate(point)));
             let failure = match outcome {
                 Ok(Ok(result)) if result.latency != u64::MAX && !result.energy_uj.is_nan() => {
                     faults.note_success();
                     cache.insert(*point, result);
-                    if let Some(sink) = store {
-                        sink.record(point, &result);
-                    }
-                    return result;
+                    break Outcome::Fresh(result);
                 }
                 // A nominal success carrying the legacy sentinel latency
                 // or NaN energy would poison archives and the store.
@@ -454,7 +506,7 @@ where
                 Err(payload) => {
                     // The evaluator may be mid-mutation after the unwind;
                     // rebuild it so the fault stays confined to this point.
-                    *evaluator = factory.make_evaluator();
+                    *evaluator = None;
                     EvalFailure::Panicked(panic_message(payload.as_ref()))
                 }
             };
@@ -464,76 +516,56 @@ where
                 faults.note_retry();
                 continue;
             }
-            if let Some(sink) = store {
-                sink.record_failure(point, &failure);
-            }
-            faults.quarantine(*point, failure);
-            return EvalFailure::sentinel();
-        }
+            faults.quarantine(*point, failure.clone());
+            break Outcome::Quarantined(failure);
+        };
+        tick(idx);
+        outcome
     };
-    let workers = threads.max(1).min(unique.len().max(1));
-    let results: Vec<EvalResult> = if workers == 1 {
-        let mut evaluator = factory.make_evaluator();
-        unique
-            .iter()
-            .enumerate()
-            .map(|(idx, p)| {
-                let result = eval_one(&mut evaluator, p);
-                tick(multiplicity[idx]);
-                result
-            })
-            .collect()
-    } else {
+    let workers = match pending.len() {
+        0 | 1 => 1,
+        n => threads.unwrap_or_else(available_cores).clamp(1, n),
+    };
+    if workers > 1 {
         let cursor = AtomicUsize::new(0);
-        let mut merged: Vec<Option<EvalResult>> = vec![None; unique.len()];
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut evaluator = factory.make_evaluator();
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(point) = unique.get(idx) else { break };
-                            let result = eval_one(&mut evaluator, point);
-                            tick(multiplicity[idx]);
-                            local.push((idx, result));
+                        let mut evaluator = None;
+                        while let Some(&idx) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let _ = outcomes[idx].set(eval_one(&mut evaluator, idx));
                         }
-                        local
                     })
                 })
                 .collect();
             for handle in handles {
                 // A worker that dies outright (a panic escaping even the
                 // per-point catch_unwind, e.g. in the factory itself)
-                // loses its local merge list but not the study: finished
-                // points are already memoized, and its unfilled slots are
-                // rescheduled below.
-                if let Ok(local) = handle.join() {
-                    for (idx, result) in local {
-                        merged[idx] = Some(result);
-                    }
-                }
+                // does not take the study down: finished points keep
+                // their slots, and its unfilled ones are rescheduled
+                // below.
+                let _ = handle.join();
             }
         });
-        // Backfill slots lost to a dead worker inline: memo hits make
-        // already-finished points free, genuinely unevaluated ones are
-        // re-run here. (Progress may over-tick for points the dead
-        // worker ticked before dying — purely cosmetic.)
-        let mut fallback: Option<F::Eval> = None;
-        merged
-            .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| {
-                slot.unwrap_or_else(|| {
-                    let evaluator = fallback.get_or_insert_with(|| factory.make_evaluator());
-                    let result = eval_one(evaluator, &unique[idx]);
-                    tick(multiplicity[idx]);
-                    result
-                })
-            })
-            .collect()
-    };
+    }
+    // The merge, in suggestion order. Serial batches simulate here, and
+    // so do the slots a dead worker left unfilled.
+    let mut evaluator = None;
+    let results: Vec<EvalResult> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(idx, slot)| {
+            let outcome = slot.into_inner().unwrap_or_else(|| eval_one(&mut evaluator, idx));
+            let point = &unique[idx];
+            match (&outcome, store) {
+                (Outcome::Fresh(result), Some(sink)) => sink.record(point, result),
+                (Outcome::Quarantined(failure), Some(sink)) => sink.record_failure(point, failure),
+                _ => {}
+            }
+            outcome.result()
+        })
+        .collect();
     slots.iter().map(|&idx| results[idx]).collect()
 }
 
@@ -559,6 +591,52 @@ mod tests {
         let mut study = ParallelStudy::new(space, RegularizedEvolution::new(5, 8, 3), 2);
         study.run(&|| ResourceEvaluator::new(1_000_000), 64);
         assert!(!study.archive().front().is_empty());
+    }
+
+    /// Counts the evaluators it mints.
+    struct CountingFactory(AtomicU64);
+
+    impl EvaluatorFactory for CountingFactory {
+        type Eval = ResourceEvaluator;
+        fn make_evaluator(&self) -> ResourceEvaluator {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            ResourceEvaluator::new(1_000_000)
+        }
+    }
+
+    #[test]
+    fn a_memoized_batch_builds_no_evaluator() {
+        let space = DesignSpace::small();
+        for threads in [Some(4), None] {
+            let mut study =
+                ParallelStudy::with_workers(space.clone(), RandomSearch::new(3), threads);
+            let mut eval = ResourceEvaluator::new(1_000_000);
+            for i in 0..space.size() {
+                let point = space.point(i);
+                study.cache().insert(point, eval.evaluate(&point));
+            }
+            let factory = CountingFactory(AtomicU64::new(0));
+            study.run(&factory, 64);
+            assert_eq!(factory.0.load(Ordering::Relaxed), 0, "{threads:?}");
+            assert_eq!(study.report().attempts, 0, "{threads:?}");
+        }
+    }
+
+    #[test]
+    fn a_single_miss_builds_a_single_evaluator() {
+        let space = DesignSpace::small();
+        let points: Vec<DesignPoint> = (0..16).map(|i| space.point(i)).collect();
+        let cache = MemoCache::new();
+        let mut eval = ResourceEvaluator::new(1_000_000);
+        for point in &points[1..] {
+            cache.insert(*point, eval.evaluate(point));
+        }
+        let faults = FaultDomain::new(RetryPolicy::default());
+        let factory = CountingFactory(AtomicU64::new(0));
+        // One miss in sixteen points: simulated inline, one evaluator.
+        let results = evaluate_batch(&points, &factory, &cache, Some(8), None, None, &faults);
+        assert_eq!(results[0], eval.evaluate(&points[0]));
+        assert_eq!(factory.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]

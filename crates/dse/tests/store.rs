@@ -203,6 +203,40 @@ fn concurrent_studies_share_one_store_without_corruption() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The analytic evaluator, slowed by a point-dependent few hundred
+/// microseconds so that workers finish out of suggestion order.
+struct UnevenEvaluator(ResourceEvaluator);
+
+impl Evaluator for UnevenEvaluator {
+    fn evaluate(&mut self, point: &DesignPoint) -> EvalResult {
+        let result = self.0.evaluate(point);
+        std::thread::sleep(std::time::Duration::from_micros(result.latency % 7 * 60));
+        result
+    }
+}
+
+#[test]
+fn store_bytes_do_not_depend_on_the_thread_count() {
+    // Fresh results are recorded at merge time in suggestion order, so
+    // the file a study writes is the same at any worker count.
+    let ctx = StoreContext::new("schedule-wl");
+    let files: Vec<Vec<u8>> = [1, 4, 3]
+        .iter()
+        .map(|&threads| {
+            let path = temp_path(&format!("schedule-{threads}"));
+            let mut study = ParallelStudy::new(DesignSpace::small(), RandomSearch::new(5), threads);
+            let store = Arc::new(ResultStore::open(&path).unwrap());
+            study.attach_store(Arc::new(StudyStore::new(store, ctx.clone())));
+            study.run(&|| UnevenEvaluator(ResourceEvaluator::new(1_000_000)), 64);
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            bytes
+        })
+        .collect();
+    assert!(files[0].len() > 64, "the study must have recorded results");
+    assert!(files.iter().all(|f| *f == files[0]), "store bytes moved with the thread count");
+}
+
 #[test]
 fn warm_resume_runs_zero_evaluations_and_reproduces_the_fronts() {
     let path = temp_path("resume");

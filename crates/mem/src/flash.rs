@@ -49,6 +49,10 @@ impl SpiWidth {
 /// multiplied by [`clock_ratio`](SpiFlash::set_clock_ratio) (the SPI clock
 /// usually runs at half the system clock).
 ///
+/// Only the programmed prefix of the array is stored: every byte past
+/// the highest byte ever programmed reads as erased (`0xFF`), so a large
+/// part costs memory only for its image.
+///
 /// # Example
 ///
 /// ```
@@ -62,7 +66,9 @@ impl SpiWidth {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpiFlash {
+    /// The programmed prefix; bytes from `data.len()` to `size` are erased.
     data: Vec<u8>,
+    size: u32,
     width: SpiWidth,
     clock_ratio: u64,
     next_seq: Option<u32>,
@@ -71,15 +77,25 @@ pub struct SpiFlash {
 impl SpiFlash {
     /// Creates an erased (0xFF-filled) flash of `size` bytes.
     pub fn new(size: u32, width: SpiWidth) -> Self {
-        SpiFlash { data: vec![0xFF; size as usize], width, clock_ratio: 1, next_seq: None }
+        SpiFlash { data: Vec::new(), size, width, clock_ratio: 1, next_seq: None }
     }
 
-    /// Creates a flash initialized with `image` (padded with 0xFF).
+    /// Creates a flash initialized with `image` (padded with 0xFF; bytes
+    /// past `size` are dropped).
     pub fn with_image(size: u32, width: SpiWidth, image: &[u8]) -> Self {
         let mut flash = Self::new(size, width);
-        let n = image.len().min(flash.data.len());
-        flash.data[..n].copy_from_slice(&image[..n]);
+        flash.data = image[..image.len().min(size as usize)].to_vec();
         flash
+    }
+
+    /// Copies the bytes at `offset` into `buf` (bounds already checked):
+    /// the programmed prefix, then erased bytes.
+    fn copy_out(&self, offset: u32, buf: &mut [u8]) {
+        let start = (offset as usize).min(self.data.len());
+        let end = (offset as usize + buf.len()).min(self.data.len());
+        let (programmed, erased) = buf.split_at_mut(end - start);
+        programmed.copy_from_slice(&self.data[start..end]);
+        erased.fill(0xFF);
     }
 
     /// The configured SPI width.
@@ -107,13 +123,13 @@ impl SpiFlash {
 
 impl BusDevice for SpiFlash {
     fn size(&self) -> u32 {
-        self.data.len() as u32
+        self.size
     }
 
     fn read(&mut self, offset: u32, buf: &mut [u8]) -> Result<u64, MemError> {
-        check_bounds(self.size(), offset, buf.len())?;
+        check_bounds(self.size, offset, buf.len())?;
         let n = buf.len();
-        buf.copy_from_slice(&self.data[offset as usize..offset as usize + n]);
+        self.copy_out(offset, buf);
         let mut spi = self.width.sck_per_byte() * n as u64;
         if self.next_seq != Some(offset) {
             spi += self.width.command_overhead();
@@ -127,7 +143,7 @@ impl BusDevice for SpiFlash {
             return Ok(0);
         }
         let span = len.checked_mul(count).ok_or(MemError::OutOfBounds { addr: offset, len: 0 })?;
-        check_bounds(self.size(), offset, span as usize)?;
+        check_bounds(self.size, offset, span as usize)?;
         // First access pays the command/address/dummy sequence unless it
         // continues the tracked burst; each subsequent read starts
         // exactly where the previous ended, so it streams data-only.
@@ -148,14 +164,18 @@ impl BusDevice for SpiFlash {
     }
 
     fn peek(&mut self, offset: u32, buf: &mut [u8]) -> Result<(), MemError> {
-        check_bounds(self.size(), offset, buf.len())?;
-        buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+        check_bounds(self.size, offset, buf.len())?;
+        self.copy_out(offset, buf);
         Ok(())
     }
 
     fn poke(&mut self, offset: u32, data: &[u8]) -> Result<(), MemError> {
-        check_bounds(self.size(), offset, data.len())?;
-        self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        check_bounds(self.size, offset, data.len())?;
+        let (start, end) = (offset as usize, offset as usize + data.len());
+        if end > self.data.len() {
+            self.data.resize(end, 0xFF);
+        }
+        self.data[start..end].copy_from_slice(data);
         Ok(())
     }
 

@@ -1,8 +1,75 @@
 //! Property tests for the memory system: cache invariants, bus routing,
 //! device timing monotonicity.
 
-use cfu_mem::{Bus, Cache, CacheConfig, Ddr3, SpiFlash, SpiWidth, Sram};
+use cfu_mem::{Bus, BusDevice, Cache, CacheConfig, Ddr3, MemError, SpiFlash, SpiWidth, Sram};
 use proptest::prelude::*;
+
+/// The flash as a dense `0xFF`-filled array with the same burst timing:
+/// the reference [`SpiFlash`] must match byte for byte, cycle for cycle
+/// and error for error.
+struct DenseFlash {
+    data: Vec<u8>,
+    width: SpiWidth,
+    clock_ratio: u64,
+    next_seq: Option<u32>,
+}
+
+impl DenseFlash {
+    fn new(size: u32, width: SpiWidth, clock_ratio: u64, image: &[u8]) -> Self {
+        let mut data = vec![0xFF; size as usize];
+        let n = image.len().min(data.len());
+        data[..n].copy_from_slice(&image[..n]);
+        DenseFlash { data, width, clock_ratio, next_seq: None }
+    }
+
+    fn range(&self, offset: u32, len: usize) -> Result<std::ops::Range<usize>, MemError> {
+        let end = u64::from(offset) + len as u64;
+        if end > self.data.len() as u64 {
+            return Err(MemError::OutOfBounds { addr: offset, len });
+        }
+        Ok(offset as usize..end as usize)
+    }
+
+    fn burst(&mut self, offset: u32, bytes: u32) -> u64 {
+        let mut spi = self.width.sck_per_byte() * u64::from(bytes);
+        if self.next_seq != Some(offset) {
+            spi += self.width.command_overhead();
+        }
+        self.next_seq = Some(offset + bytes);
+        spi * self.clock_ratio
+    }
+
+    fn read(&mut self, offset: u32, buf: &mut [u8]) -> Result<u64, MemError> {
+        let range = self.range(offset, buf.len())?;
+        buf.copy_from_slice(&self.data[range]);
+        Ok(self.burst(offset, buf.len() as u32))
+    }
+
+    fn peek(&self, offset: u32, buf: &mut [u8]) -> Result<(), MemError> {
+        buf.copy_from_slice(&self.data[self.range(offset, buf.len())?]);
+        Ok(())
+    }
+
+    fn poke(&mut self, offset: u32, bytes: &[u8]) -> Result<(), MemError> {
+        let range = self.range(offset, bytes.len())?;
+        self.data[range].copy_from_slice(bytes);
+        Ok(())
+    }
+
+    fn read_cost_run(&mut self, offset: u32, len: u32, count: u32) -> Result<u64, MemError> {
+        if count == 0 {
+            return Ok(0);
+        }
+        let span = len.checked_mul(count).ok_or(MemError::OutOfBounds { addr: offset, len: 0 })?;
+        self.range(offset, span as usize)?;
+        Ok(self.burst(offset, span))
+    }
+}
+
+/// One flash operation: kind, offset, length, repeat count, fill byte.
+fn arb_flash_op() -> impl Strategy<Value = (u8, u32, u32, u32, u8)> {
+    (0u8..6, any::<u32>(), 0u32..64, 0u32..5, any::<u8>())
+}
 
 fn arb_geometry() -> impl Strategy<Value = CacheConfig> {
     (0u32..4, 0u32..3, 0u32..3).prop_map(|(size_pow, ways_pow, line_pow)| CacheConfig {
@@ -158,5 +225,87 @@ proptest! {
         bus.load_image(target, &[val]).unwrap();
         prop_assert_eq!(bus.read_u8(target).unwrap().value, val);
         prop_assert!(bus.read_u8(0x4000 + (addr % 4096)).is_err());
+    }
+
+    /// The flash stores only what was programmed, yet every `poke`,
+    /// `load_image`, `read`, `peek`, `read_cost_run` and `write` — in or
+    /// out of bounds, after `with_image` or not — gives the bytes, cycles
+    /// and errors of a dense `0xFF`-filled array.
+    #[test]
+    fn flash_matches_a_dense_erased_array(
+        size in 1u32..600,
+        image in proptest::collection::vec(any::<u8>(), 0..700),
+        setup in (0u8..3, 1u64..4, any::<bool>()),
+        ops in proptest::collection::vec(arb_flash_op(), 1..60),
+    ) {
+        let (width, ratio, imaged) = setup;
+        let width = [SpiWidth::Single, SpiWidth::Dual, SpiWidth::Quad][usize::from(width)];
+        let image = if imaged { &image[..] } else { &[][..] };
+        let mut flash = if imaged {
+            SpiFlash::with_image(size, width, image)
+        } else {
+            SpiFlash::new(size, width)
+        };
+        flash.set_clock_ratio(ratio);
+        let mut dense = DenseFlash::new(size, width, ratio, image);
+        prop_assert_eq!(flash.size(), size);
+        for (step, &(kind, raw, len, count, fill)) in ops.iter().enumerate() {
+            // Mostly offsets near the device, some past its end, a few at
+            // the top of the address space.
+            let offset = match raw % 16 {
+                0 => u32::MAX - raw % 8,
+                _ => raw % (size + 48),
+            };
+            let len_usize = len as usize;
+            let ctx = format!("step {step}: kind {kind} offset {offset} len {len} count {count}");
+            match kind {
+                0 => {
+                    let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    prop_assert_eq!(flash.poke(offset, &bytes), dense.poke(offset, &bytes), "{}", ctx);
+                }
+                1 => {
+                    let (mut a, mut b) = (vec![0u8; len_usize], vec![0u8; len_usize]);
+                    prop_assert_eq!(flash.read(offset, &mut a), dense.read(offset, &mut b), "{}", ctx);
+                    prop_assert_eq!(a, b, "{}", ctx);
+                }
+                2 => {
+                    let (mut a, mut b) = (vec![0u8; len_usize], vec![0u8; len_usize]);
+                    prop_assert_eq!(flash.peek(offset, &mut a), dense.peek(offset, &mut b), "{}", ctx);
+                    prop_assert_eq!(a, b, "{}", ctx);
+                }
+                3 => {
+                    // Occasionally a length whose run overflows `u32`.
+                    let len = if fill == 0 { u32::MAX / 2 + len } else { len };
+                    prop_assert_eq!(
+                        flash.read_cost_run(offset, len, count),
+                        dense.read_cost_run(offset, len, count),
+                        "{}", ctx
+                    );
+                }
+                4 => {
+                    prop_assert_eq!(flash.write(offset, &[fill]), Err(MemError::ReadOnly { addr: offset }));
+                }
+                _ => {
+                    // `Bus::load_image` routes to the device's `poke`.
+                    let mut bus = Bus::new();
+                    bus.map("flash", 0, flash.clone());
+                    let bytes = vec![fill; len_usize.max(1)];
+                    let loaded = bus.load_image(offset, &bytes);
+                    prop_assert_eq!(loaded.is_ok(), dense.poke(offset, &bytes).is_ok(), "{}", ctx);
+                    if loaded.is_ok() {
+                        prop_assert_eq!(flash.poke(offset, &bytes), Ok(()));
+                    }
+                    let mut a = vec![0u8; size as usize];
+                    bus.peek(0, &mut a).unwrap();
+                    prop_assert_eq!(&a[..], &dense.data[..], "{}", ctx);
+                }
+            }
+            let mut saved = Vec::new();
+            flash.save_timing(&mut saved);
+            prop_assert_eq!(saved, vec![dense.next_seq.map_or(0, |n| u64::from(n) + 1)], "{}", ctx);
+        }
+        let mut all = vec![0u8; size as usize];
+        flash.peek(0, &mut all).unwrap();
+        prop_assert_eq!(all, dense.data);
     }
 }

@@ -80,7 +80,7 @@ fn fig7_cfu_curves_extend_the_front() {
         seed: 3,
         ..fig7::Fig7Config::default()
     };
-    let spec = RunSpec { threads: 2, ..RunSpec::default() };
+    let spec = RunSpec { threads: Some(2), ..RunSpec::default() };
     let curves = fig7::run(&spec, &cfg).rows;
     assert_eq!(curves.len(), 3);
     let best = |choice: CfuChoice| {
