@@ -113,11 +113,6 @@ impl Cfu2 {
         Cfu2 { with_postproc: false, ..Cfu2::new() }
     }
 
-    /// `true` when the post-processing extension is present.
-    pub fn has_postproc(&self) -> bool {
-        self.with_postproc
-    }
-
     fn postproc(&self, acc: i32) -> i32 {
         self.post.process_with(acc, self.params)
     }

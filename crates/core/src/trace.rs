@@ -67,11 +67,6 @@ impl<C: Cfu> TracedCfu<C> {
         &self.trace
     }
 
-    /// Clears the trace (keeps CFU state).
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// The wrapped CFU.
     pub fn into_inner(self) -> C {
         self.inner

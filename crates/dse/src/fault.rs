@@ -460,14 +460,6 @@ impl FaultPlan {
         self
     }
 
-    /// Plans `kind` for the `ordinal`-th evaluation attempt (0-based,
-    /// counted across the whole plan lifetime).
-    #[must_use]
-    pub fn fault_ordinal(mut self, ordinal: u64, kind: FaultKind) -> Self {
-        self.by_ordinal.insert(ordinal, kind);
-        self
-    }
-
     /// Plans a torn store write: after the `flush`-th sink flush
     /// (0-based), `bytes` are chopped off the store file's tail.
     #[must_use]

@@ -284,17 +284,6 @@ impl Bus {
         Ok(ReadResult { value: u32::from_le_bytes(b), cycles })
     }
 
-    /// Reads a little-endian 16-bit halfword.
-    ///
-    /// # Errors
-    ///
-    /// As [`read`](Bus::read).
-    pub fn read_u16(&mut self, addr: u32) -> Result<ReadResult<u16>, MemError> {
-        let mut b = [0u8; 2];
-        let cycles = self.read(addr, &mut b)?;
-        Ok(ReadResult { value: u16::from_le_bytes(b), cycles })
-    }
-
     /// Reads one byte.
     ///
     /// # Errors
@@ -312,15 +301,6 @@ impl Bus {
     ///
     /// As [`write`](Bus::write).
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<u64, MemError> {
-        self.write(addr, &value.to_le_bytes())
-    }
-
-    /// Writes a little-endian 16-bit halfword.
-    ///
-    /// # Errors
-    ///
-    /// As [`write`](Bus::write).
-    pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<u64, MemError> {
         self.write(addr, &value.to_le_bytes())
     }
 

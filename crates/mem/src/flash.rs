@@ -103,12 +103,6 @@ impl SpiFlash {
         self.width
     }
 
-    /// Reconfigures the controller width (the `QuadSPI` upgrade).
-    pub fn set_width(&mut self, width: SpiWidth) {
-        self.width = width;
-        self.next_seq = None;
-    }
-
     /// Sets the system-clock : SPI-clock ratio (default 1: the LiteX
     /// spiflash PHY clocks SCK at the system clock).
     pub fn set_clock_ratio(&mut self, ratio: u64) {

@@ -116,17 +116,6 @@ pub struct CpuStats {
     pub cfu_stall_cycles: u64,
 }
 
-impl CpuStats {
-    /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.instructions as f64
-        }
-    }
-}
-
 /// The simulated CPU.
 ///
 /// # Example
@@ -278,11 +267,6 @@ impl Cpu {
         self.pc
     }
 
-    /// Sets the program counter.
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
     /// Total cycles elapsed.
     pub fn cycles(&self) -> u64 {
         self.stats.cycles
@@ -408,13 +392,12 @@ impl Cpu {
     fn fetch_parcel(&mut self, pc: u32, charge: bool) -> Result<u16, SimError> {
         let wrap = |source| SimError::Mem { pc, source };
         if charge {
-            if pc >= UNCACHED_BASE || self.icache.is_none() {
+            let Some(cache) = self.icache.as_mut().filter(|_| pc < UNCACHED_BASE) else {
                 let mut b = [0u8; 2];
                 let cycles = self.bus.read(pc, &mut b).map_err(wrap)?;
                 self.charge(cycles);
                 return Ok(u16::from_le_bytes(b));
-            }
-            let cache = self.icache.as_mut().expect("checked above");
+            };
             if cache.access(pc) {
                 self.charge(1);
             } else {
@@ -431,12 +414,11 @@ impl Cpu {
 
     fn fetch(&mut self, pc: u32) -> Result<u32, SimError> {
         let wrap = |source| SimError::Mem { pc, source };
-        if pc >= UNCACHED_BASE || self.icache.is_none() {
+        let Some(cache) = self.icache.as_mut().filter(|_| pc < UNCACHED_BASE) else {
             let r = self.bus.read_u32(pc).map_err(wrap)?;
             self.charge(r.cycles);
             return Ok(r.value);
-        }
-        let cache = self.icache.as_mut().expect("checked above");
+        };
         if cache.access(pc) {
             self.charge(1);
         } else {
@@ -456,13 +438,12 @@ impl Cpu {
     fn data_read(&mut self, pc: u32, addr: u32, len: u32) -> Result<u32, SimError> {
         let wrap = |source| SimError::Mem { pc, source };
         let addr = self.check_align(pc, addr, len)?;
-        if addr >= UNCACHED_BASE || self.dcache.is_none() {
+        let Some(cache) = self.dcache.as_mut().filter(|_| addr < UNCACHED_BASE) else {
             let mut buf = [0u8; 4];
             let cycles = self.bus.read(addr, &mut buf[..len as usize]).map_err(wrap)?;
             self.charge(cycles);
             return Ok(u32::from_le_bytes(buf));
-        }
-        let cache = self.dcache.as_mut().expect("checked above");
+        };
         if cache.access(addr) {
             self.charge(1);
         } else {

@@ -171,12 +171,11 @@ fn fetch_one(core: &mut TimedCore) {
 }
 
 /// `n` single-cycle instructions through the oracle fetch.
-fn steps(core: &mut TimedCore, n: u32) -> bool {
+fn steps(core: &mut TimedCore, n: u32) {
     for _ in 0..n {
         fetch_one(core);
         core.charge(1);
     }
-    true
 }
 
 /// What a mark observes: core, cache and per-device statistics.
@@ -209,10 +208,11 @@ fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> Run {
     let mut resident = false;
     for &op in ops {
         resident |= core.resident_skip && core.walk.swept;
-        let ok = match (op, mode) {
-            (Op::Alu(n), Mode::UnitAlu) => (0..n).all(|_| core.alu(1).is_ok()),
+        let mut ok = true;
+        match (op, mode) {
+            (Op::Alu(n), Mode::UnitAlu) => (0..n).for_each(|_| core.alu(1)),
             (Op::Alu(n), Mode::PerFetch) => steps(&mut core, n),
-            (Op::Alu(n), _) => core.alu(n).is_ok(),
+            (Op::Alu(n), _) => core.alu(n),
             (Op::Call(s), Mode::PerFetch) => {
                 // jal, jalr-ret, then two single-cycle instructions per
                 // saved register.
@@ -220,37 +220,35 @@ fn run(config: CpuConfig, quad: bool, ops: &[Op], mode: Mode) -> Run {
                 core.charge(2);
                 fetch_one(&mut core);
                 core.charge(1 + config.refill_penalty());
-                steps(&mut core, 2 * s)
+                steps(&mut core, 2 * s);
             }
-            (Op::Call(s), _) => core.call(s).is_ok(),
-            (Op::Mul, _) => core.mul().is_ok(),
-            (Op::Div, _) => core.div().is_ok(),
-            (Op::Shift(s), _) => core.shift(s).is_ok(),
-            (Op::Branch { site, backward, taken }, _) => core.branch(site, backward, taken).is_ok(),
-            (Op::Load { addr, wide: true }, _) => core.load_u32(addr).is_ok(),
-            (Op::Load { addr, wide: false }, _) => core.load_u8(addr).is_ok(),
-            (Op::Store { addr, wide: true }, _) => core.store_u32(addr, addr).is_ok(),
-            (Op::Store { addr, wide: false }, _) => core.store_u8(addr, addr as u8).is_ok(),
-            (Op::Cfu, _) => core.cfu(CfuOp::new(0, 0), 0x0102_0304, 0x0101_0101).is_ok(),
-            (Op::Peek(addr), _) => core.peek_u32(addr).is_ok(),
+            (Op::Call(s), _) => core.call(s),
+            (Op::Mul, _) => core.mul(),
+            (Op::Div, _) => core.div(),
+            (Op::Shift(s), _) => core.shift(s),
+            (Op::Branch { site, backward, taken }, _) => core.branch(site, backward, taken),
+            (Op::Load { addr, wide: true }, _) => ok = core.load_u32(addr).is_ok(),
+            (Op::Load { addr, wide: false }, _) => ok = core.load_u8(addr).is_ok(),
+            (Op::Store { addr, wide: true }, _) => ok = core.store_u32(addr, addr).is_ok(),
+            (Op::Store { addr, wide: false }, _) => ok = core.store_u8(addr, addr as u8).is_ok(),
+            (Op::Cfu, _) => ok = core.cfu(CfuOp::new(0, 0), 0x0102_0304, 0x0101_0101).is_ok(),
+            (Op::Peek(addr), _) => ok = core.peek_u32(addr).is_ok(),
             (Op::Mark, _) => {
                 core.mark_layer();
                 core.defer_fetches(false);
                 marks.push(observe(&core));
                 core.defer_fetches(mode == Mode::Deferred);
-                true
             }
             (Op::Region { base, len }, _) => {
-                let ok = core.set_code_region(base, len).is_ok();
+                ok = core.set_code_region(base, len).is_ok();
                 if mode == Mode::PerFetch {
                     // The remaining single fetches (`mul`, loads, ...)
                     // then take the one-fetch stretch, never bulk hits.
                     core.warm_skip = false;
                     core.resident_skip = false;
                 }
-                ok
             }
-        };
+        }
         outcomes.push(ok);
     }
     core.defer_fetches(false);

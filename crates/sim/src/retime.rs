@@ -684,7 +684,7 @@ impl CoreProfile {
 /// let mut live = TimedCore::new(CpuConfig::arty_default(), build_bus());
 /// live.start_recording();
 /// live.set_code_region(0, 1024)?;
-/// live.alu(100)?;
+/// live.alu(100);
 /// live.store_u32(0x40, 7)?;
 /// let trace = live.finish_recording().expect("recording");
 ///
@@ -829,6 +829,7 @@ impl TraceReplayer {
                 + b.bubbles;
             match end {
                 SegmentEnd::Store => {
+                    #[allow(clippy::expect_used, reason = "the store counts were checked above")]
                     let device_cycles = stores.next().expect("counts checked above");
                     now += buffer_store(&mut buffer, now, *device_cycles);
                 }
@@ -994,21 +995,21 @@ mod tests {
         core.mark_layer();
         core.set_code_region(0, 4096).unwrap();
         for i in 0..50 {
-            core.alu(37).unwrap();
-            core.mul().unwrap();
-            core.shift(i % 31).unwrap();
-            core.branch(3, true, i % 7 != 0).unwrap();
-            core.branch(4, false, i % 5 == 0).unwrap();
+            core.alu(37);
+            core.mul();
+            core.shift(i % 31);
+            core.branch(3, true, i % 7 != 0);
+            core.branch(4, false, i % 5 == 0);
             core.store_u32(0x1000_0000 + i * 4, i).unwrap();
             core.load_u32(0x1000_0000 + i * 4).unwrap();
-            core.call(4).unwrap();
+            core.call(4);
             core.peek_u32(0x1000_0000).unwrap();
         }
         core.mark_layer();
         core.set_code_region(0x1000_0000, 2048).unwrap();
         core.mark_layer();
-        core.alu(500).unwrap();
-        core.div().unwrap();
+        core.alu(500);
+        core.div();
         core.mark_layer();
         (core.stats(), core.finish_recording().expect("recording"))
     }
@@ -1067,19 +1068,19 @@ mod tests {
         // Re-run the same workload (no recording).
         live.set_code_region(0, 4096).unwrap();
         for i in 0..50 {
-            live.alu(37).unwrap();
-            live.mul().unwrap();
-            live.shift(i % 31).unwrap();
-            live.branch(3, true, i % 7 != 0).unwrap();
-            live.branch(4, false, i % 5 == 0).unwrap();
+            live.alu(37);
+            live.mul();
+            live.shift(i % 31);
+            live.branch(3, true, i % 7 != 0);
+            live.branch(4, false, i % 5 == 0);
             live.store_u32(0x1000_0000 + i * 4, i).unwrap();
             live.load_u32(0x1000_0000 + i * 4).unwrap();
-            live.call(4).unwrap();
+            live.call(4);
             live.peek_u32(0x1000_0000).unwrap();
         }
         live.set_code_region(0x1000_0000, 2048).unwrap();
-        live.alu(500).unwrap();
-        live.div().unwrap();
+        live.alu(500);
+        live.div();
 
         for (id, info) in live.bus().regions() {
             let (rid, _) = rp.core().bus().region_by_name(&info.name).expect("same mapping");
@@ -1183,10 +1184,10 @@ mod tests {
         let config = CpuConfig::fomu_baseline();
         let mut core = TimedCore::new(config, build_bus());
         core.start_recording();
-        core.alu(700).unwrap();
-        core.mul().unwrap();
+        core.alu(700);
+        core.mul();
         core.set_code_region(0, 1024).unwrap();
-        core.alu(10).unwrap();
+        core.alu(10);
         let trace = core.finish_recording().expect("recording");
         let flash = core.bus().region_by_name("flash").expect("mapped").0;
         assert_eq!(core.bus().stats(flash).reads, 10);

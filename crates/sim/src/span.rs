@@ -94,6 +94,12 @@ impl CoreState {
             devices,
         })
     }
+
+    /// The state of a core whose span [`SpanRecorder::start`] accepted.
+    #[allow(clippy::expect_used, reason = "start checked that the bus saves its timing")]
+    fn saved(core: &TimedCore) -> Self {
+        Self::of(core).expect("bus state saved at start")
+    }
 }
 
 fn pending_drains(core: &TimedCore) -> Vec<u64> {
@@ -230,7 +236,7 @@ impl SpanRecorder {
         let clock = |c: &Option<Cache>| c.as_ref().map_or(0, Cache::clock);
         self.snapshots.push(Snapshot {
             counters: Counters::of(core),
-            state: CoreState::of(core).expect("bus state saved at start"),
+            state: CoreState::saved(core),
             clocks: [clock(&core.icache), clock(&core.dcache)],
             caches: [save_cache(core.icache.as_ref()), save_cache(core.dcache.as_ref())],
             predictor: saved_entries(core, !0),
@@ -244,7 +250,7 @@ impl SpanRecorder {
         core.settle();
         let exit = Exit {
             counters: Counters::of(core),
-            state: CoreState::of(core).expect("bus state saved at start"),
+            state: CoreState::saved(core),
             caches: [save_cache(core.icache.as_ref()), save_cache(core.dcache.as_ref())],
             predictor: saved_entries(core, !0),
         };
@@ -421,12 +427,12 @@ mod tests {
             }
             for i in 0..200 {
                 let addr = RAM + 0x1_0000 + (band * 200 + i) * 68 % 0x1_0000;
-                core.alu(3).unwrap();
+                core.alu(3);
                 core.load_u32(addr).unwrap();
                 core.store_u8(addr + 0x2_0000, 1).unwrap();
-                core.branch(7, true, i % 5 != 4).unwrap();
+                core.branch(7, true, i % 5 != 4);
             }
-            core.branch(8, true, band as usize + 1 != BANDS).unwrap();
+            core.branch(8, true, band as usize + 1 != BANDS);
         }
     }
 
@@ -436,7 +442,7 @@ mod tests {
         core.set_code_region(RAM + 0x8000, 1024).unwrap();
         for i in 0..300 {
             core.load_u32(RAM + 0x3_0000 + (i * 36 * seed) % 0x8000).unwrap();
-            core.branch(7 + seed, false, i % seed == 0).unwrap();
+            core.branch(7 + seed, false, i % seed == 0);
         }
     }
 

@@ -117,7 +117,7 @@ pub(crate) fn buffer_store(buffer: &mut VecDeque<u64>, now: u64, device_cycles: 
     }
     let mut t = now;
     if buffer.len() >= WRITE_BUFFER_DEPTH {
-        t = buffer.pop_front().expect("nonempty");
+        t = buffer.pop_front().unwrap_or(now);
     }
     let start = buffer.back().copied().unwrap_or(t);
     buffer.push_back(start.max(t) + device_cycles);
@@ -410,16 +410,6 @@ impl TimedCore {
         self.bus
     }
 
-    /// The attached CFU (hardware model).
-    pub fn cfu_mut(&mut self) -> &mut dyn Cfu {
-        self.cfu.as_mut()
-    }
-
-    /// Swaps the CFU (e.g. hardware model ↔ software emulation).
-    pub fn set_cfu(&mut self, cfu: impl Cfu + 'static) {
-        self.cfu = Box::new(cfu);
-    }
-
     /// I-cache statistics, if configured.
     pub fn icache_stats(&self) -> Option<cfu_mem::CacheStats> {
         self.icache.as_ref().map(|c| c.stats())
@@ -596,8 +586,11 @@ impl TimedCore {
                 self.note_warm_hits(n);
                 return;
             }
+            // The one place the charge-only ops' fetches can surface an
+            // error, so the one place the invariant is asserted:
             // set_code_region accepted only regions whose every fetch and
             // line fill lies inside one device, and Bus cannot unmap it.
+            #[allow(clippy::expect_used, reason = "an accepted code region never faults")]
             self.fetch_batch(n).expect("code region validated at set_code_region");
         }
     }
@@ -692,33 +685,21 @@ impl TimedCore {
     }
 
     /// Charges `n` plain single-cycle ALU instructions.
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn alu(&mut self, n: u32) -> Result<(), MemError> {
+    pub fn alu(&mut self, n: u32) {
         if let Some(r) = &mut self.recorder {
             r.alu(n);
         }
         self.fetch(u64::from(n));
         self.charge(u64::from(n));
-        Ok(())
     }
 
     /// Charges one multiply instruction.
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn mul(&mut self) -> Result<(), MemError> {
+    pub fn mul(&mut self) {
         if let Some(r) = &mut self.recorder {
             r.mul();
         }
         self.fetch(1);
         self.mul_cost();
-        Ok(())
     }
 
     /// Post-fetch multiply charge.
@@ -728,34 +709,22 @@ impl TimedCore {
     }
 
     /// Charges one divide instruction.
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn div(&mut self) -> Result<(), MemError> {
+    pub fn div(&mut self) {
         if let Some(r) = &mut self.recorder {
             r.div();
         }
         self.fetch(1);
         self.stats.divs += 1;
         self.charge(self.config.div_cycles());
-        Ok(())
     }
 
     /// Charges a shift by `shamt`.
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn shift(&mut self, shamt: u32) -> Result<(), MemError> {
+    pub fn shift(&mut self, shamt: u32) {
         if let Some(r) = &mut self.recorder {
             r.shift(shamt);
         }
         self.fetch(1);
         self.charge(self.config.shift_cycles(shamt));
-        Ok(())
     }
 
     /// Charges a conditional branch at stable site `site` with outcome
@@ -764,12 +733,7 @@ impl TimedCore {
     /// skip-over-the-body check points forward): the BTFN Static
     /// predictor predicts from it, so it must reflect the real control
     /// structure, not the outcome.
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn branch(&mut self, site: u32, backward: bool, taken: bool) -> Result<(), MemError> {
+    pub fn branch(&mut self, site: u32, backward: bool, taken: bool) {
         if let Some(r) = &mut self.recorder {
             r.branch(site, backward, taken);
         }
@@ -786,17 +750,11 @@ impl TimedCore {
         self.charge(
             1 + u64::from(mispredicted) * self.config.refill_penalty() + u64::from(redirect),
         );
-        Ok(())
     }
 
     /// Charges a function call/return pair plus `saved_regs` stack
     /// save/restore stores+loads (prologue/epilogue overhead).
-    ///
-    /// # Errors
-    ///
-    /// None: an accepted code region's fetches cannot fault (see
-    /// [`set_code_region`](Self::set_code_region)).
-    pub fn call(&mut self, saved_regs: u32) -> Result<(), MemError> {
+    pub fn call(&mut self, saved_regs: u32) {
         if let Some(r) = &mut self.recorder {
             r.call(saved_regs);
         }
@@ -804,7 +762,6 @@ impl TimedCore {
         // cached, approximated as 2 single-cycle instructions per reg.
         self.fetch(2 + 2 * u64::from(saved_regs));
         self.charge(2 + 1 + self.config.refill_penalty() + 2 * u64::from(saved_regs));
-        Ok(())
     }
 
     fn timed_read(&mut self, addr: u32, len: u32) -> Result<u32, MemError> {
@@ -816,13 +773,12 @@ impl TimedCore {
             self.settle();
         }
         self.stats.loads += 1;
-        if addr >= UNCACHED_BASE || self.dcache.is_none() {
+        let Some(cache) = self.dcache.as_mut().filter(|_| addr < UNCACHED_BASE) else {
             let mut buf = [0u8; 4];
             let cycles = self.bus.read(addr, &mut buf[..len as usize])?;
             self.charge(cycles);
             return Ok(u32::from_le_bytes(buf));
-        }
-        let cache = self.dcache.as_mut().expect("checked above");
+        };
         if cache.access(addr) {
             self.charge(1);
         } else {
@@ -841,12 +797,11 @@ impl TimedCore {
     /// to its net effect, [`Bus::reset_device_timing`].
     pub(crate) fn load_cost(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
         self.stats.loads += 1;
-        if addr >= UNCACHED_BASE || self.dcache.is_none() {
+        let Some(cache) = self.dcache.as_mut().filter(|_| addr < UNCACHED_BASE) else {
             let cycles = self.bus.read_cost(addr, len)?;
             self.charge(cycles);
             return Ok(());
-        }
-        let cache = self.dcache.as_mut().expect("checked above");
+        };
         if cache.access(addr) {
             self.charge(1);
         } else {
@@ -1046,12 +1001,12 @@ mod tests {
         let mut flash_core =
             TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
         flash_core.set_code_region(0, 2048).unwrap();
-        flash_core.alu(5000).unwrap();
+        flash_core.alu(5000);
 
         let mut sram_core =
             TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
         sram_core.set_code_region(0x1000_0000, 2048).unwrap();
-        sram_core.alu(5000).unwrap();
+        sram_core.alu(5000);
 
         assert!(
             flash_core.cycles() > 5 * sram_core.cycles(),
@@ -1066,10 +1021,10 @@ mod tests {
         let mut single =
             TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
         single.set_code_region(0, 4096).unwrap();
-        single.alu(3000).unwrap();
+        single.alu(3000);
         let mut quad = TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Quad));
         quad.set_code_region(0, 4096).unwrap();
-        quad.alu(3000).unwrap();
+        quad.alu(3000);
         let ratio = single.cycles() as f64 / quad.cycles() as f64;
         assert!(ratio > 2.0, "QuadSPI speedup only {ratio:.2}x");
     }
@@ -1080,9 +1035,9 @@ mod tests {
         let mut core =
             TimedCore::new(CpuConfig::fomu_with_icache(2048), bus_with_flash(SpiWidth::Single));
         core.set_code_region(0, 1024).unwrap();
-        core.alu(256).unwrap(); // first pass: cold misses
+        core.alu(256); // first pass: cold misses
         let cold = core.cycles();
-        core.alu(256).unwrap(); // second pass: all hits
+        core.alu(256); // second pass: all hits
         let warm = core.cycles() - cold;
         assert!(warm * 5 < cold, "cold {cold} warm {warm}");
     }
@@ -1101,7 +1056,7 @@ mod tests {
         dynamic.set_code_region(0x1000_0000, 256).unwrap();
         for core in [&mut none, &mut dynamic] {
             for i in 0..1000 {
-                core.branch(7, true, i % 100 != 99).unwrap();
+                core.branch(7, true, i % 100 != 99);
             }
         }
         assert!(none.cycles() > dynamic.cycles() + 1000);
@@ -1134,7 +1089,7 @@ mod tests {
         slow.set_code_region(0x1000_0000, 64).unwrap();
         for core in [&mut fast, &mut slow] {
             for _ in 0..100 {
-                core.mul().unwrap();
+                core.mul();
             }
         }
         assert!(slow.cycles() > fast.cycles() + 100 * 30);
@@ -1148,7 +1103,7 @@ mod tests {
         let edge = bus.map("edge", UNCACHED_BASE - 256, Sram::new(512));
         let mut core = TimedCore::new(CpuConfig::arty_default(), bus);
         core.set_code_region(UNCACHED_BASE - 128, 256).unwrap();
-        core.alu(64).unwrap();
+        core.alu(64);
         let icache = core.icache_stats().unwrap();
         assert_eq!((icache.misses, icache.hits), (4, 28));
         assert_eq!(core.bus().stats(edge).reads, 4 + 32);
@@ -1188,7 +1143,7 @@ mod tests {
         // Exactly-fitting regions are accepted and fetch without faults.
         let mut fits = TimedCore::new(CpuConfig::fomu_baseline(), bus_with_flash(SpiWidth::Single));
         fits.set_code_region(flash_end - 1024, 1024).unwrap();
-        fits.alu(10 * WINDOW_DWELL).unwrap();
+        fits.alu(10 * WINDOW_DWELL);
     }
 
     /// Charges `n` fetches of `walk` one at a time through the real
@@ -1231,16 +1186,16 @@ mod tests {
                 let (n, extra_cycles) = match seed >> 29 {
                     0..=3 => {
                         let n = seed >> 8 & 31;
-                        fast.alu(n).unwrap();
+                        fast.alu(n);
                         (u64::from(n), u64::from(n))
                     }
                     4 | 5 => {
                         let s = u64::from(seed >> 8 & 3);
-                        fast.call(s as u32).unwrap();
+                        fast.call(s as u32);
                         (2 + 2 * s, 2 + 1 + config.refill_penalty() + 2 * s)
                     }
                     _ => {
-                        fast.mul().unwrap();
+                        fast.mul();
                         // Counter additions commute with the fetch.
                         oracle.mul_cost();
                         (1, 0)
@@ -1294,14 +1249,14 @@ mod tests {
         let flash = fast.bus().region_by_name("flash").unwrap().0;
         // One dwell per 256-byte window sweeps the region.
         let sweep = 12 * WINDOW_DWELL;
-        fast.alu(sweep).unwrap();
+        fast.alu(sweep);
         fetch_each(&mut oracle, &mut walk, u64::from(sweep));
         oracle.charge(u64::from(sweep));
         assert!(fast.walk.swept);
         let (reads, misses) = (fast.bus().stats(flash).reads, fast.icache_stats().unwrap().misses);
         for n in [1, 37, 700, 5000] {
-            fast.alu(n).unwrap();
-            fast.mul().unwrap();
+            fast.alu(n);
+            fast.mul();
             fetch_each(&mut oracle, &mut walk, u64::from(n) + 1);
             oracle.charge(u64::from(n));
             oracle.mul_cost();

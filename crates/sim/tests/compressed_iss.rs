@@ -106,7 +106,7 @@ fn xip_fetch_is_cheaper_with_compressed_code() {
         let cfg = CpuConfig::fomu_baseline().with_compressed(compressed);
         let mut core = TimedCore::new(cfg, bus);
         core.set_code_region(0, 4096).unwrap();
-        core.alu(5000).unwrap();
+        core.alu(5000);
         core.cycles()
     };
     let full = mk(false);

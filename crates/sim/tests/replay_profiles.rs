@@ -150,12 +150,12 @@ fn run(config: CpuConfig, unbounded: bool, ops: &[Op], record: bool) -> (TimedCo
     let mut marks = Vec::new();
     for &op in ops {
         match op {
-            Op::Alu(n) => core.alu(n).unwrap(),
-            Op::Mul => core.mul().unwrap(),
-            Op::Div => core.div().unwrap(),
-            Op::Shift(s) => core.shift(s).unwrap(),
-            Op::Branch { site, backward, taken } => core.branch(site, backward, taken).unwrap(),
-            Op::Call(s) => core.call(s).unwrap(),
+            Op::Alu(n) => core.alu(n),
+            Op::Mul => core.mul(),
+            Op::Div => core.div(),
+            Op::Shift(s) => core.shift(s),
+            Op::Branch { site, backward, taken } => core.branch(site, backward, taken),
+            Op::Call(s) => core.call(s),
             Op::Load(a) => drop(core.load_u32(a).unwrap()),
             Op::Store(a) => core.store_u32(a, a).unwrap(),
             Op::Mark => {

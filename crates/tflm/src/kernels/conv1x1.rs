@@ -125,8 +125,8 @@ pub fn conv1x1(
         return Err(KernelError::Unsupported(format!("input depth {in_ch} exceeds CFU buffer")));
     }
     core.set_code_region(job.data.code_base, job.data.code_len)?;
-    core.call(8)?;
-    core.alu(16)?; // specialized setup (no filter-shape branching)
+    core.call(8);
+    core.alu(16); // specialized setup (no filter-shape branching)
     match variant {
         Conv1x1Variant::SwSpecialized => sw_specialized(core, job),
         Conv1x1Variant::CfuPostproc => cfu_postproc(core, job),
@@ -153,32 +153,32 @@ fn sw_specialized(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelE
     let input_offset = -job.input.quant.zero_point;
     let (act_min, act_max) = p.activation.range(p.out_quant);
     for (y, x) in pixels(job) {
-        core.alu(3)?; // pixel pointer bump
+        core.alu(3); // pixel pointer bump
         for oc in 0..p.filter.out_ch {
-            core.alu(2)?;
+            core.alu(2);
             let mut acc = 0i32;
             for ic in 0..in_ch {
                 // Specialization removes the Offset() recomputation and
                 // padding checks, but the compiled loop still carries
                 // per-element index staging and quantized-operand widening
                 // (~8 instructions beyond the loads/multiply).
-                core.alu(8)?;
+                core.alu(8);
                 let xv = i32::from(core.load_i8(job.input.element_addr(y, x, ic))?);
                 let wv = i32::from(core.load_i8(job.data.filter_addr + (oc * in_ch + ic) as u32)?);
-                core.mul()?;
-                core.alu(2)?; // pointer bumps + accumulate
-                core.branch(site::IC, true, ic + 1 != in_ch)?;
+                core.mul();
+                core.alu(2); // pointer bumps + accumulate
+                core.branch(site::IC, true, ic + 1 != in_ch);
                 acc += (xv + input_offset) * wv;
             }
             let (bias, mult, shift) = load_channel_params(core, &job.data, oc)?;
             acc += bias;
-            charge_software_requant(core)?;
+            charge_software_requant(core);
             let scaled = arith::multiply_by_quantized_multiplier(acc, mult, shift);
             let v = arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max);
             core.store_u8(job.output.element_addr(y, x, oc), v as i8 as u8)?;
-            core.branch(site::OC, true, oc + 1 != p.filter.out_ch)?;
+            core.branch(site::OC, true, oc + 1 != p.filter.out_ch);
         }
-        core.branch(site::PIXEL, true, true)?;
+        core.branch(site::PIXEL, true, true);
     }
     Ok(())
 }
@@ -215,17 +215,17 @@ fn cfu_postproc(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelErr
     let cq = job.cq;
     let (act_min, act_max) = p.activation.range(p.out_quant);
     for (y, x) in pixels(job) {
-        core.alu(3)?;
+        core.alu(3);
         for oc in 0..p.filter.out_ch {
-            core.alu(2)?;
+            core.alu(2);
             let mut acc = 0i32;
             for ic in 0..in_ch {
-                core.alu(8)?; // same residual loop bookkeeping as the SW step
+                core.alu(8); // same residual loop bookkeeping as the SW step
                 let xv = i32::from(core.load_i8(job.input.element_addr(y, x, ic))?);
                 let wv = i32::from(core.load_i8(job.data.filter_addr + (oc * in_ch + ic) as u32)?);
-                core.mul()?;
-                core.alu(2)?;
-                core.branch(site::IC, true, ic + 1 != in_ch)?;
+                core.mul();
+                core.alu(2);
+                core.branch(site::IC, true, ic + 1 != in_ch);
                 acc += (xv + input_offset) * wv;
             }
             // One custom instruction replaces the whole software
@@ -244,9 +244,9 @@ fn cfu_postproc(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelErr
                 ),
             );
             core.store_u8(job.output.element_addr(y, x, oc), v as i8 as u8)?;
-            core.branch(site::OC, true, oc + 1 != p.filter.out_ch)?;
+            core.branch(site::OC, true, oc + 1 != p.filter.out_ch);
         }
-        core.branch(site::PIXEL, true, true)?;
+        core.branch(site::PIXEL, true, true);
     }
     Ok(())
 }
@@ -286,11 +286,11 @@ fn cfu_buffered(
             for w in 0..in_words {
                 let word = core.load_u32(job.data.filter_addr + (oc * in_ch + 4 * w) as u32)?;
                 core.cfu(ops::WRITE_FILTER, word, 0)?;
-                core.branch(site::TILE, true, w + 1 != in_words)?;
+                core.branch(site::TILE, true, w + 1 != in_words);
             }
         }
         for (y, x) in pixels(job) {
-            core.alu(3)?;
+            core.alu(3);
             // Rewind the input write pointer and post-processing cursor
             // for the new pixel.
             core.cfu(ops::REWIND, 0, 0)?;
@@ -301,7 +301,7 @@ fn cfu_buffered(
                 }
             }
             for oc in tile_start..tile_end {
-                core.alu(2)?;
+                core.alu(2);
                 let mut acc = 0i32;
                 for w in 0..in_words {
                     let filt_word =
@@ -316,27 +316,27 @@ fn cfu_buffered(
                         core.cfu(ops::MAC4, inp_word, filt_word)?;
                     } else {
                         // CPU unpacks lanes: shifts + sign extensions.
-                        core.shift(8)?;
-                        core.shift(8)?;
-                        core.alu(6)?;
+                        core.shift(8);
+                        core.shift(8);
+                        core.alu(6);
                         for lane in 0..4 {
-                            core.mul()?;
-                            core.alu(1)?;
+                            core.mul();
+                            core.alu(1);
                             let xv = i32::from(arith::unpack_i8x4(inp_word)[lane]);
                             let wv = i32::from(arith::unpack_i8x4(filt_word)[lane]);
                             acc += (xv + input_offset) * wv;
                         }
                     }
-                    core.branch(site::IC, true, w + 1 != in_words)?;
+                    core.branch(site::IC, true, w + 1 != in_words);
                 }
                 if cfu_mac {
                     acc = core.cfu(ops::TAKE_ACC, 0, 0)? as i32;
                 }
                 let v = core.cfu(ops::POSTPROC, acc as u32, 0)? as i32;
                 core.store_u8(job.output.element_addr(y, x, oc), v as i8 as u8)?;
-                core.branch(site::OC, true, oc + 1 != tile_end)?;
+                core.branch(site::OC, true, oc + 1 != tile_end);
             }
-            core.branch(site::PIXEL, true, true)?;
+            core.branch(site::PIXEL, true, true);
         }
         tile_start = tile_end;
     }
@@ -373,12 +373,12 @@ fn cfu_run(
             for w in 0..in_words {
                 let word = core.load_u32(job.data.filter_addr + (oc * in_ch + 4 * w) as u32)?;
                 core.cfu(ops::WRITE_FILTER, word, 0)?;
-                core.branch(site::TILE, true, w + 1 != in_words)?;
+                core.branch(site::TILE, true, w + 1 != in_words);
             }
         }
         let mut first_pixel = true;
         for (y, x) in pixels(job) {
-            core.alu(3)?;
+            core.alu(3);
             core.cfu(ops::REWIND, 0, 0)?;
             if overlap && !first_pixel {
                 // Hidden under the previous pixel's RUN latency.
@@ -398,7 +398,7 @@ fn cfu_run(
                 while oc < tile_end {
                     let packed = core.cfu(ops::RUN4, 0, 0)?;
                     core.store_u32(job.output.element_addr(y, x, oc), packed)?;
-                    core.branch(site::OC, true, oc + 4 < tile_end)?;
+                    core.branch(site::OC, true, oc + 4 < tile_end);
                     oc += 4;
                 }
             } else {
@@ -410,10 +410,10 @@ fn cfu_run(
                         core.cfu(ops::POSTPROC, value, 0)? as i32
                     };
                     core.store_u8(job.output.element_addr(y, x, oc), v as i8 as u8)?;
-                    core.branch(site::OC, true, oc + 1 != tile_end)?;
+                    core.branch(site::OC, true, oc + 1 != tile_end);
                 }
             }
-            core.branch(site::PIXEL, true, true)?;
+            core.branch(site::PIXEL, true, true);
         }
         tile_start = tile_end;
     }

@@ -38,9 +38,8 @@ mod site {
 /// compiler strength-reduces the stride multiplies of the hot dimensions
 /// to adds/shifts, but the `RuntimeShape::Dims()` accessor chain and the
 /// remaining index arithmetic are re-evaluated every single access.
-fn charge_offset(core: &mut TimedCore) -> Result<(), KernelError> {
-    core.alu(9)?;
-    Ok(())
+fn charge_offset(core: &mut TimedCore) {
+    core.alu(9);
 }
 
 /// Per-inner-iteration bookkeeping of the reference kernels beyond the
@@ -71,8 +70,8 @@ pub fn conv2d(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError
 /// Memory faults.
 pub fn conv2d_prologue(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError> {
     core.set_code_region(job.data.code_base, job.data.code_len)?;
-    core.call(8)?; // kernel invocation overhead
-    core.alu(24)?; // parameter unpacking, shape checks
+    core.call(8); // kernel invocation overhead
+    core.alu(24); // parameter unpacking, shape checks
     Ok(())
 }
 
@@ -97,7 +96,7 @@ pub fn conv2d_rows(
     for oy in rows {
         for ox in 0..out_shape.w {
             for oc in 0..out_shape.c {
-                core.alu(4)?; // loop counters and output offset staging
+                core.alu(4); // loop counters and output offset staging
                 let mut acc = 0i32;
                 for dy in 0..p.filter.kh {
                     for dx in 0..p.filter.kw {
@@ -109,40 +108,40 @@ pub fn conv2d_rows(
                             && ix < input.shape.w as isize;
                         // The generic kernel evaluates the 4-way bounds
                         // check per tap.
-                        core.alu(4)?;
-                        core.branch(site::CONV_PAD, false, !in_bounds)?;
+                        core.alu(4);
+                        core.branch(site::CONV_PAD, false, !in_bounds);
                         if !in_bounds {
                             continue;
                         }
                         for ic in 0..input.shape.c {
-                            core.alu(REF_INNER_TAX)?;
+                            core.alu(REF_INNER_TAX);
                             // Offset() for input and filter, every access.
-                            charge_offset(core)?;
+                            charge_offset(core);
                             let x = i32::from(core.load_i8(input.element_addr(
                                 iy as usize,
                                 ix as usize,
                                 ic,
                             ))?);
-                            charge_offset(core)?;
+                            charge_offset(core);
                             let w = i32::from(core.load_i8(
                                 job.data.filter_addr + p.filter.offset(oc, dy, dx, ic) as u32,
                             )?);
-                            core.mul()?;
-                            core.alu(2)?; // offset add + accumulate
-                            core.branch(site::CONV_IC, true, ic + 1 != input.shape.c)?;
+                            core.mul();
+                            core.alu(2); // offset add + accumulate
+                            core.branch(site::CONV_IC, true, ic + 1 != input.shape.c);
                             acc += (x + input_offset) * w;
                         }
-                        core.branch(site::CONV_TAP, true, dx + 1 != p.filter.kw)?;
+                        core.branch(site::CONV_TAP, true, dx + 1 != p.filter.kw);
                     }
                 }
                 let (bias, mult, shift) = load_channel_params(core, &job.data, oc)?;
                 debug_assert_eq!(bias, job.params.bias.data[oc]);
                 acc += bias;
-                charge_software_requant(core)?;
+                charge_software_requant(core);
                 let scaled = arith::multiply_by_quantized_multiplier(acc, mult, shift);
                 let v = arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max);
                 core.store_u8(job.output.element_addr(oy, ox, oc), v as i8 as u8)?;
-                core.branch(site::CONV_OC, true, oc + 1 != out_shape.c)?;
+                core.branch(site::CONV_OC, true, oc + 1 != out_shape.c);
             }
         }
     }
@@ -167,8 +166,8 @@ pub fn depthwise_conv2d(core: &mut TimedCore, job: &DwJob<'_>) -> Result<(), Ker
 /// Memory faults.
 pub fn depthwise_conv2d_prologue(core: &mut TimedCore, job: &DwJob<'_>) -> Result<(), KernelError> {
     core.set_code_region(job.data.code_base, job.data.code_len)?;
-    core.call(8)?;
-    core.alu(24)?;
+    core.call(8);
+    core.alu(24);
     Ok(())
 }
 
@@ -193,7 +192,7 @@ pub fn depthwise_conv2d_rows(
     for oy in rows {
         for ox in 0..out_shape.w {
             for c in 0..out_shape.c {
-                core.alu(4)?;
+                core.alu(4);
                 let mut acc = 0i32;
                 for dy in 0..p.filter.kh {
                     for dx in 0..p.filter.kw {
@@ -203,31 +202,31 @@ pub fn depthwise_conv2d_rows(
                             && ix >= 0
                             && iy < input.shape.h as isize
                             && ix < input.shape.w as isize;
-                        core.alu(4)?;
-                        core.branch(site::DW_PAD, false, !in_bounds)?;
+                        core.alu(4);
+                        core.branch(site::DW_PAD, false, !in_bounds);
                         if !in_bounds {
                             continue;
                         }
-                        core.alu(REF_INNER_TAX)?;
-                        charge_offset(core)?;
+                        core.alu(REF_INNER_TAX);
+                        charge_offset(core);
                         let x = i32::from(core.load_i8(input.element_addr(
                             iy as usize,
                             ix as usize,
                             c,
                         ))?);
-                        charge_offset(core)?;
+                        charge_offset(core);
                         let w = i32::from(core.load_i8(
                             job.data.filter_addr + p.filter.offset(c, dy, dx, 0) as u32,
                         )?);
-                        core.mul()?;
-                        core.alu(2)?;
-                        core.branch(site::DW_TAP, true, dx + 1 != p.filter.kw)?;
+                        core.mul();
+                        core.alu(2);
+                        core.branch(site::DW_TAP, true, dx + 1 != p.filter.kw);
                         acc += (x + input_offset) * w;
                     }
                 }
                 let (bias, mult, shift) = load_channel_params(core, &job.data, c)?;
                 acc += bias;
-                charge_software_requant(core)?;
+                charge_software_requant(core);
                 let scaled = arith::multiply_by_quantized_multiplier(acc, mult, shift);
                 let v = arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max);
                 core.store_u8(job.output.element_addr(oy, ox, c), v as i8 as u8)?;
@@ -248,23 +247,23 @@ pub fn fully_connected(core: &mut TimedCore, job: &FcJob<'_>) -> Result<(), Kern
     let n = p.filter.in_ch;
     let input_offset = -job.input.quant.zero_point;
     let (act_min, act_max) = p.activation.range(p.out_quant);
-    core.call(6)?;
-    core.alu(16)?;
+    core.call(6);
+    core.alu(16);
     for oc in 0..p.filter.out_ch {
         let mut acc = 0i32;
-        core.alu(3)?;
+        core.alu(3);
         for i in 0..n {
-            core.alu(REF_INNER_TAX)?;
+            core.alu(REF_INNER_TAX);
             let x = i32::from(core.load_i8(job.input.addr + i as u32)?);
             let w = i32::from(core.load_i8(job.data.filter_addr + (oc * n + i) as u32)?);
-            core.mul()?;
-            core.alu(3)?; // pointer bumps + accumulate
-            core.branch(site::FC_IN, true, i + 1 != n)?;
+            core.mul();
+            core.alu(3); // pointer bumps + accumulate
+            core.branch(site::FC_IN, true, i + 1 != n);
             acc += (x + input_offset) * w;
         }
         let (bias, mult, shift) = load_channel_params(core, &job.data, oc)?;
         acc += bias;
-        charge_software_requant(core)?;
+        charge_software_requant(core);
         let scaled = arith::multiply_by_quantized_multiplier(acc, mult, shift);
         let v = arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max);
         core.store_u8(job.output.addr + oc as u32, v as i8 as u8)?;
@@ -287,13 +286,13 @@ pub fn avg_pool(
     core.set_code_region(code.0, code.1)?;
     let (oh, pad_y) = p.padding.output_and_pad(input.shape.h, p.kh, p.stride);
     let (ow, pad_x) = p.padding.output_and_pad(input.shape.w, p.kw, p.stride);
-    core.call(4)?;
+    core.call(4);
     for oy in 0..oh {
         for ox in 0..ow {
             for c in 0..input.shape.c {
                 let mut sum = 0i32;
                 let mut count = 0i32;
-                core.alu(3)?;
+                core.alu(3);
                 for dy in 0..p.kh {
                     for dx in 0..p.kw {
                         let iy = (oy * p.stride + dy) as isize - pad_y as isize;
@@ -302,8 +301,8 @@ pub fn avg_pool(
                             && ix >= 0
                             && iy < input.shape.h as isize
                             && ix < input.shape.w as isize;
-                        core.alu(4)?;
-                        core.branch(site::POOL_TAP, false, !in_bounds)?;
+                        core.alu(4);
+                        core.branch(site::POOL_TAP, false, !in_bounds);
                         if !in_bounds {
                             continue;
                         }
@@ -313,11 +312,11 @@ pub fn avg_pool(
                             c,
                         ))?);
                         count += 1;
-                        core.alu(2)?;
+                        core.alu(2);
                     }
                 }
-                core.div()?; // the rounding divide
-                core.alu(4)?;
+                core.div(); // the rounding divide
+                core.alu(4);
                 let v = if sum >= 0 {
                     (sum + count / 2) / count.max(1)
                 } else {
@@ -345,12 +344,12 @@ pub fn max_pool(
     core.set_code_region(code.0, code.1)?;
     let (oh, pad_y) = p.padding.output_and_pad(input.shape.h, p.kh, p.stride);
     let (ow, pad_x) = p.padding.output_and_pad(input.shape.w, p.kw, p.stride);
-    core.call(4)?;
+    core.call(4);
     for oy in 0..oh {
         for ox in 0..ow {
             for c in 0..input.shape.c {
                 let mut best = i8::MIN;
-                core.alu(2)?;
+                core.alu(2);
                 for dy in 0..p.kh {
                     for dx in 0..p.kw {
                         let iy = (oy * p.stride + dy) as isize - pad_y as isize;
@@ -359,14 +358,14 @@ pub fn max_pool(
                             && ix >= 0
                             && iy < input.shape.h as isize
                             && ix < input.shape.w as isize;
-                        core.alu(4)?;
-                        core.branch(site::POOL_TAP, false, !in_bounds)?;
+                        core.alu(4);
+                        core.branch(site::POOL_TAP, false, !in_bounds);
                         if !in_bounds {
                             continue;
                         }
                         let v = core.load_i8(input.element_addr(iy as usize, ix as usize, c))?;
-                        core.alu(1)?;
-                        core.branch(site::POOL_TAP + 1, false, v > best)?;
+                        core.alu(1);
+                        core.branch(site::POOL_TAP + 1, false, v > best);
                         best = best.max(v);
                     }
                 }
@@ -396,23 +395,23 @@ pub fn add(
     let (m1, s1) = quantize_multiplier(a.quant.scale / twice_max);
     let (m2, s2) = quantize_multiplier(b.quant.scale / twice_max);
     let (mo, so) = quantize_multiplier(twice_max / (f64::from(1u32 << 20) * out_quant.scale));
-    core.call(6)?;
-    core.alu(20)?;
+    core.call(6);
+    core.alu(20);
     let n = a.shape.elements();
     for i in 0..n {
         let xa = i32::from(core.load_i8(a.addr + i as u32)?);
         let xb = i32::from(core.load_i8(b.addr + i as u32)?);
         // Three requantizations per element, in software.
-        charge_software_requant(core)?;
-        charge_software_requant(core)?;
-        charge_software_requant(core)?;
+        charge_software_requant(core);
+        charge_software_requant(core);
+        charge_software_requant(core);
         let sa = (xa - a.quant.zero_point) << 20;
         let sb = (xb - b.quant.zero_point) << 20;
         let ra = arith::multiply_by_quantized_multiplier(sa, m1, s1);
         let rb = arith::multiply_by_quantized_multiplier(sb, m2, s2);
         let v = arith::multiply_by_quantized_multiplier(ra + rb, mo, so) + out_quant.zero_point;
         core.store_u8(output.addr + i as u32, (v.clamp(-128, 127) as i8) as u8)?;
-        core.branch(site::ADD_ELEM, true, i + 1 != n)?;
+        core.branch(site::ADD_ELEM, true, i + 1 != n);
     }
     Ok(())
 }
@@ -430,25 +429,25 @@ pub fn softmax(
 ) -> Result<(), KernelError> {
     core.set_code_region(code.0, code.1)?;
     let n = input.shape.elements();
-    core.call(6)?;
+    core.call(6);
     // Pass 1: max; pass 2: exp-table lookups and sum; pass 3: divide.
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
         let v = core.load_i8(input.addr + i as u32)?;
-        core.alu(2)?;
-        core.branch(site::SOFTMAX_ELEM, false, false)?;
+        core.alu(2);
+        core.branch(site::SOFTMAX_ELEM, false, false);
         data.push(v);
     }
     for _ in 0..n {
-        core.alu(6)?; // table index + interpolation
+        core.alu(6); // table index + interpolation
         core.load_u32(input.addr)?; // LUT access (charged at input region)
-        core.mul()?;
+        core.mul();
     }
     let host_in = crate::tensor::Tensor::from_data(input.shape, data, input.quant);
     let result = reference::softmax(&host_in);
     for (i, &v) in result.data.iter().enumerate() {
-        core.div()?; // per-element normalization
-        core.alu(3)?;
+        core.div(); // per-element normalization
+        core.alu(3);
         core.store_u8(output.addr + i as u32, v as u8)?;
     }
     Ok(())
@@ -469,17 +468,17 @@ pub fn pad(
     code: (u32, u32),
 ) -> Result<(), KernelError> {
     core.set_code_region(code.0, code.1)?;
-    core.call(4)?;
+    core.call(4);
     let zp = input.quant.zero_point.clamp(-128, 127) as i8;
     // memset-style fill.
     for i in 0..output.shape.elements() {
         core.store_u8(output.addr + i as u32, zp as u8)?;
     }
-    core.alu(8)?;
+    core.alu(8);
     // Row-wise copy into the interior.
     for y in 0..input.shape.h {
         for x in 0..input.shape.w {
-            core.alu(2)?;
+            core.alu(2);
             for c in 0..input.shape.c {
                 let v = core.load_i8(input.element_addr(y, x, c))?;
                 core.store_u8(output.element_addr(y + top, x + left, c), v as u8)?;
@@ -502,7 +501,7 @@ pub fn reshape(
     code: (u32, u32),
 ) -> Result<(), KernelError> {
     core.set_code_region(code.0, code.1)?;
-    core.call(2)?;
+    core.call(2);
     if input.addr != output.addr {
         for i in 0..input.shape.elements() {
             let v = core.load_i8(input.addr + i as u32)?;

@@ -61,8 +61,8 @@ pub fn conv2d_cfu2(
         )));
     }
     core.set_code_region(job.data.code_base, job.data.code_len)?;
-    core.call(8)?;
-    core.alu(if specialized { 10 } else { 24 })?;
+    core.call(8);
+    core.alu(if specialized { 10 } else { 24 });
     let input = job.input;
     let out_shape = job.output.shape;
     let (_, pad_y) = p.padding.output_and_pad(input.shape.h, p.filter.kh, p.stride);
@@ -86,14 +86,14 @@ pub fn conv2d_cfu2(
         for oy in 0..out_shape.h {
             for ox in 0..out_shape.w {
                 if !specialized {
-                    core.alu(4)?;
+                    core.alu(4);
                 }
-                core.alu(2)?;
+                core.alu(2);
                 for dy in 0..p.filter.kh {
                     let iy = (oy * p.stride + dy) as isize - pad_y as isize;
                     let row_ok = iy >= 0 && iy < input.shape.h as isize;
-                    core.alu(2)?;
-                    core.branch(site::EDGE, false, !row_ok)?;
+                    core.alu(2);
+                    core.branch(site::EDGE, false, !row_ok);
                     if !row_ok {
                         continue;
                     }
@@ -103,8 +103,8 @@ pub fn conv2d_cfu2(
                             let ix = (ox * p.stride + dx) as isize - pad_x as isize;
                             let col_ok = ix >= 0 && ix < input.shape.w as isize;
                             if !specialized {
-                                core.alu(2)?;
-                                core.branch(site::EDGE + 1, false, !col_ok)?;
+                                core.alu(2);
+                                core.branch(site::EDGE + 1, false, !col_ok);
                             }
                             if !col_ok {
                                 continue;
@@ -118,14 +118,14 @@ pub fn conv2d_cfu2(
                                 // word packing glue (~40 instructions per
                                 // 4-lane group). Specialization strength-
                                 // reduces that to pointer bumps (~16).
-                                core.alu(if specialized { 16 } else { 40 })?;
+                                core.alu(if specialized { 16 } else { 40 });
                                 let inp = core.load_u32(input.element_addr(iy, ix, 4 * w))?;
                                 let filt = core.load_u32(
                                     job.data.filter_addr
                                         + p.filter.offset(oc, dy, dx, 4 * w) as u32,
                                 )?;
                                 core.cfu(ops::MAC4, inp, filt)?;
-                                core.branch(site::IC, true, w + 1 != p.filter.in_ch / 4)?;
+                                core.branch(site::IC, true, w + 1 != p.filter.in_ch / 4);
                             }
                         }
                     } else {
@@ -134,8 +134,8 @@ pub fn conv2d_cfu2(
                         while dx < p.filter.kw {
                             let ix = (ox * p.stride + dx) as isize - pad_x as isize;
                             let all_ok = ix >= 0 && ix + 4 <= input.shape.w as isize;
-                            core.alu(if specialized { 16 } else { 40 })?;
-                            core.branch(site::EDGE + 2, false, !all_ok)?;
+                            core.alu(if specialized { 16 } else { 40 });
+                            core.branch(site::EDGE + 2, false, !all_ok);
                             if all_ok {
                                 let inp = core.load_u32(input.element_addr(iy, ix as usize, 0))?;
                                 let filt = core.load_u32(
@@ -161,19 +161,19 @@ pub fn conv2d_cfu2(
                             dx += 4;
                         }
                     }
-                    core.branch(site::TAP, true, dy + 1 != p.filter.kh)?;
+                    core.branch(site::TAP, true, dy + 1 != p.filter.kh);
                 }
                 let v = if cfu_postproc {
                     // Read-and-postprocess in one fused custom instruction.
                     core.cfu(ops::MAC4_TAKE_POSTPROC, 0, 0)? as i32
                 } else {
                     let acc = core.cfu(ops::TAKE_ACC, 0, 0)? as i32;
-                    charge_software_requant(core)?;
+                    charge_software_requant(core);
                     let scaled = arith::multiply_by_quantized_multiplier(acc + bias, mult, shift);
                     arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max)
                 };
                 core.store_u8(job.output.element_addr(oy, ox, oc), v as i8 as u8)?;
-                core.branch(site::PIX, true, true)?;
+                core.branch(site::PIX, true, true);
             }
         }
     }
@@ -193,8 +193,8 @@ pub fn depthwise_cfu2(
 ) -> Result<(), KernelError> {
     let p = job.params;
     core.set_code_region(job.data.code_base, job.data.code_len)?;
-    core.call(8)?;
-    core.alu(if specialized { 10 } else { 24 })?;
+    core.call(8);
+    core.alu(if specialized { 10 } else { 24 });
     let input = job.input;
     let out_shape = job.output.shape;
     let (_, pad_y) = p.padding.output_and_pad(input.shape.h, p.filter.kh, p.stride);
@@ -215,7 +215,7 @@ pub fn depthwise_cfu2(
         };
         for oy in 0..out_shape.h {
             for ox in 0..out_shape.w {
-                core.alu(2)?;
+                core.alu(2);
                 for dy in 0..p.filter.kh {
                     for dx in 0..p.filter.kw {
                         let iy = (oy * p.stride + dy) as isize - pad_y as isize;
@@ -224,8 +224,8 @@ pub fn depthwise_cfu2(
                             && ix >= 0
                             && iy < input.shape.h as isize
                             && ix < input.shape.w as isize;
-                        core.alu(if specialized { 5 } else { 14 })?;
-                        core.branch(site::EDGE, false, !ok)?;
+                        core.alu(if specialized { 5 } else { 14 });
+                        core.branch(site::EDGE, false, !ok);
                         if !ok {
                             continue;
                         }
@@ -234,7 +234,7 @@ pub fn depthwise_cfu2(
                             .load_i8(job.data.filter_addr + p.filter.offset(c, dy, dx, 0) as u32)?;
                         // One lane of the 4-way MAC replaces mul+add.
                         core.cfu(ops::MAC1, x as i32 as u32, f as i32 as u32)?;
-                        core.branch(site::TAP, true, dx + 1 != p.filter.kw)?;
+                        core.branch(site::TAP, true, dx + 1 != p.filter.kw);
                     }
                 }
                 let v = if cfu_postproc {
@@ -242,12 +242,12 @@ pub fn depthwise_cfu2(
                     core.cfu(ops::POSTPROC, acc as u32, 0)? as i32
                 } else {
                     let acc = core.cfu(ops::TAKE_ACC, 0, 0)? as i32;
-                    charge_software_requant(core)?;
+                    charge_software_requant(core);
                     let scaled = arith::multiply_by_quantized_multiplier(acc + bias, mult, shift);
                     arith::clamp_activation(scaled + p.out_quant.zero_point, act_min, act_max)
                 };
                 core.store_u8(job.output.element_addr(oy, ox, c), v as i8 as u8)?;
-                core.branch(site::PIX, true, true)?;
+                core.branch(site::PIX, true, true);
             }
         }
     }

@@ -172,20 +172,15 @@ pub struct FcJob<'a> {
 /// core the 64-bit saturating-doubling high multiply costs four 32×32
 /// multiplies plus carry bookkeeping, then the rounding shift and two
 /// clamp branches.
-///
-/// # Errors
-///
-/// Instruction-fetch faults.
-pub fn charge_software_requant(core: &mut TimedCore) -> Result<(), MemError> {
+pub fn charge_software_requant(core: &mut TimedCore) {
     for _ in 0..4 {
-        core.mul()?;
+        core.mul();
     }
-    core.alu(18)?; // 64-bit adds/carries, nudge, pack
-    core.shift(8)?; // rounding divide-by-POT
-    core.alu(3)?;
-    core.branch(1001, false, false)?; // clamp low
-    core.branch(1002, false, false)?; // clamp high
-    Ok(())
+    core.alu(18); // 64-bit adds/carries, nudge, pack
+    core.shift(8); // rounding divide-by-POT
+    core.alu(3);
+    core.branch(1001, false, false); // clamp low
+    core.branch(1002, false, false); // clamp high
 }
 
 /// Loads the per-channel bias/multiplier/shift for `channel`, charging

@@ -41,14 +41,14 @@ fn iss_and_tlm_agree_on_microkernel() {
     // TLM: the same abstract operations.
     let mut core = TimedCore::new(config, mk_bus());
     core.set_code_region(0, 9 * 4).unwrap();
-    core.alu(2).unwrap(); // the two li's
+    core.alu(2); // the two li's
     for i in 0..N {
         let addr = 0x2000 + 4 * i;
         let v = core.load_u32(addr).unwrap();
-        core.mul().unwrap();
+        core.mul();
         core.store_u32(addr, v.wrapping_mul(N - i)).unwrap();
-        core.alu(2).unwrap(); // pointer/counter bumps
-        core.branch(1, true, i + 1 != N).unwrap();
+        core.alu(2); // pointer/counter bumps
+        core.branch(1, true, i + 1 != N);
     }
     let tlm_cycles = core.cycles();
 
