@@ -2,8 +2,8 @@
 //!
 //! Usage: `fig4_mnv2_ladder [--input-hw N] [--full-width] [--csv PATH]
 //! [--svg PATH] [--threads N] [--store PATH] [--resume]` (default input
-//! 96, the paper's resolution; any positive multiple of 8, e.g. 32 or 48
-//! for a quick look). The ladder runs through the DSE engine on
+//! 96, the paper's resolution; any positive multiple of 8 up to 224, e.g.
+//! 32 or 48 for a quick look). The ladder runs through the DSE engine on
 //! `--threads` workers (default: one per available core; rows are
 //! byte-identical for every value); under `--threads` a live step
 //! counter prints to stderr.

@@ -2,7 +2,7 @@
 //! MobileNetV2 baseline spends its ~900M cycles.
 //!
 //! Usage: `profile_mnv2 [--input-hw N]` (default 96; a positive multiple
-//! of 8). An unknown flag or a missing, non-integer or out-of-rule value
+//! of 8 up to 224). An unknown flag or a missing, non-integer or out-of-rule value
 //! prints the usage and exits 2.
 
 use cfu_bench::cli::{self, CliError};

@@ -20,6 +20,12 @@ use cfu_dse::ResultStore;
 
 use crate::{Run, RunSpec};
 
+/// The largest `--input-hw`: MobileNetV2's largest published input
+/// resolution, which deploys on Arty at width 1.0. Far larger values
+/// overflow the board's memory at deployment or the host's at model
+/// build, so the figure binaries refuse every value above it.
+pub const MAX_INPUT_HW: usize = 224;
+
 /// What one figure binary accepts beyond the always-present
 /// `--csv`, `--threads`, `--store` and `--resume`.
 #[derive(Debug, Clone, Copy)]
@@ -119,14 +125,15 @@ impl Value<'_> {
     }
 
     /// The next argument as a MobileNetV2 input resolution: a positive
-    /// multiple of 8, as the model's five stride-2 stages need.
+    /// multiple of 8, as the model's five stride-2 stages need, and at
+    /// most [`MAX_INPUT_HW`].
     pub fn input_hw(&mut self) -> Result<usize, CliError> {
         let hw: usize = self.int()?;
-        if hw == 0 || !hw.is_multiple_of(8) {
+        if hw == 0 || !hw.is_multiple_of(8) || hw > MAX_INPUT_HW {
             return Err(CliError::BadValue {
                 flag: self.flag.to_owned(),
                 value: hw.to_string(),
-                rule: "a positive multiple of 8",
+                rule: "a positive multiple of 8 up to 224",
             });
         }
         Ok(hw)
@@ -292,19 +299,20 @@ mod tests {
     fn input_resolutions_must_be_positive_multiples_of_8() {
         assert!(run(&LADDER, &["--input-hw", "8"]).is_ok());
         assert!(run(&LADDER, &["--input-hw", "96"]).is_ok());
-        for value in ["0", "12", "17", "100"] {
+        assert!(run(&LADDER, &["--input-hw", "224"]).is_ok());
+        for value in ["0", "12", "17", "100", "232", "8192", "4294967288"] {
             assert_eq!(
                 err(&LADDER, &["--input-hw", value]),
                 CliError::BadValue {
                     flag: "--input-hw".into(),
                     value: value.into(),
-                    rule: "a positive multiple of 8"
+                    rule: "a positive multiple of 8 up to 224"
                 }
             );
         }
         assert_eq!(
             err(&LADDER, &["--input-hw", "0"]).to_string(),
-            "--input-hw must be a positive multiple of 8, got 0"
+            "--input-hw must be a positive multiple of 8 up to 224, got 0"
         );
     }
 

@@ -26,7 +26,7 @@ pub fn is_compressed(low16: u16) -> bool {
 
 /// The "prime" register set `x8..x15` addressed by 3-bit fields.
 fn prime(field: u16) -> Reg {
-    Reg::new(8 + (field & 0x7) as u8).expect("3-bit prime register")
+    Reg::from_field(8 + u32::from(field & 0x7))
 }
 
 fn full(field: u16) -> Reg {

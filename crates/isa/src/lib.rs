@@ -40,6 +40,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panics are reserved for internal invariants, each with a scoped allow
+// that names it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod asm;
 pub mod compressed;

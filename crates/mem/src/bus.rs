@@ -166,9 +166,12 @@ impl Bus {
         // Concrete-type probe for the static-dispatch arm; the `Option`
         // dance moves the device out again without double-boxing.
         let mut holder = Some(device);
-        let slot = match (&mut holder as &mut dyn Any).downcast_mut::<Option<Sram>>() {
-            Some(sram) => Slot::Sram(sram.take().expect("just matched")),
-            None => Slot::Other(Box::new(holder.take().expect("untaken"))),
+        let sram =
+            (&mut holder as &mut dyn Any).downcast_mut::<Option<Sram>>().and_then(Option::take);
+        #[allow(clippy::expect_used, reason = "only a matching downcast takes the device")]
+        let slot = match sram {
+            Some(sram) => Slot::Sram(sram),
+            None => Slot::Other(Box::new(holder.expect("device not taken"))),
         };
         self.regions.push(Mapped { info, slot, stats: DeviceStats::default(), timing_stateless });
         RegionId(self.regions.len() - 1)
@@ -427,6 +430,16 @@ impl Bus {
     /// other regions. `false` for unmapped addresses.
     pub fn timing_stateless_at(&self, addr: u32) -> bool {
         self.regions.iter().find(|m| m.info.contains(addr)).is_some_and(|m| m.timing_stateless)
+    }
+
+    /// `true` when the `len` bytes from `addr` on all lie in one region
+    /// whose device is [`BusDevice::timing_stateless`]: reads of them
+    /// cannot fault, and their cost does not depend on what ran before.
+    pub fn timing_stateless_span(&self, addr: u32, len: u32) -> bool {
+        self.regions
+            .iter()
+            .find(|m| m.info.contains(addr))
+            .is_some_and(|m| m.timing_stateless && u64::from(addr) + u64::from(len) <= m.info.end())
     }
 
     /// [`BusDevice::write_latency_bound`] of the device that a write of

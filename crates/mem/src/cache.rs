@@ -221,10 +221,16 @@ impl Cache {
             line.lru = tick;
             return None;
         }
-        let victim = lines
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("cache sets are non-empty");
+        // Invalid lines first, else the least recently used; the first
+        // of equals (a validated geometry has at least one way).
+        let key = |l: &Line| if l.valid { l.lru } else { 0 };
+        let mut victim = 0;
+        for (i, l) in lines.iter().enumerate() {
+            if key(l) < key(&lines[victim]) {
+                victim = i;
+            }
+        }
+        let victim = &mut lines[victim];
         let evicted = victim.valid.then(|| {
             self.stats.evictions += 1;
             (victim.tag * self.config.sets() + set) * self.config.line_bytes
@@ -349,10 +355,14 @@ impl Cache {
     /// no other cache operation in between. Under that contract the line
     /// is resident and already most-recently-used, so skipping the LRU
     /// re-touch cannot change any future hit/miss/eviction decision: the
-    /// relative order of last-touch times across lines is preserved, and
-    /// the internal tick counter is not otherwise observable. Callers may
-    /// defer the counts as long as the statistics are not observed in
-    /// between (hit counts have no effect on replacement decisions).
+    /// relative order of last-touch times across lines is preserved. The
+    /// replacement [`clock`](Cache::clock) advances as `n` accesses
+    /// would, so a caller that re-touches the lines with
+    /// [`access`](Cache::access) before any other operation on this
+    /// cache leaves every recency stamp exactly as if each access had
+    /// run. Callers may defer the counts as long as the statistics are
+    /// not observed in between (hit counts have no effect on replacement
+    /// decisions).
     ///
     /// More generally, a hit may be counted here for any line that is
     /// resident and was touched after every other line of its set: it
@@ -365,6 +375,7 @@ impl Cache {
     #[inline]
     pub fn note_hits(&mut self, n: u64) {
         self.stats.hits += n;
+        self.tick += n;
     }
 }
 
@@ -460,6 +471,7 @@ mod tests {
         a.access(128); // evicts the LRU way — must pick the same victim
         b.access(128);
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.clock(), b.clock());
         for addr in [0, 64, 128] {
             assert_eq!(a.contains(addr), b.contains(addr), "residency diverged at {addr:#x}");
         }

@@ -48,6 +48,8 @@ mod cpu;
 pub mod energy;
 #[cfg(test)]
 mod fetch_batching;
+#[cfg(test)]
+mod mac_loop;
 mod retime;
 pub mod span;
 mod timed_core;
@@ -58,4 +60,4 @@ pub use cpu::{syscall, Cpu, CpuStats, SimError, StopReason, UNCACHED_BASE};
 pub use retime::{
     BranchProfile, CoreProfile, MemoryProfile, ReplayError, ReplaySummary, Trace, TraceReplayer,
 };
-pub use timed_core::{TimedCore, TlmStats};
+pub use timed_core::{MacLoop, TimedCore, TlmStats};

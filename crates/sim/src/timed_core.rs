@@ -48,6 +48,50 @@ pub struct TlmStats {
     pub cfu_ops: u64,
 }
 
+/// One byte multiply-accumulate loop for [`TimedCore::mac_loop`]: `n`
+/// iterations, the `i`-th loading input byte `x + i` and filter byte
+/// `w + i`, with `pre`, `mid` and `post` ALU instructions around the
+/// loads and the multiply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacLoop {
+    /// Address of the first input byte.
+    pub x: u32,
+    /// Address of the first filter byte.
+    pub w: u32,
+    /// Iterations.
+    pub n: u32,
+    /// Added to every input byte before the multiply (the negated input
+    /// zero point).
+    pub input_offset: i32,
+    /// ALU instructions before the input load.
+    pub pre: u32,
+    /// ALU instructions between the two loads.
+    pub mid: u32,
+    /// ALU instructions after the multiply.
+    pub post: u32,
+    /// Branch site of the loop's back-edge.
+    pub site: u32,
+}
+
+/// `Σ (x[i] + input_offset) * w[i]` over the `n` signed bytes at `x` and
+/// at `w`, read with [`Bus::peek`].
+fn dot_i8(bus: &mut Bus, x: u32, w: u32, n: u32, input_offset: i32) -> Result<i32, MemError> {
+    const CHUNK: u32 = 64;
+    let (mut xs, mut ws) = ([0u8; CHUNK as usize], [0u8; CHUNK as usize]);
+    let mut acc = 0;
+    let mut done = 0;
+    while done < n {
+        let k = (n - done).min(CHUNK) as usize;
+        bus.peek(x.wrapping_add(done), &mut xs[..k])?;
+        bus.peek(w.wrapping_add(done), &mut ws[..k])?;
+        for (&a, &b) in xs[..k].iter().zip(&ws[..k]) {
+            acc += (i32::from(a as i8) + input_offset) * i32::from(b as i8);
+        }
+        done += k as u32;
+    }
+    Ok(acc)
+}
+
 /// Transaction-level CPU model sharing the ISS's timing machinery.
 ///
 /// Kernels call the typed operations; the core charges cycles through the
@@ -102,6 +146,11 @@ pub struct TimedCore {
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
     pub(crate) recorder: Option<TraceRecorder>,
+    /// Loads [`mac_loop`](Self::mac_loop) charged in bulk by its D-cache
+    /// hit rule and by its uncached rule, for the tests to show that
+    /// both rules engage.
+    #[cfg(test)]
+    pub(crate) bulk_loads: [u64; 2],
 }
 
 /// The 4-deep write-through buffer every cached store goes through, at
@@ -369,6 +418,8 @@ impl TimedCore {
             deferring: false,
             write_buffer: VecDeque::new(),
             recorder: None,
+            #[cfg(test)]
+            bulk_loads: [0; 2],
         }
     }
 
@@ -738,6 +789,11 @@ impl TimedCore {
             r.branch(site, backward, taken);
         }
         self.fetch(1);
+        self.branch_cost(site, backward, taken);
+    }
+
+    /// Post-fetch charge of [`branch`](Self::branch).
+    fn branch_cost(&mut self, site: u32, backward: bool, taken: bool) {
         self.stats.branches += 1;
         // The predictor's view of the branch: a pc from the stable site
         // id and an offset from its static direction.
@@ -867,6 +923,152 @@ impl TimedCore {
     /// Bus faults.
     pub fn load_i32(&mut self, addr: u32) -> Result<i32, MemError> {
         Ok(self.timed_read(addr, 4)? as i32)
+    }
+
+    /// The byte multiply-accumulate loop of the software convolution
+    /// kernels: charges exactly the ops of
+    ///
+    /// ```text
+    /// for i in 0..n {
+    ///     alu(pre); x = load_i8(x + i); alu(mid); w = load_i8(w + i);
+    ///     mul(); alu(post); branch(site, true, i + 1 != n);
+    ///     acc += (x + input_offset) * w;
+    /// }
+    /// ```
+    ///
+    /// and returns `acc`. That loop is the definition, and it runs as
+    /// written except where a stretch's outcome is already fixed; such a
+    /// stretch is charged in bulk as plain counter updates. Both bulk
+    /// rules need fetch deferral on and no trace recorder (a capture
+    /// records every op).
+    ///
+    /// * **D-cache hits.** When the code region is resident and swept
+    ///   (every fetch is a free I-cache hit that touches no device, see
+    ///   [`set_code_region`](Self::set_code_region)) and an iteration
+    ///   leaves the lines of both operands resident, every later
+    ///   iteration inside both lines is a pair of hits: one cycle each,
+    ///   no device access, and the [`Bus::peek`] reset of each is
+    ///   idempotent because the previous load from that device already
+    ///   reset it. They are charged as the loop's counters, the hits and
+    ///   replacement clock of [`Cache::note_hits`], one predictor update
+    ///   per branch and a fetch backlog. The last iteration inside the
+    ///   lines runs op by op and re-stamps both lines, which leaves the
+    ///   cache exactly as the op-by-op loop does.
+    /// * **Uncached loads from timing-stateless memory.** Without a
+    ///   D-cache (or with both operand runs at or above
+    ///   [`UNCACHED_BASE`]), when each run lies inside one
+    ///   timing-stateless device, the whole loop is charged at once: one
+    ///   [`Bus::read_cost_run`] per run prices its loads. Such a device
+    ///   is never the timing-stateful code device, so the loads commute
+    ///   with the fetch backlog.
+    ///
+    /// # Errors
+    ///
+    /// Bus faults, as the loop's loads raise them.
+    pub fn mac_loop(&mut self, m: &MacLoop) -> Result<i32, MemError> {
+        let bulk = self.recorder.is_none() && self.deferring;
+        if bulk && m.n > 0 && self.uncached_stateless(m.x, m.n) && self.uncached_stateless(m.w, m.n)
+        {
+            return self.mac_uncached(m);
+        }
+        let mut acc = 0;
+        let mut i = 0;
+        while i < m.n {
+            acc += self.mac_step(m, i)?;
+            i += 1;
+            let k = if bulk { self.fixed_hits(m, i) } else { 0 };
+            if k > 0 {
+                acc += self.mac_hits(m, i, k)?;
+                i += k;
+            }
+        }
+        Ok(acc)
+    }
+
+    /// Iteration `i` of [`mac_loop`](Self::mac_loop), op by op.
+    fn mac_step(&mut self, m: &MacLoop, i: u32) -> Result<i32, MemError> {
+        self.alu(m.pre);
+        let x = i32::from(self.load_i8(m.x.wrapping_add(i))?);
+        self.alu(m.mid);
+        let w = i32::from(self.load_i8(m.w.wrapping_add(i))?);
+        self.mul();
+        self.alu(m.post);
+        self.branch(m.site, true, i + 1 != m.n);
+        Ok((x + m.input_offset) * w)
+    }
+
+    /// How many iterations from `i` on the D-cache-hit rule of
+    /// [`mac_loop`](Self::mac_loop) charges in bulk, just after iteration
+    /// `i - 1` ran op by op: those inside both operands' lines except the
+    /// last, when both lines are resident. 0 when the rule does not
+    /// apply.
+    fn fixed_hits(&self, m: &MacLoop, i: u32) -> u32 {
+        let Some(cache) = &self.dcache else { return 0 };
+        let (x, w) = (m.x.wrapping_add(i - 1), m.w.wrapping_add(i - 1));
+        if !(self.resident_skip && self.walk.swept) || x.max(w) >= UNCACHED_BASE {
+            return 0;
+        }
+        let line = cache.config().line_bytes;
+        let after = |a: u32| line - 1 - (a & (line - 1));
+        let inside = after(x).min(after(w)).min(m.n - i);
+        if inside < 2 || !cache.contains(x) || !cache.contains(w) {
+            return 0;
+        }
+        inside - 1
+    }
+
+    /// Charges iterations `i..i + k` of [`mac_loop`](Self::mac_loop) as
+    /// D-cache hit pairs (see [`fixed_hits`](Self::fixed_hits)); none is
+    /// the loop's last, so every back-edge is taken.
+    fn mac_hits(&mut self, m: &MacLoop, i: u32, k: u32) -> Result<i32, MemError> {
+        if let Some(cache) = &mut self.dcache {
+            cache.note_hits(2 * u64::from(k));
+        }
+        #[cfg(test)]
+        {
+            self.bulk_loads[0] += 2 * u64::from(k);
+        }
+        self.mac_counters(m, k);
+        self.charge(2 * u64::from(k));
+        for _ in 0..k {
+            self.branch_cost(m.site, true, true);
+        }
+        dot_i8(&mut self.bus, m.x.wrapping_add(i), m.w.wrapping_add(i), k, m.input_offset)
+    }
+
+    /// Whether `n` loads from `addr` on are uncached and priced by a
+    /// timing-stateless device alone.
+    fn uncached_stateless(&self, addr: u32, n: u32) -> bool {
+        (self.dcache.is_none() || addr >= UNCACHED_BASE) && self.bus.timing_stateless_span(addr, n)
+    }
+
+    /// Charges the whole of [`mac_loop`](Self::mac_loop) as uncached
+    /// loads from timing-stateless devices.
+    fn mac_uncached(&mut self, m: &MacLoop) -> Result<i32, MemError> {
+        #[cfg(test)]
+        {
+            self.bulk_loads[1] += 2 * u64::from(m.n);
+        }
+        self.mac_counters(m, m.n);
+        let cycles = self.bus.read_cost_run(m.x, 1, m.n)? + self.bus.read_cost_run(m.w, 1, m.n)?;
+        self.charge(cycles);
+        for i in 0..m.n {
+            self.branch_cost(m.site, true, i + 1 != m.n);
+        }
+        dot_i8(&mut self.bus, m.x, m.w, m.n, m.input_offset)
+    }
+
+    /// What `k` iterations of [`mac_loop`](Self::mac_loop) charge apart
+    /// from their loads' cycles and their branches: the fetches, joining
+    /// the backlog, the ALU and multiply cycles, and the load and
+    /// multiply counts.
+    fn mac_counters(&mut self, m: &MacLoop, k: u32) {
+        let k = u64::from(k);
+        let alu = u64::from(m.pre) + u64::from(m.mid) + u64::from(m.post);
+        self.pending += k * (alu + 4);
+        self.stats.loads += 2 * k;
+        self.stats.muls += k;
+        self.charge(k * (alu + self.config.mul_cycles()));
     }
 
     /// Timed 8-bit store.

@@ -3,10 +3,11 @@
 //! One kernel variant per optimization step, from the generic TFLM
 //! reference kernel to the fully-integrated, pipelined CFU1 design. All
 //! variants produce bit-identical outputs; only the work distribution
-//! between CPU and CFU changes.
+//! between CPU and CFU changes. The two software MAC steps (*SW*, *CFU
+//! postproc*) run their input-channel loop as one [`TimedCore::mac_loop`].
 
 use cfu_core::cfu1::{ops, Cfu1Stage, FILTER_WORDS, INPUT_WORDS};
-use cfu_sim::TimedCore;
+use cfu_sim::{MacLoop, TimedCore};
 
 use super::{charge_software_requant, generic, load_channel_params, ConvJob, KernelError};
 use cfu_core::arith;
@@ -144,32 +145,38 @@ fn pixels(job: &ConvJob<'_>) -> impl Iterator<Item = (usize, usize)> {
     (0..h).flat_map(move |y| (0..w).map(move |x| (y, x)))
 }
 
+/// The input-channel loop of output channel `oc` at pixel `(y, x)` in
+/// the software MAC steps (*SW* and *CFU postproc*). Specialization
+/// removes the Offset() recomputation and padding checks, but the
+/// compiled loop still carries per-element index staging and
+/// quantized-operand widening (`pre`, ~8 instructions beyond the loads
+/// and the multiply), then the pointer bumps and the accumulate
+/// (`post`).
+fn software_mac(job: &ConvJob<'_>, y: usize, x: usize, oc: usize) -> MacLoop {
+    let in_ch = job.params.filter.in_ch;
+    MacLoop {
+        x: job.input.element_addr(y, x, 0),
+        w: job.data.filter_addr + (oc * in_ch) as u32,
+        n: in_ch as u32,
+        input_offset: -job.input.quant.zero_point,
+        pre: 8,
+        mid: 0,
+        post: 2,
+        site: site::IC,
+    }
+}
+
 /// Software-only specialization: filter_width = filter_height = 1 is
 /// propagated, two loop levels and the padding check disappear, pointers
 /// advance incrementally.
 fn sw_specialized(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError> {
     let p = job.params;
-    let in_ch = p.filter.in_ch;
-    let input_offset = -job.input.quant.zero_point;
     let (act_min, act_max) = p.activation.range(p.out_quant);
     for (y, x) in pixels(job) {
         core.alu(3); // pixel pointer bump
         for oc in 0..p.filter.out_ch {
             core.alu(2);
-            let mut acc = 0i32;
-            for ic in 0..in_ch {
-                // Specialization removes the Offset() recomputation and
-                // padding checks, but the compiled loop still carries
-                // per-element index staging and quantized-operand widening
-                // (~8 instructions beyond the loads/multiply).
-                core.alu(8);
-                let xv = i32::from(core.load_i8(job.input.element_addr(y, x, ic))?);
-                let wv = i32::from(core.load_i8(job.data.filter_addr + (oc * in_ch + ic) as u32)?);
-                core.mul();
-                core.alu(2); // pointer bumps + accumulate
-                core.branch(site::IC, true, ic + 1 != in_ch);
-                acc += (xv + input_offset) * wv;
-            }
+            let mut acc = core.mac_loop(&software_mac(job, y, x, oc))?;
             let (bias, mult, shift) = load_channel_params(core, &job.data, oc)?;
             acc += bias;
             charge_software_requant(core);
@@ -208,8 +215,6 @@ fn push_params(
 /// *CFU postproc*: software MAC loop, hardware requantization.
 fn cfu_postproc(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelError> {
     let p = job.params;
-    let in_ch = p.filter.in_ch;
-    let input_offset = -job.input.quant.zero_point;
     core.cfu(ops::RESET, 0, 0)?;
     push_params(core, job, 0..p.filter.out_ch)?;
     let cq = job.cq;
@@ -218,16 +223,7 @@ fn cfu_postproc(core: &mut TimedCore, job: &ConvJob<'_>) -> Result<(), KernelErr
         core.alu(3);
         for oc in 0..p.filter.out_ch {
             core.alu(2);
-            let mut acc = 0i32;
-            for ic in 0..in_ch {
-                core.alu(8); // same residual loop bookkeeping as the SW step
-                let xv = i32::from(core.load_i8(job.input.element_addr(y, x, ic))?);
-                let wv = i32::from(core.load_i8(job.data.filter_addr + (oc * in_ch + ic) as u32)?);
-                core.mul();
-                core.alu(2);
-                core.branch(site::IC, true, ic + 1 != in_ch);
-                acc += (xv + input_offset) * wv;
-            }
+            let acc = core.mac_loop(&software_mac(job, y, x, oc))?;
             // One custom instruction replaces the whole software
             // requantization path (the ~55 saved cycles of the paper).
             let v = core.cfu(ops::POSTPROC, acc as u32, 0)? as i32;

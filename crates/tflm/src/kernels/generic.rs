@@ -6,12 +6,14 @@
 //! requantization in software per output element. That is why the
 //! unaccelerated MobileNetV2 baseline burns ~30 cycles per MAC — and why
 //! there is so much room for the paper's ladder to claw back. The charges
-//! below follow that structure op for op.
+//! below follow that structure op for op. The channel loops of CONV_2D
+//! and FULLY_CONNECTED are one [`TimedCore::mac_loop`] each: the same ops,
+//! with stretches whose cost is already fixed charged in bulk.
 
 use std::ops::Range;
 
 use cfu_core::arith;
-use cfu_sim::TimedCore;
+use cfu_sim::{MacLoop, TimedCore};
 
 use super::{
     charge_software_requant, load_channel_params, ConvJob, DwJob, FcJob, KernelError, MemTensor,
@@ -39,8 +41,11 @@ mod site {
 /// to adds/shifts, but the `RuntimeShape::Dims()` accessor chain and the
 /// remaining index arithmetic are re-evaluated every single access.
 fn charge_offset(core: &mut TimedCore) {
-    core.alu(9);
+    core.alu(OFFSET_ALU);
 }
+
+/// ALU instructions of one [`charge_offset`].
+const OFFSET_ALU: u32 = 9;
 
 /// Per-inner-iteration bookkeeping of the reference kernels beyond the
 /// offset math: loop-counter updates across four nesting levels, operand
@@ -113,24 +118,19 @@ pub fn conv2d_rows(
                         if !in_bounds {
                             continue;
                         }
-                        for ic in 0..input.shape.c {
-                            core.alu(REF_INNER_TAX);
-                            // Offset() for input and filter, every access.
-                            charge_offset(core);
-                            let x = i32::from(core.load_i8(input.element_addr(
-                                iy as usize,
-                                ix as usize,
-                                ic,
-                            ))?);
-                            charge_offset(core);
-                            let w = i32::from(core.load_i8(
-                                job.data.filter_addr + p.filter.offset(oc, dy, dx, ic) as u32,
-                            )?);
-                            core.mul();
-                            core.alu(2); // offset add + accumulate
-                            core.branch(site::CONV_IC, true, ic + 1 != input.shape.c);
-                            acc += (x + input_offset) * w;
-                        }
+                        // The channel loop recomputes Offset() for the input
+                        // and the filter on every access; `post` is the
+                        // offset add and the accumulate.
+                        acc += core.mac_loop(&MacLoop {
+                            x: input.element_addr(iy as usize, ix as usize, 0),
+                            w: job.data.filter_addr + p.filter.offset(oc, dy, dx, 0) as u32,
+                            n: input.shape.c as u32,
+                            input_offset,
+                            pre: REF_INNER_TAX + OFFSET_ALU,
+                            mid: OFFSET_ALU,
+                            post: 2,
+                            site: site::CONV_IC,
+                        })?;
                         core.branch(site::CONV_TAP, true, dx + 1 != p.filter.kw);
                     }
                 }
@@ -250,17 +250,18 @@ pub fn fully_connected(core: &mut TimedCore, job: &FcJob<'_>) -> Result<(), Kern
     core.call(6);
     core.alu(16);
     for oc in 0..p.filter.out_ch {
-        let mut acc = 0i32;
         core.alu(3);
-        for i in 0..n {
-            core.alu(REF_INNER_TAX);
-            let x = i32::from(core.load_i8(job.input.addr + i as u32)?);
-            let w = i32::from(core.load_i8(job.data.filter_addr + (oc * n + i) as u32)?);
-            core.mul();
-            core.alu(3); // pointer bumps + accumulate
-            core.branch(site::FC_IN, true, i + 1 != n);
-            acc += (x + input_offset) * w;
-        }
+        // `post` is the pointer bumps and the accumulate.
+        let mut acc = core.mac_loop(&MacLoop {
+            x: job.input.addr,
+            w: job.data.filter_addr + (oc * n) as u32,
+            n: n as u32,
+            input_offset,
+            pre: REF_INNER_TAX,
+            mid: 0,
+            post: 3,
+            site: site::FC_IN,
+        })?;
         let (bias, mult, shift) = load_channel_params(core, &job.data, oc)?;
         acc += bias;
         charge_software_requant(core);
