@@ -2,14 +2,15 @@
 //!
 //! Usage: `fig7_dse_pareto [--trials N] [--input-hw N] [--threads N]
 //! [--random]` (defaults: 120 trials per curve, 16x16 MobileNetV2,
-//! regularized evolution, 1 worker thread). The three curves run as
-//! three concurrent studies, each on `--threads` workers; per-curve
-//! progress counters print to stderr while the sweep runs. The Pareto
-//! fronts are byte-identical for every `--threads` value, which only
-//! changes wall-clock time. Each curve executes the guest once to
-//! capture its operation trace and scores every other design point by
-//! replaying the trace through timing-only machinery; a `retime:` line
-//! on stderr counts the captures, replays and shared replay passes.
+//! regularized evolution, one worker per available core). The three
+//! curves run one after another, each on `--threads` workers; the
+//! running curve's progress counter prints to stderr while the sweep
+//! runs. The Pareto fronts and `--store` files are byte-identical for
+//! every `--threads` value, which only changes wall-clock time. Each
+//! curve executes the guest once to capture its operation trace and
+//! scores every other design point by replaying the trace through
+//! timing-only machinery; a `retime:` line on stderr counts the
+//! captures, replays and shared replay passes.
 //!
 //! `--store PATH` persists every freshly simulated point to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -73,7 +74,10 @@ fn main() {
         space.size() * 3 / space.cfus.len() as u64,
         cfg.trials,
         if cfg.evolutionary { "regularized evolution" } else { "random search" },
-        args.spec.threads.unwrap_or(1).max(1)
+        args.spec.threads.map_or_else(
+            || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            |n| n.max(1)
+        )
     );
     let run = cfu_bench::fig7::run(&args.spec, &cfg);
     eprintln!(

@@ -4,20 +4,18 @@
 //! Each curve is a [`Fig7CurveSpace`] — the paper-scale space restricted
 //! to one CFU choice — explored through the same [`ParallelStudy`]
 //! engine as every other experiment in the repo. [`run`] explores the
-//! three curves as three concurrently-pipelined studies, each with its
-//! own worker pool and its own trace store: a curve executes the guest
-//! once to capture its operation trace and scores every other design
-//! point by replaying it through timing-only machinery (DESIGN.md §4b).
-//! With [`RunSpec::progress`] on, live per-curve evaluation counters
-//! print to stderr while long sweeps run.
+//! three curves one after another, each on the spec's workers and with
+//! its own trace store: a curve executes the guest once to capture its
+//! operation trace and scores every other design point by replaying it
+//! through timing-only machinery (DESIGN.md §4b). With
+//! [`RunSpec::progress`] on, the running curve's evaluation counter
+//! prints to stderr while long sweeps run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cfu_dse::{
-    CfuChoice, DesignPoint, EvaluatorFactory, Fig7CurveSpace, InferenceEvaluatorFactory, Optimizer,
-    ParallelStudy, ParetoPoint, RandomSearch, RegularizedEvolution, RetryPolicy, StoreContext,
-    StudyReport, StudyStore, TraceStore,
+    CfuChoice, DesignPoint, Fig7CurveSpace, InferenceEvaluatorFactory, Optimizer, ParallelStudy,
+    ParetoPoint, RandomSearch, RegularizedEvolution, RetryPolicy, StoreContext, StudyReport,
 };
 use cfu_soc::Board;
 use cfu_tflm::models;
@@ -82,159 +80,68 @@ impl Default for Fig7Config {
     }
 }
 
-/// Live evaluation counters and trace stores of the three
-/// concurrently-running curves, indexed like [`CURVES`].
-#[derive(Debug, Default)]
-struct Progress {
-    counters: [Arc<AtomicU64>; 3],
-    traces: [OnceLock<Arc<TraceStore>>; 3],
-}
-
-impl Progress {
-    /// Points evaluated so far, per curve.
-    fn snapshot(&self) -> [u64; 3] {
-        std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
-    }
-
-    /// One-line readout ("CPU alone 48/120 · ..."), `trials` being the
-    /// per-curve budget. Curves with a capture run in flight show
-    /// "capturing trace…" after their counter.
-    fn render(&self, trials: u64) -> String {
-        CURVES
-            .iter()
-            .zip(self.snapshot())
-            .zip(&self.traces)
-            .map(|((c, n), traces)| {
-                let capturing = traces.get().is_some_and(|s| s.capturing() > 0);
-                let tail = if capturing { " (capturing trace…)" } else { "" };
-                format!("{} {n}/{trials}{tail}", c.label())
-            })
-            .collect::<Vec<_>>()
-            .join(" · ")
-    }
-}
-
 /// The search space of one curve: the paper-scale space restricted to
 /// `choice`.
 pub fn space_for(choice: CfuChoice) -> Fig7CurveSpace {
     Fig7CurveSpace::new(choice)
 }
 
-/// Explores one curve (curve `i` of [`CURVES`]), publishing its trace
-/// store into `progress`.
-///
-/// # Panics
-///
-/// Panics if the model/evaluator cannot be constructed.
-fn run_curve(
-    i: usize,
+/// Explores one curve with `optimizer` on the spec's workers, storing
+/// its results under `ctx`.
+fn run_curve<O: Optimizer<Fig7CurveSpace>>(
     spec: &RunSpec,
     cfg: &Fig7Config,
-    progress: &Progress,
-    store: Option<Arc<StudyStore<DesignPoint>>>,
-) -> Fig7Curve {
-    let choice = CURVES[i];
-    let model = models::mobilenet_v2(cfg.input_hw, 2, 1);
-    let input = models::synthetic_input(&model, 5);
-    // One factory per curve: workers share the model weights and the
-    // input tensor by `Arc`, each minting a private evaluator.
-    let factory = InferenceEvaluatorFactory::new(Board::arty_a7_35t(), model, input)
-        .with_retime(true)
-        .with_cycle_budget(cfg.cycle_budget);
-    if let Some(traces) = factory.trace_store() {
-        let _ = progress.traces[i].set(Arc::clone(traces));
-    }
-    let counter = Arc::clone(&progress.counters[i]);
-    let (front, evaluated, report) = if cfg.evolutionary {
-        let optimizer = RegularizedEvolution::new(cfg.seed, 24, 6);
-        drive_curve(choice, optimizer, spec, cfg, &factory, counter, store)
-    } else {
-        drive_curve(choice, RandomSearch::new(cfg.seed), spec, cfg, &factory, counter, store)
-    };
-    Fig7Curve { label: choice.label(), choice, front, evaluated, report }
-}
-
-/// Drives one curve's study with `optimizer` against `factory`.
-fn drive_curve<O: Optimizer<Fig7CurveSpace>, F: EvaluatorFactory<DesignPoint>>(
     choice: CfuChoice,
     optimizer: O,
-    spec: &RunSpec,
-    cfg: &Fig7Config,
-    factory: &F,
-    progress: Arc<AtomicU64>,
-    store: Option<Arc<StudyStore<DesignPoint>>>,
-) -> (Vec<ParetoPoint>, u64, StudyReport<DesignPoint>) {
-    let mut study = ParallelStudy::new(space_for(choice), optimizer, spec.threads.unwrap_or(1));
+    ctx: StoreContext,
+    factory: &InferenceEvaluatorFactory,
+) -> Run<Fig7Curve, DesignPoint> {
+    let mut study = ParallelStudy::with_workers(space_for(choice), optimizer, spec.threads);
     study.set_retry_policy(RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast });
-    study.attach_progress(progress);
-    if let Some(handle) = store {
-        study.attach_store(handle);
-    }
-    spec.run_study(&mut study, factory, cfg.trials);
-    (study.archive().front(), study.archive().evaluated(), study.report())
+    let traces = factory.trace_store();
+    let run = spec.run_engine(study, ctx, factory, &[cfg.trials], |done| {
+        let capturing = traces.is_some_and(|t| t.capturing() > 0);
+        let tail = if capturing { " (capturing trace…)" } else { "" };
+        format!("{} {done}/{}{tail}", choice.label(), cfg.trials)
+    });
+    run.map(|study| {
+        let (front, evaluated) = (study.archive().front(), study.archive().evaluated());
+        Fig7Curve { label: choice.label(), choice, front, evaluated, report: study.report() }
+    })
 }
 
-/// Explores all three curves as three concurrently-running studies (one
-/// OS thread per curve, each fanning its batches out over
-/// `spec.threads` workers, default one). Curves are independent
-/// studies, so results are byte-identical to running them one after
-/// another. With a result
-/// store, each curve gets its own workload tag —
+/// Explores the three curves in [`CURVES`] order, one study at a time,
+/// each on `spec.threads` workers (default one per core). The model and
+/// its input are built once and shared by every curve's evaluators. With
+/// a result store, each curve gets its own workload tag —
 /// `fig7-mnv2-hw{N}-cfu{i}` — so hydration and the counters stay exact
 /// per curve even though all three append to one file.
 pub fn run(spec: &RunSpec, cfg: &Fig7Config) -> Run<Vec<Fig7Curve>, DesignPoint> {
-    let progress = Progress::default();
-    let stores: [_; 3] = std::array::from_fn(|i| {
-        spec.study_store(StoreContext::new(format!("fig7-mnv2-hw{}-cfu{i}", cfg.input_hw)))
-    });
-    let curves: Vec<Fig7Curve> = spec.observe(
-        || progress.snapshot(),
-        |_| progress.render(cfg.trials),
-        || {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = stores
-                    .iter()
-                    .enumerate()
-                    .map(|(i, store)| {
-                        let (progress, store) = (&progress, store.clone());
-                        scope.spawn(move || run_curve(i, spec, cfg, progress, store))
-                    })
-                    .collect();
-                // Joining in spawn order keeps the output order fixed. A
-                // curve thread that dies outright (setup panic — per-point
-                // faults are contained inside the study) yields an empty
-                // curve whose report records the panic, so the other
-                // curves still render.
-                handles
-                    .into_iter()
-                    .zip(CURVES)
-                    .map(|(h, choice)| {
-                        h.join().unwrap_or_else(|_| {
-                            let mut report = StudyReport { attempts: 1, ..StudyReport::default() };
-                            report.failures.insert("panicked", 1);
-                            Fig7Curve {
-                                label: choice.label(),
-                                choice,
-                                front: Vec::new(),
-                                evaluated: 0,
-                                report,
-                            }
-                        })
-                    })
-                    .collect()
-            })
-        },
-    );
-    let mut report = StudyReport::default();
-    for curve in &curves {
-        report.merge(&curve.report);
-    }
-    let mut run = Run::collect(curves, report, stores.iter().flatten());
-    for traces in progress.traces.iter().flat_map(OnceLock::get) {
+    let model = Arc::new(models::mobilenet_v2(cfg.input_hw, 2, 1));
+    let input = Arc::new(models::synthetic_input(&model, 5));
+    let mut run = Run::collect(Vec::new(), StudyReport::default(), []);
+    for (i, choice) in CURVES.into_iter().enumerate() {
+        let board = Board::arty_a7_35t();
+        let factory = InferenceEvaluatorFactory::new(board, Arc::clone(&model), Arc::clone(&input))
+            .with_retime(true)
+            .with_cycle_budget(cfg.cycle_budget);
+        let ctx = StoreContext::new(format!("fig7-mnv2-hw{}-cfu{i}", cfg.input_hw));
+        let curve = if cfg.evolutionary {
+            let optimizer = RegularizedEvolution::new(cfg.seed, 24, 6);
+            run_curve(spec, cfg, choice, optimizer, ctx, &factory)
+        } else {
+            run_curve(spec, cfg, choice, RandomSearch::new(cfg.seed), ctx, &factory)
+        };
+        run.report.merge(&curve.report);
+        run.hydrated += curve.hydrated;
+        run.appended += curve.appended;
+        run.tombstoned += curve.tombstoned;
+        let traces = factory.trace_store().expect("retime is on");
         run.captures += traces.captures();
         run.replays += traces.replays();
         run.memory_passes += traces.memory_passes();
         run.branch_passes += traces.branch_passes();
+        run.rows.push(curve.rows);
     }
     run
 }

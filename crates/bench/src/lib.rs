@@ -50,9 +50,8 @@ use cfu_dse::{
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Worker threads per study (clamped to at least 1). `None`, the
-    /// binaries' default without `--threads`: the ladders run one worker
-    /// per available core, and Figure 7, whose three curves already run
-    /// concurrently, one worker per curve.
+    /// binaries' default without `--threads`: one worker per available
+    /// core.
     pub threads: Option<usize>,
     /// Persistent result store: every freshly simulated point is
     /// appended to it, under a workload tag the figure chooses.
@@ -80,33 +79,54 @@ impl Default for RunSpec {
 const PROGRESS_PERIOD: Duration = Duration::from_millis(500);
 
 impl RunSpec {
-    /// Binds the spec's result store under `ctx`, in resume mode if the
-    /// spec asks for it and under its fault plan's torn flushes.
-    fn study_store<P>(&self, ctx: StoreContext) -> Option<Arc<StudyStore<P>>> {
-        let store = self.store.as_ref()?;
-        let mut handle = StudyStore::new(Arc::clone(store), ctx).with_resume(self.resume);
-        if let Some(plan) = &self.fault_plan {
-            handle = handle.with_fault_plan(Arc::clone(plan));
-        }
-        Some(Arc::new(handle))
-    }
-
-    /// Runs `trials` rounds of `study` on `factory`'s evaluators, each
-    /// wrapped in the spec's fault plan when there is one.
-    fn run_study<S, O, F>(&self, study: &mut ParallelStudy<O, S>, factory: &F, trials: u64)
+    /// Runs `study` on `factory`'s evaluators, `rounds` trials at a time
+    /// in order, attached to the spec's result store under `ctx` and
+    /// wrapped in its fault plan; `render(points evaluated)` is the
+    /// progress readout. The finished study is the run's rows.
+    fn run_engine<S, O, F>(
+        &self,
+        mut study: ParallelStudy<O, S>,
+        ctx: StoreContext,
+        factory: &F,
+        rounds: &[u64],
+        render: impl Fn(&u64) -> String + Send,
+    ) -> Run<ParallelStudy<O, S>, S::Point>
     where
         S: SearchSpace,
-        S::Point: Hash,
+        S::Point: StoreKey + Hash + 'static,
         O: Optimizer<S>,
         F: EvaluatorFactory<S::Point>,
     {
-        match &self.fault_plan {
-            Some(plan) => {
-                let faulty = FaultyFactory::new(|| factory.make_evaluator(), Arc::clone(plan));
-                study.run(&faulty, trials);
+        let store = self.store.as_ref().map(|store| {
+            let mut handle = StudyStore::new(Arc::clone(store), ctx).with_resume(self.resume);
+            if let Some(plan) = &self.fault_plan {
+                handle = handle.with_fault_plan(Arc::clone(plan));
             }
-            None => study.run(factory, trials),
+            Arc::new(handle)
+        });
+        if let Some(handle) = &store {
+            study.attach_store(Arc::clone(handle));
         }
+        let progress = Arc::new(AtomicU64::new(0));
+        study.attach_progress(Arc::clone(&progress));
+        self.observe(
+            || progress.load(Ordering::Relaxed),
+            render,
+            || {
+                for &trials in rounds {
+                    match &self.fault_plan {
+                        Some(plan) => {
+                            let faulty =
+                                FaultyFactory::new(|| factory.make_evaluator(), Arc::clone(plan));
+                            study.run(&faulty, trials);
+                        }
+                        None => study.run(factory, trials),
+                    }
+                }
+            },
+        );
+        let report = study.report();
+        Run::collect(study, report, &store)
     }
 
     /// Runs `work`; with [`progress`](RunSpec::progress) on, a scoped
@@ -241,27 +261,19 @@ where
     F: EvaluatorFactory<S::Point>,
 {
     let total = space.size();
-    let store = spec.study_store(ctx);
     let optimizer = GridSearch::new(&space, total);
-    let mut study = ParallelStudy::with_workers(space, optimizer, spec.threads);
-    let progress = Arc::new(AtomicU64::new(0));
-    study.attach_progress(Arc::clone(&progress));
-    if let Some(handle) = &store {
-        study.attach_store(Arc::clone(handle));
-    }
-    spec.observe(
-        || progress.load(Ordering::Relaxed),
-        |done| format!("{done}/{total} ladder steps"),
-        || {
-            let lead = u64::from(baseline_first).min(total);
-            spec.run_study(&mut study, factory, lead);
-            spec.run_study(&mut study, factory, total - lead);
-        },
-    );
-    let results = (0..total)
-        .map(|i| study.cache().get(&study.space().point(i)).expect("engine evaluated every rung"))
-        .collect();
-    Run::collect(results, study.report(), &store)
+    let study = ParallelStudy::with_workers(space, optimizer, spec.threads);
+    let lead = u64::from(baseline_first).min(total);
+    spec.run_engine(study, ctx, factory, &[lead, total - lead], |done| {
+        format!("{done}/{total} ladder steps")
+    })
+    .map(|study| {
+        (0..total)
+            .map(|i| {
+                study.cache().get(&study.space().point(i)).expect("engine evaluated every rung")
+            })
+            .collect()
+    })
 }
 
 /// Formats a speedup for tables ("55.30x").

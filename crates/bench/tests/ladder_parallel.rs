@@ -1,12 +1,15 @@
 //! Every figure run against its checked-in golden CSV at the thread
 //! counts that must not move a byte: threads {1, 4} and the default
-//! (one worker per core for the ladders), Figure 4 also at 2. This is
+//! (one worker per core), Figure 4 also at 2. This is
 //! the contract that lets the figure binaries take `--threads N`, and
 //! run multi-worker without it, without perturbing published numbers.
 //! Figure 7 scores its timing siblings by trace replay; every other
 //! figure executes each point.
 
+use std::sync::Arc;
+
 use cfu_bench::{fig4, fig6, fig7, RunSpec};
+use cfu_dse::FaultPlan;
 
 /// The run modes each figure is checked under: 1 and 4 workers, and
 /// the binaries' default.
@@ -62,9 +65,9 @@ fn energy_table_matches_golden_with_one_execution_per_step() {
 
 #[test]
 fn fig7_matches_golden_and_report_at_any_thread_count() {
-    // The three curves run concurrently on N-worker studies; the CSV
-    // and the rendered report (including the starred overall optima)
-    // must not move for any N. Eight trials are
+    // The three curves run one after another on N-worker studies; the
+    // CSV and the rendered report (including the starred overall
+    // optima) must not move for any N. Eight trials are
     // one suggest/observe round per curve; 24 cross a round boundary
     // (`SUGGEST_BATCH` = 16), so the second round's replays come from
     // traces captured in the first.
@@ -90,10 +93,29 @@ fn fig7_matches_golden_and_report_at_any_thread_count() {
             );
             // One capture per curve; timing siblings replay.
             assert_eq!((run.captures, run.replays), (3, replays), "{trials} trials, {spec:?}");
-            if spec.threads.unwrap_or(1) == 1 {
-                let passes = (run.memory_passes, run.branch_passes);
-                assert_eq!(passes, (memory_passes, branch_passes), "{trials} trials");
-            }
+            let passes = (run.memory_passes, run.branch_passes);
+            assert_eq!(passes, (memory_passes, branch_passes), "{trials} trials, {spec:?}");
         }
     }
+}
+
+#[test]
+fn fig7_ordinal_faults_are_deterministic_on_one_worker() {
+    // Ordinal-keyed faults count evaluations across the whole run, so
+    // they land on the same points only when one worker evaluates the
+    // curves in a fixed order.
+    let cfg = fig7::Fig7Config { trials: 8, input_hw: 8, ..fig7::Fig7Config::default() };
+    let faulty = || {
+        let plan = FaultPlan::from_spec("trap@3,panic@7").unwrap();
+        let spec =
+            RunSpec { threads: Some(1), fault_plan: Some(Arc::new(plan)), ..RunSpec::default() };
+        let run = fig7::run(&spec, &cfg);
+        (fig7::to_csv(&run.rows), run.report)
+    };
+    let (csv, report) = faulty();
+    assert_eq!((report.retries, report.quarantined.len()), (1, 1), "{}", report.render());
+    let (again, again_report) = faulty();
+    assert_eq!(again, csv, "the faulted fronts moved between runs");
+    assert_eq!(again_report.render(), report.render());
+    assert_eq!(format!("{again_report:?}"), format!("{report:?}"));
 }

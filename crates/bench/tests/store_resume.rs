@@ -46,6 +46,28 @@ fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
 }
 
 #[test]
+fn fig7_store_bytes_do_not_depend_on_the_thread_count() {
+    // Fresh results reach the store at batch merge, in suggestion order,
+    // and the curves run one after another: the file is a function of
+    // the sweep alone.
+    let cfg = fig7::Fig7Config { input_hw: 8, trials: 24, ..fig7::Fig7Config::default() };
+    let cold = |tag: &str, threads| {
+        let path = temp_store(tag);
+        let store = Arc::new(ResultStore::open(&path).unwrap());
+        fig7::run(&RunSpec { threads, store: Some(store), ..RunSpec::default() }, &cfg);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    };
+    let reference = cold("fig7-bytes-t1", Some(1));
+    assert!(reference.len() > 8, "the cold run must persist records");
+    for (tag, threads) in [("fig7-bytes-t4", Some(4)), ("fig7-bytes-def", None)] {
+        assert!(cold(tag, threads) == reference, "store bytes differ at {threads:?} workers");
+    }
+    assert!(cold("fig7-bytes-t1-again", Some(1)) == reference, "store bytes differ between runs");
+}
+
+#[test]
 fn fig4_warm_resume_is_byte_identical_and_appends_nothing() {
     let baseline = include_str!("golden/fig4_mnv2_ladder_hw16.csv");
     let path = temp_store("fig4");

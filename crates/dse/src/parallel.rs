@@ -73,13 +73,13 @@ pub struct InferenceEvaluatorFactory {
 }
 
 impl InferenceEvaluatorFactory {
-    /// Creates the factory; `model` may be a bare [`Model`] or an
-    /// existing [`Arc<Model>`] handle.
-    pub fn new(board: Board, model: impl Into<Arc<Model>>, input: Tensor) -> Self {
+    /// Creates the factory; `model` and `input` may be bare values or
+    /// existing [`Arc`] handles shared with other factories.
+    pub fn new(board: Board, model: impl Into<Arc<Model>>, input: impl Into<Arc<Tensor>>) -> Self {
         InferenceEvaluatorFactory {
             board,
             model: model.into(),
-            input: Arc::new(input),
+            input: input.into(),
             retime: None,
             cycle_budget: None,
         }

@@ -35,10 +35,6 @@
 //! written (the engine records tombstones instead) and any sentinel
 //! found in an old file is dropped at open time.
 //!
-//! Version-1 files (untagged 41-byte result values) are upgraded in
-//! place on open: records are parsed with the old layout and the file
-//! is rewritten under version-2 framing.
-//!
 //! `point_key` is the [`StoreKey`] encoding of the candidate — an
 //! explicit, field-by-field byte layout that deliberately does **not**
 //! depend on `#[derive(Hash)]` or struct memory layout, so the file
@@ -97,12 +93,9 @@ pub const SIM_VERSION: u32 = 2;
 /// File magic: "CFU Result Store".
 const STORE_MAGIC: [u8; 4] = *b"CFRS";
 /// On-disk format version (framing, not simulator semantics).
-/// Version 2 added tagged values and failure tombstones; version-1
-/// files upgrade in place on open.
+/// Version 2 added tagged values and failure tombstones; a file of any
+/// other version is refused.
 const FORMAT_VERSION: u32 = 2;
-/// The last format version [`ResultStore::open`] can still read (and
-/// upgrade from).
-const OLDEST_READABLE_VERSION: u32 = 1;
 /// Serialized [`EvalResult`] size: 8 + 4*4 + 1 + 8 + 8.
 const VALUE_LEN: usize = 41;
 /// Value tag: a 41-byte [`EvalResult`] payload follows.
@@ -549,11 +542,10 @@ fn encode_record(key: &[u8], value: &StoredValue) -> Vec<u8> {
     record
 }
 
-/// Splits the framed record starting at `bytes[at..]` into its verified
-/// `(key, value_bytes, next_offset)` — shared by the v1 and v2 parsers,
-/// which differ only in how `value_bytes` is decoded. `None` if the
-/// record is truncated, checksum-corrupt or malformed.
-fn parse_frame(bytes: &[u8], at: usize) -> Option<(&[u8], &[u8], usize)> {
+/// Parses the framed record starting at `bytes[at..]` into its verified
+/// `(key, value, next_offset)`. Callers treat any `None` (a truncated,
+/// checksum-corrupt or malformed record) as "the log ends here".
+fn parse_record(bytes: &[u8], at: usize) -> Option<(Vec<u8>, StoredValue, usize)> {
     let rest = bytes.get(at..)?;
     let body_len = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?) as usize;
     let framed = rest.get(..4 + body_len)?;
@@ -568,21 +560,7 @@ fn parse_frame(bytes: &[u8], at: usize) -> Option<(&[u8], &[u8], usize)> {
     if fnv1a(key) != key_hash {
         return None;
     }
-    Some((key, body.get(12 + key_len..)?, at + 4 + body_len + 8))
-}
-
-/// Parses a version-2 record. Callers treat any `None` as "the log ends
-/// here".
-fn parse_record(bytes: &[u8], at: usize) -> Option<(Vec<u8>, StoredValue, usize)> {
-    let (key, value_bytes, next) = parse_frame(bytes, at)?;
-    Some((key.to_vec(), decode_stored(value_bytes)?, next))
-}
-
-/// Parses a legacy version-1 record (untagged 41-byte result value) —
-/// only used by the upgrade path in [`ResultStore::open`].
-fn parse_record_v1(bytes: &[u8], at: usize) -> Option<(Vec<u8>, EvalResult, usize)> {
-    let (key, value_bytes, next) = parse_frame(bytes, at)?;
-    Some((key.to_vec(), decode_value(value_bytes)?, next))
+    Some((key.to_vec(), decode_stored(body.get(12 + key_len..)?)?, at + 4 + body_len + 8))
 }
 
 /// Folds one decoded record into the index with the override policy:
@@ -669,10 +647,7 @@ impl ResultStore {
     /// as a torn header write and rewritten from scratch; a wrong magic
     /// or unknown format version is an error (never clobber a file that
     /// is not ours); a truncated or checksum-corrupt tail record is
-    /// dropped and the file truncated back to the last good record. A
-    /// readable older format version is upgraded: its records are parsed
-    /// with the old layout and the file is rewritten under the current
-    /// framing.
+    /// dropped and the file truncated back to the last good record.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
@@ -699,7 +674,7 @@ impl ResultStore {
                 ));
             }
             let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            if version != FORMAT_VERSION && version != OLDEST_READABLE_VERSION {
+            if version != FORMAT_VERSION {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!(
@@ -710,13 +685,7 @@ impl ResultStore {
             }
             let mut offset = header.len();
             while offset < bytes.len() {
-                let parsed = if version == FORMAT_VERSION {
-                    parse_record(&bytes, offset)
-                } else {
-                    parse_record_v1(&bytes, offset)
-                        .map(|(key, value, next)| (key, StoredValue::Result(value), next))
-                };
-                match parsed {
+                match parse_record(&bytes, offset) {
                     Some((key, value, next)) => {
                         index_record(&mut index, key, value);
                         offset = next;
@@ -729,18 +698,6 @@ impl ResultStore {
                         break;
                     }
                 }
-            }
-            if version != FORMAT_VERSION {
-                // Upgrade in place: rewrite every surviving record under
-                // the current framing. (Legacy sentinels were already
-                // dropped by the index fold above, so they do not make
-                // the jump to the new format.)
-                let mut blob = header.clone();
-                for (key, value) in &index {
-                    blob.extend_from_slice(&encode_record(key, value));
-                }
-                file.set_len(0)?;
-                file.write_all(&blob)?;
             }
         }
         Ok(ResultStore {
@@ -1176,10 +1133,17 @@ mod tests {
     #[test]
     fn foreign_files_are_never_clobbered() {
         let path = temp_path("foreign");
-        std::fs::write(&path, b"definitely not a store").unwrap();
-        let err = ResultStore::open(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(std::fs::read(&path).unwrap(), b"definitely not a store");
+        // A non-store file, then a header of the retired version 1
+        // followed by 64 bytes of record data.
+        let mut v1 = b"CFRS".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&[7; 64]);
+        for contents in [b"definitely not a store".to_vec(), v1] {
+            std::fs::write(&path, &contents).unwrap();
+            let err = ResultStore::open(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), contents, "the refused file was modified");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }
