@@ -88,6 +88,7 @@ fn bench_mnv2(group: &mut criterion::BenchmarkGroup<'_>) {
     let store = retime_factory.trace_store().expect("retime on");
     assert_eq!((store.memory_passes(), store.branch_passes()), (1, 1));
     let trace = store.slot(CfuChoice::None).get().cloned().flatten().expect("captured");
+    eprintln!("abl_retime: the mnv2 trace holds {} packed word(s)", trace.words());
     let mut replayer = TraceReplayer::new(replay_point.cpu, sram_board().build_bus(None));
     let summary = replayer.replay(&trace).expect("replays");
     assert_eq!(reference.latency, summary.total_cycles(), "retime parity");

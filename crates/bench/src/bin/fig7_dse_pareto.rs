@@ -10,7 +10,8 @@
 //! curve executes the guest once to capture its operation trace and
 //! scores every other design point by replaying the trace through
 //! timing-only machinery; a `retime:` line on stderr counts the
-//! captures, replays and shared replay passes.
+//! captures, replays and shared replay passes, and the packed words the
+//! captured traces hold.
 //!
 //! `--store PATH` persists every freshly simulated point to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -81,8 +82,8 @@ fn main() {
     );
     let run = cfu_bench::fig7::run(&args.spec, &cfg);
     eprintln!(
-        "retime: {} capture run(s), {} point(s) scored by trace replay, {} memory pass(es), {} branch pass(es)",
-        run.captures, run.replays, run.memory_passes, run.branch_passes
+        "retime: {} capture run(s), {} point(s) scored by trace replay, {} memory pass(es), {} branch pass(es), {} trace word(s)",
+        run.captures, run.replays, run.memory_passes, run.branch_passes, run.trace_words
     );
     CMD.print_store(&args, &run);
     eprintln!("{}", run.report.render());

@@ -141,6 +141,7 @@ pub fn run(spec: &RunSpec, cfg: &Fig7Config) -> Run<Vec<Fig7Curve>, DesignPoint>
         run.replays += traces.replays();
         run.memory_passes += traces.memory_passes();
         run.branch_passes += traces.branch_passes();
+        run.trace_words += traces.trace_words();
         run.rows.push(curve.rows);
     }
     run

@@ -187,6 +187,9 @@ pub struct Run<R, P> {
     /// Fused core-count and branch passes those replays shared: one per
     /// trace and branch predictor.
     pub branch_passes: u64,
+    /// Packed words of the captured traces, summed over every trace
+    /// store the run used.
+    pub trace_words: u64,
     /// Layer runs fast-forwarded by a shared layer memo (Figure 4).
     pub fast_forwards: u64,
     /// Guest instructions those fast-forwards skipped.
@@ -214,6 +217,7 @@ impl<R, P> Run<R, P> {
             replays: 0,
             memory_passes: 0,
             branch_passes: 0,
+            trace_words: 0,
             fast_forwards: 0,
             skipped_instructions: 0,
         };
@@ -237,6 +241,7 @@ impl<R, P> Run<R, P> {
             replays: self.replays,
             memory_passes: self.memory_passes,
             branch_passes: self.branch_passes,
+            trace_words: self.trace_words,
             fast_forwards: self.fast_forwards,
             skipped_instructions: self.skipped_instructions,
         }

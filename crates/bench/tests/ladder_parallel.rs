@@ -72,13 +72,14 @@ fn fig7_matches_golden_and_report_at_any_thread_count() {
     // (`SUGGEST_BATCH` = 16), so the second round's replays come from
     // traces captured in the first.
     // Each golden comes with the counts the run reports: points
-    // replayed, memory passes (one per curve and cache geometry) and
-    // branch passes (one per curve and predictor).
+    // replayed, memory passes (one per curve and cache geometry), branch
+    // passes (one per curve and predictor) and the captured traces'
+    // packed words (the same three captures at either trial count).
     let goldens = [
-        (8, include_str!("golden/fig7_dse_pareto_trials8_hw8.csv"), [21, 18, 12]),
-        (24, include_str!("golden/fig7_dse_pareto_trials24_hw8.csv"), [69, 39, 18]),
+        (8, include_str!("golden/fig7_dse_pareto_trials8_hw8.csv"), [21, 18, 12, 1_445_248]),
+        (24, include_str!("golden/fig7_dse_pareto_trials24_hw8.csv"), [69, 39, 18, 1_445_248]),
     ];
-    for (trials, golden, [replays, memory_passes, branch_passes]) in goldens {
+    for (trials, golden, [replays, memory_passes, branch_passes, trace_words]) in goldens {
         let cfg = fig7::Fig7Config { trials, input_hw: 8, ..fig7::Fig7Config::default() };
         let mut report = None;
         for spec in specs() {
@@ -95,6 +96,7 @@ fn fig7_matches_golden_and_report_at_any_thread_count() {
             assert_eq!((run.captures, run.replays), (3, replays), "{trials} trials, {spec:?}");
             let passes = (run.memory_passes, run.branch_passes);
             assert_eq!(passes, (memory_passes, branch_passes), "{trials} trials, {spec:?}");
+            assert_eq!(run.trace_words, trace_words, "{trials} trials, {spec:?}");
         }
     }
 }

@@ -334,6 +334,13 @@ impl<K: Copy + Eq + Hash> TraceStore<K> {
         self.replays.load(Ordering::Relaxed)
     }
 
+    /// Packed words of the traces captured so far ([`Trace::words`]),
+    /// summed over keys: what the store holds in trace memory.
+    pub fn trace_words(&self) -> u64 {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.values().filter_map(|slot| slot.get()?.as_ref()).map(|t| t.words() as u64).sum()
+    }
+
     /// Memory passes [`replay`](TraceStore::replay) ran: one per trace
     /// and cache geometry.
     pub fn memory_passes(&self) -> u64 {

@@ -138,6 +138,45 @@ impl PredictorState {
         (!correct, correct & taken & !prediction.target_known)
     }
 
+    /// Resolves `k` taken outcomes of the branch at `pc` exactly as `k`
+    /// [`resolve`](Self::resolve) calls would, returning the summed
+    /// `(mispredicts, redirects)`. A taken outcome drives the entry
+    /// towards a fixed point (counter 3, target known) that it reaches
+    /// within three updates; from there every outcome predicts alike and
+    /// leaves the entry as it is, so the rest are counted at once.
+    pub(crate) fn resolve_taken(&mut self, pc: u32, offset: i32, k: u64) -> (u64, u64) {
+        let (mut mispredicts, mut redirects) = (0, 0);
+        let mut left = k;
+        while left > 0 && !self.taken_fixed_point(pc) {
+            let (mispredicted, redirect) = self.resolve(pc, offset, true);
+            mispredicts += u64::from(mispredicted);
+            redirects += u64::from(redirect);
+            left -= 1;
+        }
+        if left > 0 {
+            let prediction = self.predict(pc, offset);
+            let correct = u64::from(prediction.taken);
+            self.hits += left * correct;
+            self.misses += left * (1 - correct);
+            mispredicts += left * (1 - correct);
+            redirects += left * correct * u64::from(!prediction.target_known);
+            if !self.counters.is_empty() {
+                self.touched |= 1 << (self.index(pc) & 63);
+            }
+        }
+        (mispredicts, redirects)
+    }
+
+    /// Whether a taken outcome at `pc` would leave the predictor's state
+    /// as it is: always for the stateless predictors, and for the
+    /// dynamic ones once the entry saturates with its target known.
+    fn taken_fixed_point(&self, pc: u32) -> bool {
+        self.counters.is_empty() || {
+            let i = self.index(pc);
+            self.counters[i] == 3 && self.btb_valid[i]
+        }
+    }
+
     /// (correct, incorrect) prediction counts.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -202,6 +241,8 @@ impl PredictorState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Predict-then-update with the real offset, the way every call site
     /// drives the predictor.
@@ -298,5 +339,58 @@ mod tests {
         }
         let (hits, misses) = p.stats();
         assert!(hits > 290, "hits={hits} misses={misses}");
+    }
+
+    /// A predictor of one of the four kinds in a random state: every
+    /// entry's counter and target bit drawn at random, the touched mask
+    /// cleared. 4-entry tables make the generated sites alias.
+    fn random_state(kind: usize, entries: u32, seed: u64) -> PredictorState {
+        let entries = [1, 4, 16][entries as usize % 3];
+        let kind = [
+            BranchPredictor::None,
+            BranchPredictor::Static,
+            BranchPredictor::Dynamic { entries },
+            BranchPredictor::DynamicTarget { entries },
+        ][kind];
+        let mut p = PredictorState::new(kind);
+        for (i, (c, valid)) in p.counters.iter_mut().zip(&mut p.btb_valid).enumerate() {
+            let bits = seed >> (3 * (i % 21));
+            *c = (bits & 3) as u8;
+            *valid = bits & 4 != 0;
+        }
+        p
+    }
+
+    /// Everything a later branch or a span checkpoint can observe.
+    fn state(p: &mut PredictorState) -> (Vec<u8>, Vec<bool>, (u64, u64), u64) {
+        (p.counters.clone(), p.btb_valid.clone(), p.stats(), p.take_touched())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn taken_run_equals_per_branch_resolve(
+            (kind, entries, seed) in (0usize..4, 0u32..3, any::<u64>()),
+            runs in vec((0u32..8, any::<bool>(), 0u64..=300, any::<bool>()), 1..6),
+        ) {
+            let mut closed = random_state(kind, entries, seed);
+            let mut stepped = closed.clone();
+            for (site, backward, k, then_not_taken) in runs {
+                let (pc, offset) = (site * 4, if backward { -4 } else { 4 });
+                let got = closed.resolve_taken(pc, offset, k);
+                let mut want = (0, 0);
+                for _ in 0..k {
+                    let (mispredicted, redirect) = stepped.resolve(pc, offset, true);
+                    want.0 += u64::from(mispredicted);
+                    want.1 += u64::from(redirect);
+                }
+                prop_assert_eq!(got, want, "site {} k {} {:?}", site, k, closed.kind());
+                prop_assert_eq!(state(&mut closed), state(&mut stepped), "site {} k {}", site, k);
+                // A not-taken outcome moves the entry off its fixed point.
+                if then_not_taken {
+                    prop_assert_eq!(closed.resolve(pc, offset, false), stepped.resolve(pc, offset, false));
+                }
+            }
+        }
     }
 }

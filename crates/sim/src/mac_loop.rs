@@ -17,6 +17,15 @@
 //! deferral and capture on and off; swept and unswept code regions. After
 //! the loop and again after a follow-up op sequence, the two cores must
 //! agree on everything a later op can observe.
+//!
+//! A capture records `mac_loop` as one MAC record and the op-by-op loop
+//! as its ops, so the two traces differ word for word. What must agree is
+//! what replay makes of them: under the case's configuration and under a
+//! second one with other caches and another predictor, both traces
+//! replay to the same summary, statistics, cache statistics and device
+//! traffic, and under the case's configuration that is the live run's.
+//! Every MAC loop records the same number of words whatever its `n`, and
+//! a faulting one records none.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -26,8 +35,12 @@ use cfu_mem::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use crate::retime::MAC_WORDS;
 use crate::timed_core::FetchWalk;
-use crate::{BranchPredictor, CpuConfig, MacLoop, TimedCore, TlmStats, UNCACHED_BASE};
+use crate::{
+    BranchPredictor, CpuConfig, MacLoop, ReplaySummary, TimedCore, TlmStats, Trace, TraceReplayer,
+    UNCACHED_BASE,
+};
 
 const FLASH: (u32, u32) = (0x0000_0000, 64 << 10);
 const SRAM: (u32, u32) = (0x1000_0000, 64 << 10);
@@ -50,9 +63,19 @@ fn build_bus() -> Bus {
     bus
 }
 
+/// An I-cache that holds any generated code region in distinct sets.
+const BIG_ICACHE: CacheConfig = CacheConfig { size_bytes: 4096, ways: 1, line_bytes: 32 };
+/// An I-cache that holds only the shortest generated code region.
+const SMALL_ICACHE: CacheConfig = CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 32 };
+const PREDICTORS: [BranchPredictor; 4] = [
+    BranchPredictor::None,
+    BranchPredictor::Static,
+    BranchPredictor::Dynamic { entries: 64 },
+    BranchPredictor::DynamicTarget { entries: 16 },
+];
+
 /// The cores' configuration: no D-cache or one of nine 1 KiB D-caches,
-/// an I-cache that holds any generated code region (4 KiB direct-mapped)
-/// or only the shortest (1 KiB 2-way), and one of four predictors.
+/// the big or the small I-cache, and one of four predictors.
 fn config() -> impl Strategy<Value = CpuConfig> {
     (0usize..10, any::<bool>(), 0usize..4).prop_map(|(dcache, small_icache, predictor)| {
         let dcache = dcache.checked_sub(1).map(|d| CacheConfig {
@@ -60,19 +83,27 @@ fn config() -> impl Strategy<Value = CpuConfig> {
             ways: [1, 2, 4][d % 3],
             line_bytes: [16, 32, 64][d / 3],
         });
-        let icache = if small_icache {
-            CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 32 }
-        } else {
-            CacheConfig { size_bytes: 4096, ways: 1, line_bytes: 32 }
-        };
-        let branch_predictor = [
-            BranchPredictor::None,
-            BranchPredictor::Static,
-            BranchPredictor::Dynamic { entries: 64 },
-            BranchPredictor::DynamicTarget { entries: 16 },
-        ][predictor];
+        let icache = if small_icache { SMALL_ICACHE } else { BIG_ICACHE };
+        let branch_predictor = PREDICTORS[predictor];
         CpuConfig { icache: Some(icache), dcache, branch_predictor, ..CpuConfig::arty_default() }
     })
+}
+
+/// A second replay target for a trace captured under `c`: the other
+/// I-cache, a 2 KiB D-cache of another geometry (or a 1 KiB one where `c`
+/// has none) and the next predictor.
+fn retimed(c: CpuConfig) -> CpuConfig {
+    let dcache = Some(match c.dcache {
+        None => CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 32 },
+        Some(d) => CacheConfig {
+            size_bytes: 2048,
+            ways: if d.ways == 1 { 2 } else { 1 },
+            line_bytes: if d.line_bytes == 64 { 16 } else { 2 * d.line_bytes },
+        },
+    });
+    let icache = Some(if c.icache == Some(BIG_ICACHE) { SMALL_ICACHE } else { BIG_ICACHE });
+    let next = PREDICTORS.iter().position(|&p| p == c.branch_predictor).map_or(0, |i| i + 1);
+    CpuConfig { icache, dcache, branch_predictor: PREDICTORS[next % 4], ..c }
 }
 
 /// The start of an `n`-byte operand: inside one of the devices with 4 KiB
@@ -214,10 +245,15 @@ fn mac_by_ops(core: &mut TimedCore, m: &MacLoop) -> Result<i32, MemError> {
 
 fn run_mac(core: &mut TimedCore, m: &MacLoop, by_ops: bool) -> Result<i32, MemError> {
     if by_ops {
-        mac_by_ops(core, m)
-    } else {
-        core.mac_loop(m)
+        return mac_by_ops(core, m);
     }
+    let words = |core: &TimedCore| core.recorder.as_ref().map(|r| r.words());
+    let before = words(core);
+    let out = core.mac_loop(m);
+    // One fixed-size record for any `n`; none for a loop that faulted.
+    let added = if out.is_ok() { MAC_WORDS } else { 0 };
+    assert_eq!(words(core), before.map(|w| w + added), "{m:?}: {out:?}");
+    out
 }
 
 /// Runs `ops`, returning each MAC loop's and load's result.
@@ -300,12 +336,25 @@ fn run_case(case: &Case, by_ops: bool) -> (TimedCore, Vec<Result<i32, MemError>>
     (core, results, [after_main, after_follow])
 }
 
+/// What a replay of a trace under one configuration yields: its summary,
+/// both caches' statistics and every device's traffic.
+type Replayed = (ReplaySummary, [Option<CacheStats>; 2], Vec<DeviceStats>);
+
+fn replay(config: CpuConfig, trace: &Trace) -> (Replayed, [u64; 2]) {
+    let mut replayer = TraceReplayer::new(config, build_bus());
+    let summary = replayer.replay(trace).unwrap();
+    let core = replayer.core();
+    let devices = core.bus.regions().map(|(id, _)| core.bus.stats(id)).collect();
+    ((summary, [core.icache_stats(), core.dcache_stats()], devices), core.bulk_loads)
+}
+
 const CASES: u32 = 600;
-/// Cases run so far, and the loads that each bulk rule charged: the
-/// last case asserts the generator engages both.
+/// Cases run so far, and the loads that the bulk rules charged, by rule:
+/// the hit and uncached rules without and with capture, and the hit
+/// rule in replays. The last case asserts the generator engages each.
 static RAN: AtomicU32 = AtomicU32::new(0);
-static HIT_LOADS: AtomicU64 = AtomicU64::new(0);
-static UNCACHED_LOADS: AtomicU64 = AtomicU64::new(0);
+static BULK_LOADS: [AtomicU64; 5] =
+    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -317,16 +366,32 @@ proptest! {
         prop_assert_eq!(&results, &oracle_results, "results: {}", what);
         prop_assert_eq!(&states[0], &oracle_states[0], "after the loop: {}", what);
         prop_assert_eq!(&states[1], &oracle_states[1], "after the follow-up: {}", what);
-        prop_assert_eq!(bulk.finish_recording(), oracle.finish_recording(), "trace: {}", what);
-        if case.record || !case.defer {
+        // A capture whose loop faulted fails, and no caller replays it.
+        let traces = bulk.finish_recording().zip(oracle.finish_recording());
+        if let Some((trace, oracle_trace)) = traces.filter(|_| results.iter().all(Result::is_ok)) {
+            for config in [case.config, retimed(case.config)] {
+                let (replayed, replay_loads) = replay(config, &trace);
+                let (want, _) = replay(config, &oracle_trace);
+                prop_assert_eq!(&replayed, &want, "replay under {:?}: {}", config, what);
+                if config == case.config {
+                    prop_assert_eq!(replayed.0.stats, states[1].stats, "live: {}", what);
+                }
+                BULK_LOADS[4].fetch_add(replay_loads[0], Ordering::Relaxed);
+            }
+        }
+        if !case.defer {
             prop_assert_eq!(bulk.bulk_loads, [0, 0], "{}", what);
         }
-        HIT_LOADS.fetch_add(bulk.bulk_loads[0], Ordering::Relaxed);
-        UNCACHED_LOADS.fetch_add(bulk.bulk_loads[1], Ordering::Relaxed);
+        for (rule, loads) in bulk.bulk_loads.into_iter().enumerate() {
+            BULK_LOADS[2 * usize::from(case.record) + rule].fetch_add(loads, Ordering::Relaxed);
+        }
         if RAN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
-            let (hits, uncached) =
-                (HIT_LOADS.load(Ordering::Relaxed), UNCACHED_LOADS.load(Ordering::Relaxed));
-            prop_assert!(hits > 0 && uncached > 0, "bulk loads: {} hit, {} uncached", hits, uncached);
+            let loads = BULK_LOADS.each_ref().map(|l| l.load(Ordering::Relaxed));
+            prop_assert!(
+                loads.iter().all(|&l| l > 0),
+                "bulk loads (hit, uncached; captured hit, uncached; replayed hit): {:?}",
+                loads
+            );
         }
     }
 }

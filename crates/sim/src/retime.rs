@@ -12,7 +12,11 @@
 //!   [`TraceRecorder`] attached ([`crate::TimedCore::start_recording`]).
 //!   Recording is passive — the capture run's own timing and statistics
 //!   are unchanged — and yields a compact in-memory [`Trace`] of the
-//!   committed operation stream. Traces are never written to disk.
+//!   committed operation stream. Traces are never written to disk. Ops
+//!   are recorded at the granularity of the API that issues them: a
+//!   [`crate::TimedCore::mac_loop`] is one four-word MAC record for any
+//!   iteration count, and the loop runs under its live bulk rules while
+//!   recording.
 //! * **Replay** streams the trace through a [`TraceReplayer`]: only the
 //!   timing machinery runs (I/D caches, branch predictor, bus device
 //!   wait-state models, CFU latencies, the store write buffer). Fetch,
@@ -21,7 +25,7 @@
 //!   layer cycle profile are bit-identical to an execute-mode run under
 //!   the replayed configuration.
 //!
-//! The exactness argument rests on four properties, each pinned by
+//! The exactness argument rests on five properties, each pinned by
 //! tests here or in `cfu-mem`:
 //!
 //! 1. [`cfu_mem::Bus::read_cost`] evolves routing, statistics and device
@@ -40,7 +44,16 @@
 //! 3. Store timing is value-independent (device write latency does not
 //!    depend on the data), so replay writes zeros through the same
 //!    write-buffer model and nobody ever reads the replay bus's contents.
-//! 4. Memory-side timing state — cache tags and LRU, DRAM open rows, the
+//! 4. A MAC record is charged everywhere as the op-by-op loop that
+//!    defines it: the scan adds its ALU, branch-issue and multiply counts
+//!    in closed form and runs its back-edges through the predictor's
+//!    closed form for a run of taken branches
+//!    ([`PredictorState`]), and the memory pass issues its
+//!    fetches and loads iteration by iteration through the same load
+//!    handler as a recorded load, charging the stretches whose outcome
+//!    is fixed by the live D-cache-hit rule (`TimedCore::fixed_hits`,
+//!    `TimedCore::mac_hit_memory`).
+//! 5. Memory-side timing state — cache tags and LRU, DRAM open rows, the
 //!    flash burst tracker — never reads the cycle counter. So a replay
 //!    splits into a memory pass per cache geometry ([`MemoryProfile`]),
 //!    a core count and a branch pass per predictor ([`CoreProfile`],
@@ -58,9 +71,10 @@ use cfu_mem::{CacheConfig, CacheStats, MemError};
 use crate::bpred::PredictorState;
 use crate::config::{BranchPredictor, CpuConfig};
 use crate::cpu::UNCACHED_BASE;
-use crate::timed_core::{buffer_store, TimedCore, TlmStats};
+use crate::timed_core::{buffer_store, MacLoop, TimedCore, TlmStats};
 
-/// Op-word tags (low 4 bits of each packed `u64`).
+/// Op-word tags (low 4 bits of the first packed `u64` of each record;
+/// a region record takes two words, a MAC record [`MAC_WORDS`]).
 const TAG_REGION: u64 = 0;
 const TAG_ALU: u64 = 1;
 const TAG_MUL: u64 = 2;
@@ -74,13 +88,20 @@ const TAG_CFU: u64 = 9;
 const TAG_CFU_HIDDEN: u64 = 10;
 const TAG_PEEK: u64 = 11;
 const TAG_MARK: u64 = 12;
+/// One [`crate::TimedCore::mac_loop`], in [`MAC_WORDS`] words.
+const TAG_MAC: u64 = 13;
+
+/// Words of a MAC record: the tag and `n`, then `x | w << 32`,
+/// `pre | mid << 32` and `post | site << 32`, so every field keeps all
+/// of its 32 bits.
+pub(crate) const MAC_WORDS: usize = 4;
 
 /// A captured committed-operation trace from a [`TimedCore`] run.
 ///
-/// The trace stores the abstract operation stream, packed one or two
-/// `u64` words per op; replay regenerates the fetch-address stream from
-/// it. Every trace comes from a capture run
-/// ([`TimedCore::finish_recording`]).
+/// The trace stores the abstract operation stream, packed one `u64`
+/// word per op (two for a code region, four for a whole MAC loop);
+/// replay regenerates the fetch-address stream from it. Every trace
+/// comes from a capture run ([`TimedCore::finish_recording`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     ops: Vec<u64>,
@@ -88,7 +109,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Number of packed op words (a `Region` op uses two).
+    /// Number of packed op words (a code region uses two, a MAC loop
+    /// four).
     pub fn words(&self) -> usize {
         self.ops.len()
     }
@@ -235,9 +257,46 @@ impl TraceRecorder {
         self.ops.push(TAG_MARK);
     }
 
+    /// Records a whole MAC loop (its input offset leaves timing alone).
+    pub(crate) fn mac(&mut self, m: &MacLoop) {
+        let pair = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        self.ops.extend([
+            TAG_MAC | u64::from(m.n) << 8,
+            pair(m.x, m.w),
+            pair(m.pre, m.mid),
+            pair(m.post, m.site),
+        ]);
+    }
+
+    /// Packed words recorded so far.
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> usize {
+        self.ops.len()
+    }
+
     pub(crate) fn finish(self) -> Trace {
         Trace { ops: self.ops, compressed: self.compressed }
     }
+}
+
+/// The MAC loop recorded at word `i` of `ops`, if all of its words are
+/// there.
+fn mac_record(ops: &[u64], i: usize) -> Result<MacLoop, ReplayError> {
+    let Some(&[head, xw, pre_mid, post_site]) = ops.get(i..i + MAC_WORDS) else {
+        return Err(ReplayError::Mismatch("truncated MAC record"));
+    };
+    let lo = |w: u64| w as u32;
+    let hi = |w: u64| (w >> 32) as u32;
+    Ok(MacLoop {
+        x: lo(xw),
+        w: hi(xw),
+        n: (head >> 8) as u32,
+        input_offset: 0,
+        pre: lo(pre_mid),
+        mid: hi(pre_mid),
+        post: lo(post_site),
+        site: hi(post_site),
+    })
 }
 
 /// One bus region's replay-side metadata: its address range, memoized
@@ -634,6 +693,24 @@ impl CoreProfile {
                 }
                 TAG_CFU_HIDDEN => core.cfu_ops += 1,
                 TAG_MARK => seg.mark((std::mem::take(&mut core), std::mem::take(&mut branch))),
+                TAG_MAC => {
+                    // n iterations of ALU work, a multiply and a branch
+                    // issue each; the back-edge is taken n − 1 times,
+                    // then falls through.
+                    let m = mac_record(ops, i)?;
+                    let n = u64::from(m.n);
+                    core.fixed += n * (m.alu() + 1);
+                    core.muls += n;
+                    core.branches += n;
+                    if n > 0 {
+                        let pc = m.site.wrapping_mul(4);
+                        let (mispredicts, bubbles) = bpred.resolve_taken(pc, -4, n - 1);
+                        let (mispredicted, redirect) = bpred.resolve(pc, -4, false);
+                        branch.mispredicts += mispredicts + u64::from(mispredicted);
+                        branch.bubbles += bubbles + u64::from(redirect);
+                    }
+                    i += MAC_WORDS - 1;
+                }
                 _ => return Err(ReplayError::Mismatch("unknown op tag")),
             }
             i += 1;
@@ -902,36 +979,7 @@ fn memory_walk(
             TAG_ALU => core.fetch(w >> 8),
             TAG_MUL | TAG_DIV | TAG_SHIFT | TAG_BRANCH | TAG_CFU => core.fetch(1),
             TAG_CALL => core.fetch(2 + 2 * (w >> 8)),
-            TAG_LOAD => {
-                let addr = (w >> 8) as u32;
-                let len = (w >> 4 & 0xF) as u32;
-                core.fetch(1);
-                match memo.find(addr, len) {
-                    Some(e) if e.stateless && (core.dcache.is_none() || addr >= UNCACHED_BASE) => {
-                        // Stateless uncached load: per-length cost is a
-                        // constant of the region — charge the memoized
-                        // value, settle traffic stats at the end of the
-                        // replay.
-                        core.stats.loads += 1;
-                        if let Some(c) = e.cost[len as usize] {
-                            core.stats.cycles += c;
-                            e.deferred_reads += 1;
-                            e.deferred_bytes += u64::from(len);
-                            e.deferred_cycles += c;
-                        } else {
-                            let c = core.bus.read_cost(addr, len)?;
-                            core.stats.cycles += c;
-                            e.cost[len as usize] = Some(c);
-                        }
-                    }
-                    _ => {
-                        if core.code_device.must_flush_for(addr) {
-                            core.settle();
-                        }
-                        core.load_cost(addr, len)?;
-                    }
-                }
-            }
+            TAG_LOAD => load(core, &mut memo, (w >> 8) as u32, (w >> 4 & 0xF) as u32)?,
             TAG_STORE => {
                 // The write buffer reads the cycle counter, so a store
                 // settles the backlog first, as a live one does.
@@ -964,6 +1012,25 @@ fn memory_walk(
                 cycles.push(core.stats.cycles - seg_start);
                 seg_start = core.stats.cycles;
             }
+            TAG_MAC => {
+                // The loop's definition, op by op, with live execution's
+                // D-cache-hit rule for the stretches whose charge is
+                // fixed.
+                let m = mac_record(ops, i)?;
+                let mut j = 0;
+                while j < m.n {
+                    core.fetch(u64::from(m.pre));
+                    load(core, &mut memo, m.x.wrapping_add(j), 1)?;
+                    core.fetch(u64::from(m.mid));
+                    load(core, &mut memo, m.w.wrapping_add(j), 1)?;
+                    core.fetch(u64::from(m.post) + 2);
+                    j += 1;
+                    let k = core.fixed_hits(&m, j);
+                    core.mac_hit_memory(&m, k);
+                    j += k;
+                }
+                i += MAC_WORDS - 1;
+            }
             _ => return Err(ReplayError::Mismatch("unknown op tag")),
         }
         i += 1;
@@ -975,6 +1042,38 @@ fn memory_walk(
     }
     memo.spill(&mut core.bus);
     Ok((cycles, store_cycles))
+}
+
+/// The memory side of one recorded load: its fetch, then the load
+/// through the D-cache and bus as [`TimedCore`] charges it, settling
+/// the fetch backlog first when the load lands on a timing-stateful code
+/// device. A load from a timing-stateless region outside the D-cache
+/// costs a per-length constant: `memo` charges the memoized value and
+/// settles its traffic statistics at the end of the pass.
+fn load(core: &mut TimedCore, memo: &mut RegionTable, addr: u32, len: u32) -> Result<(), MemError> {
+    core.fetch(1);
+    match memo.find(addr, len) {
+        Some(e) if e.stateless && (core.dcache.is_none() || addr >= UNCACHED_BASE) => {
+            core.stats.loads += 1;
+            if let Some(c) = e.cost[len as usize] {
+                core.stats.cycles += c;
+                e.deferred_reads += 1;
+                e.deferred_bytes += u64::from(len);
+                e.deferred_cycles += c;
+            } else {
+                let c = core.bus.read_cost(addr, len)?;
+                core.stats.cycles += c;
+                e.cost[len as usize] = Some(c);
+            }
+            Ok(())
+        }
+        _ => {
+            if core.code_device.must_flush_for(addr) {
+                core.settle();
+            }
+            core.load_cost(addr, len)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1175,6 +1274,29 @@ mod tests {
         r.region(0, 0x431);
         r.alu(13);
         assert_eq!(r.ops[3..], [TAG_REGION, 0x431, TAG_ALU | (13 << 8)]);
+    }
+
+    #[test]
+    fn mac_records_keep_every_field() {
+        let mut r = TraceRecorder::new(false);
+        let max = MacLoop {
+            x: u32::MAX,
+            w: 0x8000_0001,
+            n: u32::MAX,
+            input_offset: -128,
+            pre: u32::MAX,
+            mid: 1,
+            post: u32::MAX - 1,
+            site: u32::MAX,
+        };
+        let zero = MacLoop { x: 0, w: 0, n: 0, input_offset: 0, pre: 0, mid: 0, post: 0, site: 0 };
+        for m in [max, zero] {
+            r.mac(&m);
+            let at = r.ops.len() - MAC_WORDS;
+            assert_eq!(mac_record(&r.ops, at), Ok(MacLoop { input_offset: 0, ..m }));
+        }
+        let truncated = mac_record(&r.ops, r.ops.len() - 2);
+        assert_eq!(truncated, Err(ReplayError::Mismatch("truncated MAC record")));
     }
 
     #[test]

@@ -73,6 +73,13 @@ pub struct MacLoop {
     pub site: u32,
 }
 
+impl MacLoop {
+    /// ALU instructions per iteration.
+    pub(crate) fn alu(&self) -> u64 {
+        u64::from(self.pre) + u64::from(self.mid) + u64::from(self.post)
+    }
+}
+
 /// `Σ (x[i] + input_offset) * w[i]` over the `n` signed bytes at `x` and
 /// at `w`, read with [`Bus::peek`].
 fn dot_i8(bus: &mut Bus, x: u32, w: u32, n: u32, input_offset: i32) -> Result<i32, MemError> {
@@ -147,8 +154,8 @@ pub struct TimedCore {
     /// default) costs one branch per operation.
     pub(crate) recorder: Option<TraceRecorder>,
     /// Loads [`mac_loop`](Self::mac_loop) charged in bulk by its D-cache
-    /// hit rule and by its uncached rule, for the tests to show that
-    /// both rules engage.
+    /// hit rule (live or in a replay's memory pass) and by its uncached
+    /// rule, for the tests to show that the rules engage.
     #[cfg(test)]
     pub(crate) bulk_loads: [u64; 2],
 }
@@ -939,8 +946,7 @@ impl TimedCore {
     /// and returns `acc`. That loop is the definition, and it runs as
     /// written except where a stretch's outcome is already fixed; such a
     /// stretch is charged in bulk as plain counter updates. Both bulk
-    /// rules need fetch deferral on and no trace recorder (a capture
-    /// records every op).
+    /// rules need fetch deferral on.
     ///
     /// * **D-cache hits.** When the code region is resident and swept
     ///   (every fetch is a free I-cache hit that touches no device, see
@@ -950,10 +956,11 @@ impl TimedCore {
     ///   no device access, and the [`Bus::peek`] reset of each is
     ///   idempotent because the previous load from that device already
     ///   reset it. They are charged as the loop's counters, the hits and
-    ///   replacement clock of [`Cache::note_hits`], one predictor update
-    ///   per branch and a fetch backlog. The last iteration inside the
-    ///   lines runs op by op and re-stamps both lines, which leaves the
-    ///   cache exactly as the op-by-op loop does.
+    ///   replacement clock of [`Cache::note_hits`], the predictor's
+    ///   closed form for a run of taken back-edges and a fetch backlog.
+    ///   The last iteration inside the lines runs op by op and re-stamps
+    ///   both lines, which leaves the cache exactly as the op-by-op loop
+    ///   does.
     /// * **Uncached loads from timing-stateless memory.** Without a
     ///   D-cache (or with both operand runs at or above
     ///   [`UNCACHED_BASE`]), when each run lies inside one
@@ -962,11 +969,28 @@ impl TimedCore {
     ///   is never the timing-stateful code device, so the loads commute
     ///   with the fetch backlog.
     ///
+    /// A capture records the loop as one MAC record, pushed once the loop
+    /// returns `Ok`; trace replay charges that record as the op-by-op
+    /// loop, its memory side through the same D-cache-hit rule. A loop
+    /// that faults records nothing: its capture fails anyway.
+    ///
     /// # Errors
     ///
     /// Bus faults, as the loop's loads raise them.
     pub fn mac_loop(&mut self, m: &MacLoop) -> Result<i32, MemError> {
-        let bulk = self.recorder.is_none() && self.deferring;
+        // The loop's ops are recorded as one record, not one by one.
+        let recorder = self.recorder.take();
+        let out = self.mac_run(m);
+        self.recorder = recorder;
+        if let (Ok(_), Some(r)) = (&out, &mut self.recorder) {
+            r.mac(m);
+        }
+        out
+    }
+
+    /// [`mac_loop`](Self::mac_loop) with no recorder attached.
+    fn mac_run(&mut self, m: &MacLoop) -> Result<i32, MemError> {
+        let bulk = self.deferring;
         if bulk && m.n > 0 && self.uncached_stateless(m.x, m.n) && self.uncached_stateless(m.w, m.n)
         {
             return self.mac_uncached(m);
@@ -1001,8 +1025,8 @@ impl TimedCore {
     /// [`mac_loop`](Self::mac_loop) charges in bulk, just after iteration
     /// `i - 1` ran op by op: those inside both operands' lines except the
     /// last, when both lines are resident. 0 when the rule does not
-    /// apply.
-    fn fixed_hits(&self, m: &MacLoop, i: u32) -> u32 {
+    /// apply. Trace replay's memory pass asks the same question.
+    pub(crate) fn fixed_hits(&self, m: &MacLoop, i: u32) -> u32 {
         let Some(cache) = &self.dcache else { return 0 };
         let (x, w) = (m.x.wrapping_add(i - 1), m.w.wrapping_add(i - 1));
         if !(self.resident_skip && self.walk.swept) || x.max(w) >= UNCACHED_BASE {
@@ -1021,19 +1045,47 @@ impl TimedCore {
     /// D-cache hit pairs (see [`fixed_hits`](Self::fixed_hits)); none is
     /// the loop's last, so every back-edge is taken.
     fn mac_hits(&mut self, m: &MacLoop, i: u32, k: u32) -> Result<i32, MemError> {
-        if let Some(cache) = &mut self.dcache {
-            cache.note_hits(2 * u64::from(k));
-        }
+        self.mac_hit_memory(m, k);
+        self.mac_core(m, k, false);
+        dot_i8(&mut self.bus, m.x.wrapping_add(i), m.w.wrapping_add(i), k, m.input_offset)
+    }
+
+    /// The memory side of `k` D-cache-hit iterations of
+    /// [`mac_loop`](Self::mac_loop): the hits and replacement clock of
+    /// both loads, one cycle per hit, the load count, and every fetch of
+    /// the iterations onto the backlog. Live execution adds
+    /// [`mac_core`](Self::mac_core) to it; trace replay's memory pass
+    /// charges it alone.
+    pub(crate) fn mac_hit_memory(&mut self, m: &MacLoop, k: u32) {
+        let hits = 2 * u64::from(k);
         #[cfg(test)]
         {
-            self.bulk_loads[0] += 2 * u64::from(k);
+            self.bulk_loads[0] += hits;
         }
-        self.mac_counters(m, k);
-        self.charge(2 * u64::from(k));
-        for _ in 0..k {
-            self.branch_cost(m.site, true, true);
+        if let Some(cache) = &mut self.dcache {
+            cache.note_hits(hits);
         }
-        dot_i8(&mut self.bus, m.x.wrapping_add(i), m.w.wrapping_add(i), k, m.input_offset)
+        self.stats.loads += hits;
+        self.charge(hits);
+        self.pending += u64::from(k) * (m.alu() + 4);
+    }
+
+    /// The core side of `k` iterations of [`mac_loop`](Self::mac_loop):
+    /// the ALU and multiply cycles, the multiply count and the
+    /// back-edges, all taken unless `last` makes the final one (`k ≥ 1`)
+    /// the loop's exit.
+    fn mac_core(&mut self, m: &MacLoop, k: u32, last: bool) {
+        let k = u64::from(k);
+        self.stats.muls += k;
+        self.charge(k * (m.alu() + self.config.mul_cycles()));
+        let taken = k - u64::from(last);
+        let (mispredicts, redirects) = self.bpred.resolve_taken(m.site.wrapping_mul(4), -4, taken);
+        self.stats.branches += taken;
+        self.stats.mispredicts += mispredicts;
+        self.charge(taken + mispredicts * self.config.refill_penalty() + redirects);
+        if taken < k {
+            self.branch_cost(m.site, true, false);
+        }
     }
 
     /// Whether `n` loads from `addr` on are uncached and priced by a
@@ -1045,30 +1097,17 @@ impl TimedCore {
     /// Charges the whole of [`mac_loop`](Self::mac_loop) as uncached
     /// loads from timing-stateless devices.
     fn mac_uncached(&mut self, m: &MacLoop) -> Result<i32, MemError> {
+        let n = u64::from(m.n);
         #[cfg(test)]
         {
-            self.bulk_loads[1] += 2 * u64::from(m.n);
+            self.bulk_loads[1] += 2 * n;
         }
-        self.mac_counters(m, m.n);
+        self.pending += n * (m.alu() + 4);
+        self.stats.loads += 2 * n;
         let cycles = self.bus.read_cost_run(m.x, 1, m.n)? + self.bus.read_cost_run(m.w, 1, m.n)?;
         self.charge(cycles);
-        for i in 0..m.n {
-            self.branch_cost(m.site, true, i + 1 != m.n);
-        }
+        self.mac_core(m, m.n, true);
         dot_i8(&mut self.bus, m.x, m.w, m.n, m.input_offset)
-    }
-
-    /// What `k` iterations of [`mac_loop`](Self::mac_loop) charge apart
-    /// from their loads' cycles and their branches: the fetches, joining
-    /// the backlog, the ALU and multiply cycles, and the load and
-    /// multiply counts.
-    fn mac_counters(&mut self, m: &MacLoop, k: u32) {
-        let k = u64::from(k);
-        let alu = u64::from(m.pre) + u64::from(m.mid) + u64::from(m.post);
-        self.pending += k * (alu + 4);
-        self.stats.loads += 2 * k;
-        self.stats.muls += k;
-        self.charge(k * (alu + self.config.mul_cycles()));
     }
 
     /// Timed 8-bit store.
